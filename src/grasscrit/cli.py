@@ -8,11 +8,6 @@ produce byte-identical reports for identical inputs, seed and version.
 Exit codes: 0 success, 2 validation error (domain preconditions), 3
 parse error (bad command line or malformed/unschematic JSON), 4 solver
 error.  Errors are reported as ``{"code", "message", "path"}``.
-
-The environment variable ``GRASSCRIT_THREADS`` caps worker threads for
-commands whose trials are independent (currently ``gdc-sample``);
-output is canonicalized before emission, so the report does not depend
-on the thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -114,19 +108,6 @@ def _load_doc(args) -> dict:
 
 def _plane(doc, key):
     return serialize.plane_from_json(serialize._require(doc, key, "input"), path=key)
-
-
-def _threads() -> int:
-    raw = os.environ.get("GRASSCRIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise GrasscritError(f"GRASSCRIT_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise GrasscritError(f"GRASSCRIT_THREADS must be >= 1, got {val}")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,6 @@ def _cmd_gdc_sample(args):
         n_starts=args.starts,
         seed=args.seed,
         tol=args.tol,
-        threads=_threads(),
     )
     return report.to_dict()
 

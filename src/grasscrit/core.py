@@ -517,7 +517,7 @@ def plucker_minors(plane_or_basis) -> np.ndarray:
     """
     b = plane_or_basis.basis if isinstance(plane_or_basis, Plane) else np.asarray(plane_or_basis)
     n, k = b.shape
-    return np.array([np.linalg.det(b[np.array(rows), :]) for rows in plucker_index_table(n, k)])
+    return np.linalg.det(b[np.array(plucker_index_table(n, k))])
 
 
 def plucker_coords(e: Plane) -> PluckerPoint:

@@ -96,10 +96,6 @@ class DegenerateAuxSpace(GrasscritError):
 # Critical-search errors
 # ---------------------------------------------------------------------------
 
-class ChartBoundary(GrasscritError):
-    """SVD-chart point too close to the boundary angles {0, pi/2}."""
-
-
 class NoConvergence(GrasscritError):
     """No solver start converged; diagnostics attached."""
 

@@ -20,11 +20,8 @@ Tangent spaces of the variety are computed through the chart: push an
 orthonormal basis of the fixed-rank tangent space through a central
 finite difference of the exponential and read the result in the
 logarithm chart at the image point.  The flag-theoretic description of
-the tangent space as intersection-preserving maps is exposed only as a
-cross-check (:func:`flag_formula_tangent_dim`); at generic smooth
-points, where the plane meets the orthogonal complement of W
-trivially, it produces a smaller dimension than the chart and the
-chart is authoritative here.
+the tangent space as intersection-preserving maps is exposed as a
+cross-check of its dimension (:func:`flag_formula_tangent_dim`).
 """
 
 from __future__ import annotations
@@ -366,20 +363,17 @@ def sample_variety_distances(
 
 
 def flag_formula_tangent_dim(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> int:
-    """Dimension of {maps e -> e^perp preserving the intersection with w}.
+    """Dimension of {maps e -> R^n / e sending e meet w into (w + e) / e}.
 
-    Cross-check only: counts maps sending the intersection of ``e`` with
-    the reference plane into the part of the complement of ``e`` inside
-    the reference plane.  At generic smooth points that target space is
-    trivial and the count is (k-s)(n-k), strictly below the chart
-    dimension (k-s)(n-k+s); the chart value is the one used everywhere
-    else in this package.
+    Cross-check of the chart tangent space: the maps from ``e`` to its
+    normal space R^n / e that send the intersection of ``e`` with the
+    reference plane w into (w + e) / e, whose dimension is
+    k - dim(e meet w).  At a smooth point the intersection has
+    dimension s, so the count (k-s)(n-k) + s (k - s) equals
+    :attr:`SchubertVariety.smooth_dim`.
     """
     stratum = schubert_stratum(omega, e, tol=tol)
     if stratum.kind != "smooth":
         raise NotSmoothPoint(f"point is {stratum.kind}")
     n, k, s = omega.n, omega.k, omega.s
-    # dim of w inside the complement of e: angles of (w, e) equal to pi/2
-    angles = core.principal_angles(omega.w.plane, e)
-    d_perp = int(np.sum(angles >= math.pi / 2 - tol))
-    return (k - s) * (n - k) + s * d_perp
+    return (k - s) * (n - k) + s * (k - stratum.intersection_dim)

@@ -2,23 +2,21 @@
 complexity estimation, and explicit complexity bounds.
 
 A hypersurface is a homogeneous polynomial in the Plucker coordinates.
-Off the cut locus of the base plane L, every plane is the exponential
-of a unique tangent matrix with singular values below pi/2, so the
-squared distance is the sum of squared singular values and the
-constrained critical points satisfy a Lagrange system in the SVD
-variables (U, V, mu) of the tangent matrix:
+Off the cut locus of the base plane L, every plane is E = exp_L(A) for a
+unique tangent matrix A with largest singular value below pi/2, so A
+itself is a chart of the off-cut set (normal coordinates at L) and the
+distance is ||A||.  By the Gauss lemma the gradient of the distance at E
+is the unit geodesic velocity there, so the constrained critical points
+are the solutions of a Lagrange system in A:
 
-* the dehomogenized polynomial vanishes,
-* the orthonormality constraints on U and V hold,
-* the mu-gradient of the polynomial is parallel to mu,
-* the (U, V)-gradient lies in the row span of the constraint Jacobian.
+* the polynomial vanishes on the minors of an orthonormal basis of E,
+* the unit geodesic velocity at E is parallel to the unit horizontal
+  gradient of the polynomial.
 
-The last two conditions encode a rank drop of the full Lagrange matrix
-and are exposed in :func:`lagrange_residual` as the 2 x 2 minors of the
-small block and the smallest singular value of the stacked large block.
-The solver drives an equivalent smooth projection form of the same
-system; because the SVD parametrization is singular where mu has
-repeated entries, converged chart points are accepted only when the
+Both are smooth in A, including at repeated angles: the basis and the
+velocity are power series in A^T A.  :func:`lagrange_residual` stacks
+the two conditions and the solver drives it to zero from seeded starts;
+a solution counts only when A lies inside the cut locus and the
 chart-free certificate (geodesic direction normal to the hypersurface)
 also passes.  Counting the surviving points over random base planes
 gives an empirical lower bound for the generic critical-point count,
@@ -38,12 +36,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import core, cutlocus
-from .core import FramedPlane, Plane
+from . import core
+from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
-    ChartBoundary,
     DimensionError,
     DomainError,
+    FrameMismatch,
     NoConvergence,
     NonGenericL,
     NotUnit,
@@ -155,200 +153,84 @@ def linear_form(n: int, k: int, weights) -> PluckerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# SVD chart
+# Normal coordinates at the base plane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvdChartPoint:
-    """SVD coordinates (U, V, mu) of a tangent matrix at the base plane.
+def _cofactors(blocks: np.ndarray) -> np.ndarray:
+    """Cofactor matrices (gradients of det) of a stack of k x k blocks.
 
-    U is (n-k) x k column-orthonormal, V is k x k orthogonal, and the
-    angles mu lie strictly between 0 and pi/2.
+    Closed form for k <= 2; for k >= 3 from the SVD, which stays exact
+    on singular blocks where det * inv breaks down.
     """
-
-    u: np.ndarray
-    v: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        k = v.shape[0]
-        if v.shape != (k, k) or u.ndim != 2 or u.shape[1] != k or mu.shape != (k,):
-            raise DimensionError(
-                f"inconsistent chart shapes u={u.shape}, v={v.shape}, mu={mu.shape}"
-            )
-        for mat, name in ((u, "u"), (v, "v")):
-            dev = float(np.max(np.abs(mat.T @ mat - np.eye(k))))
-            if dev > 1e-10:
-                raise DimensionError(f"{name} not orthonormal: deviation {dev:.3e}")
-        if np.any(mu <= 0.0) or np.any(mu >= math.pi / 2):
-            raise ChartBoundary(f"mu={mu} outside the open chart (0, pi/2)")
-        object.__setattr__(self, "u", core._frozen(u))
-        object.__setattr__(self, "v", core._frozen(v))
-        object.__setattr__(self, "mu", core._frozen(mu))
-
-    @property
-    def tangent_matrix(self) -> np.ndarray:
-        return self.u @ np.diag(self.mu) @ self.v.T
-
-
-def _adjugate(x: np.ndarray) -> np.ndarray:
-    k = x.shape[0]
+    k = blocks.shape[-1]
     if k == 1:
-        return np.ones((1, 1))
-    cof = np.empty_like(x)
-    for i in range(k):
-        rows = [r for r in range(k) if r != i]
-        for j in range(k):
-            cols = [c for c in range(k) if c != j]
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(x[np.ix_(rows, cols)])
-    return cof.T
+        return np.ones_like(blocks)
+    if k == 2:
+        a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+        c, d = blocks[..., 1, 0], blocks[..., 1, 1]
+        return np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], -2)
+    u, s, vt = np.linalg.svd(blocks)
+    leave_one_out = np.stack(
+        [np.prod(np.delete(s, i, axis=-1), axis=-1) for i in range(k)], -1
+    )
+    sign = np.linalg.det(u) * np.linalg.det(vt)
+    return sign[..., None, None] * (u * leave_one_out[..., None, :]) @ vt
 
 
-class _ChartEvaluator:
-    """Dehomogenized polynomial and analytic gradient in chart coordinates.
+def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """p(minors(y)) and its gradient with respect to the n x k matrix y."""
+    table = np.array(core.plucker_index_table(p.n, p.k))
+    value, dq_dc = p.eval_grad(core.plucker_minors(y))
+    grad = np.zeros_like(y)
+    np.add.at(grad, table, dq_dc[:, None, None] * _cofactors(y[table]))
+    return value, grad
 
-    The chart matrix has columns cos(mu_i) v_i stacked over sin(mu_i)
-    u_i, expressed in the coordinates of the base frame; the polynomial
-    is evaluated on the minors of the rotated matrix and divided by the
-    chart coordinate det(V) prod cos(mu_i), which equals the pairing of
-    the image's Plucker vector with the base plane's.
+
+def _geodesic_end(l: FramedPlane, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis Y of exp_l(a) and the geodesic velocity Ydot at it.
+
+    Y = B cos(sqrt M) + C a sinc(sqrt M) and
+    Ydot = -B M sinc(sqrt M) + C a cos(sqrt M) with M = a^T a; both are
+    power series in M, so they carry no singular-vector gauge and stay
+    smooth at repeated angles.
     """
+    s, q = np.linalg.eigh(a.T @ a)
+    root = np.sqrt(np.clip(s, 0.0, None))
 
-    def __init__(self, p: PluckerPolynomial, base: FramedPlane):
-        if (p.n, p.k) != (base.n, base.k):
-            raise DimensionError(
-                f"polynomial on G({p.k},{p.n}) but base on G({base.k},{base.n})"
-            )
-        self.p = p
-        self.base = base
-        self.combs = core.plucker_index_table(p.n, p.k)
+    def matrix_function(values):
+        return (q * values) @ q.T
 
-    def chart_matrix(self, u: np.ndarray, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return np.vstack([v * np.cos(mu), u * np.sin(mu)])
-
-    def value_and_grads(self, u, v, mu):
-        """Returns (ptilde, d/dU, d/dV, d/dmu)."""
-        n, k = self.p.n, self.p.k
-        m = self.chart_matrix(u, v, mu)
-        rotated = self.base.frame @ m
-        coords = np.array(
-            [np.linalg.det(rotated[np.array(rows), :]) for rows in self.combs]
-        )
-        q, dq_dc = self.p.eval_grad(coords)
-        dq_drot = np.zeros_like(rotated)
-        for rows, g in zip(self.combs, dq_dc):
-            if g == 0.0:
-                continue
-            sel = np.array(rows)
-            dq_drot[sel, :] += g * _adjugate(rotated[sel, :]).T
-        dq_dm = self.base.frame.T @ dq_drot
-        cosmu, sinmu = np.cos(mu), np.sin(mu)
-        dq_dv = dq_dm[:k, :] * cosmu[None, :]
-        dq_du = dq_dm[k:, :] * sinmu[None, :]
-        dq_dmu = np.array(
-            [
-                -sinmu[i] * float(dq_dm[:k, i] @ v[:, i])
-                + cosmu[i] * float(dq_dm[k:, i] @ u[:, i])
-                for i in range(k)
-            ]
-        )
-        det_v = float(np.linalg.det(v))
-        c0 = det_v * float(np.prod(cosmu))
-        dc0_dv = _adjugate(v).T * float(np.prod(cosmu))
-        leave_one = np.array([np.prod(np.delete(cosmu, i)) for i in range(k)])
-        dc0_dmu = -det_v * sinmu * leave_one
-        d = self.p.degree
-        f = c0 ** d
-        ptilde = q / f
-        dpt_du = dq_du / f
-        dpt_dv = (dq_dv * f - q * d * c0 ** (d - 1) * dc0_dv) / f ** 2
-        dpt_dmu = (dq_dmu * f - q * d * c0 ** (d - 1) * dc0_dmu) / f ** 2
-        return ptilde, dpt_du, dpt_dv, dpt_dmu
+    cos = matrix_function(np.cos(root))
+    b, c = l.plane.basis, l.complement
+    y = b @ cos + c @ a @ matrix_function(np.sinc(root / math.pi))
+    ydot = -b @ matrix_function(root * np.sin(root)) + c @ a @ cos
+    return y, ydot
 
 
-def _orthogonality_residual(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    k = v.shape[0]
-    gu = u.T @ u - np.eye(k)
-    gv = v.T @ v - np.eye(k)
-    vals = []
-    for g in (gu, gv):
-        for i in range(k):
-            for j in range(i, k):
-                vals.append(g[i, j])
-    return np.array(vals)
+def _unit(x: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(x))
+    return x / norm if norm > 0.0 else x
 
 
-def _orthogonality_jacobian(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows: gradients of the k(k+1) orthonormality equations with
-    respect to (vec U, vec V)."""
-    k = v.shape[0]
-    nvar = u.size + v.size
-    rows = []
-    for mat, offset in ((u, 0), (v, u.size)):
-        for i in range(k):
-            for j in range(i, k):
-                grad = np.zeros(nvar)
-                gm = np.zeros_like(mat)
-                gm[:, i] += mat[:, j]
-                gm[:, j] += mat[:, i]
-                grad[offset: offset + mat.size] = gm.ravel()
-                rows.append(grad)
-    return np.array(rows)
+def lagrange_residual(p: PluckerPolynomial, l: FramedPlane, a: TangentMatrix) -> np.ndarray:
+    """Residual of the Lagrange system at E = exp_l(a) in normal coordinates.
 
-
-def lagrange_residual(
-    p: PluckerPolynomial,
-    x: SvdChartPoint,
-    base: FramedPlane | None = None,
-    tol_boundary: float = 1e-6,
-) -> np.ndarray:
-    """Stacked residual of the chart Lagrange system at a chart point.
-
-    Components, in order: the dehomogenized polynomial value; the
-    k(k+1) orthonormality residuals of (U, V); the 2 x 2 minors of the
-    2 x k matrix stacking the mu-gradient over mu; and the smallest
-    singular value of the (U, V)-gradient stacked on the constraint
-    Jacobian (the rank-drop surrogate).  The residual vanishes exactly
-    at constrained critical points of the squared distance.
-
-    ``base`` defaults to the identity-framed span of the first k
-    coordinate axes.
-
-    Raises
-    ------
-    ChartBoundary
-        If any angle is within ``tol_boundary`` of {0, pi/2}.
+    Components, in order: p(minors(Y)) / ``p.coefficient_scale()`` with
+    Y the basis of E, then the n x k component of the unit geodesic
+    velocity at E orthogonal to the unit horizontal gradient of p at Y.
+    With the largest singular value of ``a`` below pi/2 the residual
+    vanishes exactly at the off-cut critical points of the distance
+    from ``l`` restricted to {p = 0} (Gauss lemma: the distance gradient
+    at E is the unit geodesic velocity).
     """
-    if base is None:
-        base = _standard_base(p.n, p.k)
-    if np.any(x.mu <= tol_boundary) or np.any(x.mu >= math.pi / 2 - tol_boundary):
-        raise ChartBoundary(f"mu={x.mu} within {tol_boundary:.1e} of the chart boundary")
-    ev = _ChartEvaluator(p, base)
-    ptilde, dpt_du, dpt_dv, dpt_dmu = ev.value_and_grads(x.u, x.v, x.mu)
-    parts = [np.array([ptilde]), _orthogonality_residual(x.u, x.v)]
-    k = p.k
-    minors = [
-        dpt_dmu[i] * x.mu[j] - dpt_dmu[j] * x.mu[i]
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    parts.append(np.array(minors))
-    grad_uv = np.concatenate([dpt_du.ravel(), dpt_dv.ravel()])
-    stacked = np.vstack([grad_uv[None, :], _orthogonality_jacobian(x.u, x.v)])
-    if stacked.shape[0] <= stacked.shape[1]:
-        gap = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    else:
-        gap = 0.0
-    parts.append(np.array([gap]))
-    return np.concatenate(parts)
-
-
-def _standard_base(n: int, k: int) -> FramedPlane:
-    plane = Plane(n=n, k=k, basis=np.eye(n)[:, :k])
-    return FramedPlane(plane=plane, frame=np.eye(n))
+    if not np.array_equal(a.frame.frame, l.frame):
+        raise FrameMismatch("tangent matrix not attached to the base frame")
+    y, ydot = _geodesic_end(l, a.a)
+    value, grad = _value_and_basis_grad(p, y)
+    velocity = _unit(ydot)
+    normal = _unit(grad - y @ (y.T @ grad))
+    tangential = velocity - float(np.sum(velocity * normal)) * normal
+    return np.concatenate([[value / p.coefficient_scale()], tangential.ravel()])
 
 
 def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane) -> float:
@@ -362,18 +244,8 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
     hypersurface, i.e. the point is critical.
     """
     frame = core.complete_frame(point)
-    combs = core.plucker_index_table(p.n, p.k)
-    coords = np.array(
-        [np.linalg.det(point.basis[np.array(rows), :]) for rows in combs]
-    )
-    _, dq_dc = p.eval_grad(coords)
-    db = np.zeros_like(point.basis)
-    for rows, g in zip(combs, dq_dc):
-        if g == 0.0:
-            continue
-        sel = np.array(rows)
-        db[sel, :] += g * _adjugate(point.basis[sel, :]).T
-    gamma = frame.complement.T @ db
+    _, grad = _value_and_basis_grad(p, point.basis)
+    gamma = frame.complement.T @ grad
     gnorm = float(np.linalg.norm(gamma))
     if gnorm == 0.0:
         return math.inf
@@ -390,29 +262,16 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
 # Solver
 # ---------------------------------------------------------------------------
 
-def _solver_residual(xvec, ev: _ChartEvaluator, n: int, k: int):
-    """Smooth projection form of the Lagrange system for least squares."""
-    nu = (n - k) * k
-    u = xvec[:nu].reshape(n - k, k)
-    v = xvec[nu: nu + k * k].reshape(k, k)
-    mu = xvec[nu + k * k:]
-    ptilde, dpt_du, dpt_dv, dpt_dmu = ev.value_and_grads(u, v, mu)
-    parts = [np.array([ptilde]), _orthogonality_residual(u, v)]
-    mu2 = float(mu @ mu)
-    parts.append(dpt_dmu - (float(dpt_dmu @ mu) / mu2) * mu)
-    grad_uv = np.concatenate([dpt_du.ravel(), dpt_dv.ravel()])
-    jac = _orthogonality_jacobian(u, v)
-    coef, *_ = np.linalg.lstsq(jac.T, grad_uv, rcond=None)
-    parts.append(grad_uv - jac.T @ coef)
-    return np.concatenate(parts)
-
-
 @dataclass(frozen=True)
 class StartDiagnostic:
+    """Outcome of one solver start: ``status`` is "converged", "no
+    convergence", "past cut locus" or "certificate failed"."""
+
     start: int
     status: str
     residual: float
     certificate: float
+    nfev: int
 
 
 def find_critical_points(
@@ -426,15 +285,15 @@ def find_critical_points(
 ):
     """Critical points of the distance from ``l`` restricted to {p = 0}.
 
-    Runs a damped least-squares solve of the chart Lagrange system from
-    ``n_starts`` seeded random chart points, keeps solutions whose
-    stacked residual is below ``tol`` AND whose chart-free normality
-    certificate is below ``cert_tol`` (chart solutions with repeated
-    angles sit on the singular locus of the SVD parametrization and are
-    spurious; the certificate filters them), maps survivors through the
-    exponential and deduplicates by Grassmann distance, which is sound
-    because off-cut critical points are isolated.  Results are sorted
-    by distance value.
+    Runs a bounded least-squares solve of :func:`lagrange_residual` in
+    the tangent matrix A at ``l`` from ``n_starts`` seeded random
+    tangent matrices with angles in (0.1, pi/2 - 0.1).  A start is kept
+    when its residual is below ``tol``, the largest singular value of A
+    is below pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
+    and E = exp_l(A) is off the cut locus) and the chart-free normality
+    certificate is below ``cert_tol``.  Survivors are deduplicated by
+    Grassmann distance, which is sound because off-cut critical points
+    are isolated, and sorted by their distance value ||A||.
 
     Raises
     ------
@@ -442,21 +301,17 @@ def find_critical_points(
         If the polynomial vanishes at ``l`` (the base point must be off
         the hypersurface).
     NoConvergence
-        If no start converges; per-start diagnostics attached.
+        If no start is kept; per-start diagnostics attached.
     """
-    base_coords = np.array(
-        [
-            np.linalg.det(l.plane.basis[np.array(rows), :])
-            for rows in core.plucker_index_table(p.n, p.k)
-        ]
-    )
-    if abs(p.eval(base_coords)) <= 1e-12 * p.coefficient_scale():
+    if (p.n, p.k) != (l.n, l.k):
+        raise DimensionError(f"polynomial on G({p.k},{p.n}) but base on G({l.k},{l.n})")
+    if abs(p.eval(core.plucker_minors(l.plane))) <= 1e-12 * p.coefficient_scale():
         raise NonGenericL("polynomial vanishes at the base plane")
-    ev = _ChartEvaluator(p, l)
     n, k = p.n, p.k
-    nu = (n - k) * k
-    lower = np.concatenate([np.full(nu + k * k, -1.1), np.full(k, 1e-3)])
-    upper = np.concatenate([np.full(nu + k * k, 1.1), np.full(k, math.pi / 2 - 1e-3)])
+
+    def residual(x):
+        return lagrange_residual(p, l, core.tangent(l, x.reshape(n - k, k)))
+
     rng = np.random.default_rng(seed)
     found: list[tuple[Plane, float]] = []
     diagnostics: list[StartDiagnostic] = []
@@ -464,45 +319,29 @@ def find_critical_points(
         u0 = core._signed_qr(rng.standard_normal((n - k, k)))
         v0 = core._signed_qr(rng.standard_normal((k, k)))
         mu0 = rng.uniform(0.1, math.pi / 2 - 0.1, k)
-        x0 = np.concatenate([u0.ravel(), v0.ravel(), mu0])
-        try:
-            res = least_squares(
-                _solver_residual,
-                x0,
-                args=(ev, n, k),
-                bounds=(lower, upper),
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-13,
-                max_nfev=400,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            diagnostics.append(
-                StartDiagnostic(start, f"solver error: {exc}", math.inf, math.inf)
-            )
-            continue
-        u = res.x[:nu].reshape(n - k, k)
-        v = res.x[nu: nu + k * k].reshape(k, k)
-        mu = res.x[nu + k * k:]
-        try:
-            chart_point = SvdChartPoint(u=u, v=v, mu=mu)
-            cert = lagrange_residual(p, chart_point, base=l, tol_boundary=5e-4)
-        except (ChartBoundary, DimensionError):
-            diagnostics.append(StartDiagnostic(start, "left chart", math.inf, math.inf))
-            continue
-        resid_norm = float(np.linalg.norm(cert))
+        res = least_squares(
+            residual,
+            ((u0 * mu0) @ v0.T).ravel(),
+            bounds=(-math.pi / 2, math.pi / 2),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-13,
+            max_nfev=100,
+        )
+        a = res.x.reshape(n - k, k)
+        resid_norm = float(np.linalg.norm(res.fun))
+        cert = math.inf
         if resid_norm >= tol:
-            diagnostics.append(StartDiagnostic(start, "no convergence", resid_norm, math.inf))
-            continue
-        point = core.exp(l, core.tangent(l, u @ np.diag(mu) @ v.T))
-        geom = hypersurface_normality_residual(p, l.plane, point)
-        if geom >= cert_tol:
-            diagnostics.append(
-                StartDiagnostic(start, "parametrization-singular", resid_norm, geom)
-            )
-            continue
-        diagnostics.append(StartDiagnostic(start, "converged", resid_norm, geom))
-        found.append((point, float(np.linalg.norm(mu))))
+            status = "no convergence"
+        elif float(np.linalg.norm(a, 2)) >= math.pi / 2 - core.TOL_CUT:
+            status = "past cut locus"
+        else:
+            point = core.exp(l, core.tangent(l, a))
+            cert = hypersurface_normality_residual(p, l.plane, point)
+            status = "converged" if cert < cert_tol else "certificate failed"
+        diagnostics.append(StartDiagnostic(start, status, resid_norm, cert, int(res.nfev)))
+        if status == "converged":
+            found.append((point, float(np.linalg.norm(a))))
     deduped: list[tuple[Plane, float]] = []
     for point, value in sorted(found, key=lambda t: t[1]):
         if all(core.grassmann_distance(point, q) > DEDUP_DISTANCE for q, _ in deduped):
@@ -550,41 +389,27 @@ def gdc_estimate(
     n_starts: int,
     seed: int,
     tol: float = SOLVER_TOL,
-    threads: int = 1,
 ) -> GdcReport:
     """Empirical lower bound for the generic off-cut critical point count.
 
     For each trial draws a seeded random base plane, solves for critical
-    points, discards any that land on the base plane's cut locus, and
+    points (all off the base plane's cut locus by construction) and
     records the count; the report's maximum is the estimate.  Solver
     failures are recorded per trial (count 0) rather than failing the
     batch.  Identical (seed, inputs) give identical reports.
     """
     if trials < 1 or n_starts < 1:
         raise DimensionError("trials and n_starts must be positive")
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    def run_trial(child) -> tuple[int, str]:
+    results = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         base = core.complete_frame(core.random_plane(p.n, p.k, rng))
         try:
-            points = find_critical_points(p, base, n_starts, rng, tol=tol)
+            results.append((len(find_critical_points(p, base, n_starts, rng, tol=tol)), "ok"))
         except NoConvergence:
-            return 0, "no_convergence"
+            results.append((0, "no_convergence"))
         except NonGenericL:
-            return 0, "base_on_hypersurface"
-        kept = [
-            pt for pt, _ in points if cutlocus.cut_stratum(base.plane, pt).j == 0
-        ]
-        return len(kept), "ok"
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, children))
-    else:
-        results = [run_trial(child) for child in children]
+            results.append((0, "base_on_hypersurface"))
     counts = tuple(c for c, _ in results)
     statuses = tuple(s for _, s in results)
     return GdcReport(

@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -256,25 +256,6 @@ class TestDeterminism:
         _, out = run(capsys, "distance", "--json", doc)
         value = json.loads(out)["delta"]
         assert value == core.grassmann_distance(e1, e2)
-
-    def test_thread_cap_does_not_change_report(self, capsys, monkeypatch):
-        doc = TestDeterminism._slice_doc(TestDeterminism())
-        argv = ["gdc-sample", "--trials", "2", "--starts", "4", "--seed", "21",
-                "--json", doc]
-        monkeypatch.delenv("GRASSCRIT_THREADS", raising=False)
-        _, serial = run(capsys, *argv)
-        monkeypatch.setenv("GRASSCRIT_THREADS", "2")
-        _, threaded = run(capsys, *argv)
-        assert serial == threaded
-
-    def test_invalid_thread_cap_is_validation_error(self, capsys, monkeypatch):
-        doc = TestDeterminism._slice_doc(TestDeterminism())
-        monkeypatch.setenv("GRASSCRIT_THREADS", "zero")
-        code, out = run(
-            capsys, "gdc-sample", "--trials", "1", "--starts", "2", "--seed", "0",
-            "--json", doc,
-        )
-        assert code == cli.EXIT_VALIDATION
 
 
 class TestSerialization:

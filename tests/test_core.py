@@ -330,6 +330,12 @@ class TestPlucker:
             p = core.plucker_coords(core.random_plane(6, 2, seed))
             assert abs(np.linalg.norm(p.coords) - 1.0) < 1e-12
 
+    def test_minors_match_determinant_loop(self, rng):
+        for n, k in ((3, 1), (4, 2), (7, 3), (12, 5)):
+            basis = core.random_plane(n, k, rng).basis
+            loop = [np.linalg.det(basis[list(rows), :]) for rows in core.plucker_index_table(n, k)]
+            assert np.array_equal(core.plucker_minors(basis), np.array(loop))
+
     def test_first_chart_coordinate_of_exponential(self, rng):
         # leading minor of the exponential image equals det(V) prod cos(mu)
         f = framed(core.make_plane(np.eye(5)[:, :2]))

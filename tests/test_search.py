@@ -5,9 +5,9 @@ import pytest
 
 from grasscrit import core, search
 from grasscrit.errors import (
-    ChartBoundary,
     DimensionError,
     DomainError,
+    FrameMismatch,
     NonGenericL,
     NotUnit,
     SchemaError,
@@ -55,27 +55,64 @@ class TestPolynomial:
             assert abs(grad[i] - (p.eval(cp) - p.eval(cm)) / (2 * h)) < 1e-6
 
 
+def repeated_angle_hyperplane(theta, h=1e-6):
+    """Hyperplane on G(2,4) that is critical at E* = exp(theta I) from the
+    coordinate plane, where both principal angles equal theta."""
+    lf = framed(core.make_plane(np.eye(4)[:, :2]))
+    a_star = core.tangent(lf, theta * np.eye(2))
+
+    def minors(t):
+        return core.plucker_minors(core.geodesic_point(lf, a_star, t))
+
+    w = (minors(1 + h) - minors(1 - h)) / (2 * h)
+    c = minors(1.0)
+    w -= (w @ c) * c
+    return search.linear_form(4, 2, w), lf, core.exp(lf, a_star)
+
+
+class TestCofactors:
+    def test_match_minor_expansion(self, rng):
+        for k in (1, 2, 3, 4):
+            blocks = rng.standard_normal((5, k, k))
+            blocks[0, :, -1] = blocks[0, :, 0]  # a singular block
+            cof = search._cofactors(blocks)
+            for x, got in zip(blocks, cof):
+                expected = np.ones((1, 1)) if k == 1 else np.array(
+                    [
+                        [
+                            (-1) ** (i + j) * np.linalg.det(np.delete(np.delete(x, i, 0), j, 1))
+                            for j in range(k)
+                        ]
+                        for i in range(k)
+                    ]
+                )
+                assert np.allclose(got, expected, atol=1e-12)
+
+
 class TestLagrangeResidual:
     def test_first_component_is_polynomial_value(self):
         p = g24_hyperplane()
-        x = search.SvdChartPoint(
-            u=core._signed_qr(np.random.default_rng(0).standard_normal((2, 2))),
-            v=core._signed_qr(np.random.default_rng(1).standard_normal((2, 2))),
-            mu=np.array([0.4, 0.8]),
-        )
-        base = search._standard_base(4, 2)
-        resid = search.lagrange_residual(p, x, base=base)
-        ev = search._ChartEvaluator(p, base)
-        ptilde, *_ = ev.value_and_grads(x.u, x.v, x.mu)
-        assert abs(resid[0] - ptilde) < 1e-14
-        assert ptilde != 0.0
+        base = framed(core.random_plane(4, 2, 3))
+        a = core.tangent(base, np.array([[0.3, -0.2], [0.1, 0.6]]))
+        resid = search.lagrange_residual(p, base, a)
+        y, _ = search._geodesic_end(base, a.a)
+        assert abs(resid[0] - p.eval(core.plucker_minors(y)) / p.coefficient_scale()) < 1e-15
+        assert resid[0] != 0.0
 
-    def test_orthogonality_block_vanishes_on_exact_frames(self):
-        p = g24_hyperplane()
-        x = search.SvdChartPoint(u=np.eye(2), v=np.eye(2), mu=np.array([0.3, 0.9]))
-        resid = search.lagrange_residual(p, x)
-        k = 2
-        assert np.allclose(resid[1 : 1 + k * (k + 1)], 0.0, atol=1e-15)
+    def test_geodesic_end_matches_exp(self):
+        # Y spans exp(A) and Ydot matches a central difference of the
+        # geodesic, compared through projectors so no basis gauge enters
+        base = framed(core.random_plane(5, 2, 4))
+        a = core.tangent(base, np.random.default_rng(5).uniform(-0.6, 0.6, (3, 2)))
+        y, ydot = search._geodesic_end(base, a.a)
+        assert np.allclose(y.T @ y, np.eye(2), atol=1e-14)
+        assert np.allclose(y @ y.T, core.exp(base, a).projector, atol=1e-14)
+        h = 1e-5
+        dp = (
+            core.geodesic_point(base, a, 1 + h).projector
+            - core.geodesic_point(base, a, 1 - h).projector
+        ) / (2 * h)
+        assert np.allclose(ydot @ y.T + y @ ydot.T, dp, atol=1e-9)
 
     def test_constructed_critical_point_on_circle(self):
         # the zero set of the two-line slice is 0-dimensional: both zeros
@@ -85,50 +122,38 @@ class TestLagrangeResidual:
         # zero of p nearest to the base: line at angle 0.7 + pi/2 has
         # Plucker coords (cos, sin); the form a.c vanishes on (-sin a, cos a)
         target = core.make_plane([[-math.sin(0.7)], [math.cos(0.7)]])
-        t = core.log(lf, target)
-        mu = np.array([np.linalg.norm(t.a)])
-        u = np.array([[1.0 if t.a[0, 0] >= 0 else -1.0]])
-        x = search.SvdChartPoint(u=u, v=np.eye(1), mu=mu)
-        resid = search.lagrange_residual(p, x, base=lf)
+        resid = search.lagrange_residual(p, lf, core.log(lf, target))
         assert float(np.linalg.norm(resid)) < 1e-9
 
-    def test_chart_boundary_guard(self):
+    def test_frame_mismatch_guard(self):
         p = g24_hyperplane()
-        with pytest.raises(ChartBoundary):
-            search.lagrange_residual(
-                p,
-                search.SvdChartPoint(u=np.eye(2), v=np.eye(2), mu=np.array([1e-9, 0.5])),
-            )
+        base = framed(core.random_plane(4, 2, 3))
+        other = framed(core.random_plane(4, 2, 4))
+        with pytest.raises(FrameMismatch):
+            search.lagrange_residual(p, base, core.zero_tangent(other))
 
     def test_gradients_match_finite_differences(self, rng):
-        # degree-2 polynomial exercises the dehomogenization chain rule
-        w = rng.standard_normal(6)
-        terms = []
-        for i in range(6):
-            e = [0] * 6
-            e[i] = 2
-            terms.append((tuple(e), w[i]))
-        p = search.PluckerPolynomial(n=4, k=2, terms=tuple(terms))
-        base = framed(core.random_plane(4, 2, 3))
-        ev = search._ChartEvaluator(p, base)
-        u = core._signed_qr(rng.standard_normal((2, 2)))
-        v = core._signed_qr(rng.standard_normal((2, 2)))
-        mu = rng.uniform(0.3, 1.2, 2)
-        _, du, dv, dmu = ev.value_and_grads(u, v, mu)
-        h = 1e-6
-        for i in range(2):
-            mp, mm = mu.copy(), mu.copy()
-            mp[i] += h
-            mm[i] -= h
-            fd = (ev.value_and_grads(u, v, mp)[0] - ev.value_and_grads(u, v, mm)[0]) / (2 * h)
-            assert abs(dmu[i] - fd) < 1e-6
-        for a in range(2):
-            for b in range(2):
-                up, um = u.copy(), u.copy()
-                up[a, b] += h
-                um[a, b] -= h
-                fd = (ev.value_and_grads(up, v, mu)[0] - ev.value_and_grads(um, v, mu)[0]) / (2 * h)
-                assert abs(du[a, b] - fd) < 1e-6
+        # degree-2 polynomials on G(2,4) and G(3,6) exercise the closed
+        # form and the SVD cofactors
+        for n, k in ((4, 2), (6, 3)):
+            size = math.comb(n, k)
+            w = rng.standard_normal(size)
+            terms = []
+            for i in range(size):
+                e = [0] * size
+                e[i] = 2
+                terms.append((tuple(e), w[i]))
+            p = search.PluckerPolynomial(n=n, k=k, terms=tuple(terms))
+            y = rng.standard_normal((n, k))
+            _, grad = search._value_and_basis_grad(p, y)
+            h = 1e-6
+            for i in range(n):
+                for j in range(k):
+                    yp, ym = y.copy(), y.copy()
+                    yp[i, j] += h
+                    ym[i, j] -= h
+                    fd = (p.eval(core.plucker_minors(yp)) - p.eval(core.plucker_minors(ym))) / (2 * h)
+                    assert abs(grad[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 class TestFindCriticalPoints:
@@ -165,6 +190,37 @@ class TestFindCriticalPoints:
         few = search.find_critical_points(p, lf, n_starts=4, seed=9)
         many = search.find_critical_points(p, lf, n_starts=16, seed=9)
         assert len(many) >= len(few)
+
+    @pytest.mark.parametrize("theta", [0.6, 1.1])
+    def test_repeated_angles(self, theta):
+        p, lf, target = repeated_angle_hyperplane(theta)
+        points = search.find_critical_points(p, lf, n_starts=12, seed=0)
+        assert min(core.grassmann_distance(pt, target) for pt, _ in points) < 1e-9
+
+    def test_g37_hyperplane(self):
+        # k = 3 runs the SVD cofactors; only about one start in five
+        # converges on G(3,7) hyperplanes, here the fifth
+        rng = np.random.default_rng(0)
+        p = search.linear_form(7, 3, rng.standard_normal(35))
+        lf = framed(core.random_plane(7, 3, rng))
+        points = search.find_critical_points(p, lf, n_starts=6, seed=0)
+        for pt, _ in points:
+            assert search.hypersurface_normality_residual(p, lf.plane, pt) < search.CERT_TOL
+
+    def test_diagnostics_name_each_outcome(self):
+        p = g24_hyperplane()
+        lf = framed(core.random_plane(4, 2, 50))
+        _, diags = search.find_critical_points(
+            p, lf, n_starts=14, seed=77, return_diagnostics=True
+        )
+        assert [d.start for d in diags] == list(range(14))
+        for d in diags:
+            assert d.status in (
+                "converged", "no convergence", "past cut locus", "certificate failed"
+            )
+            assert 1 <= d.nfev <= 100
+            if d.status == "converged":
+                assert d.residual < search.SOLVER_TOL and d.certificate < search.CERT_TOL
 
     def test_base_on_hypersurface_rejected(self):
         p = circle_two_point_slice(0.7)
