@@ -79,10 +79,6 @@ class NotSmoothPoint(GrasscritError):
     """Point is not on the smooth stratum of the variety."""
 
 
-class ChartOutOfRange(GrasscritError):
-    """Point too close to the cut locus of the chart center."""
-
-
 class NonGenericL(GrasscritError):
     """Reference plane fails the genericity gate (zero, right-angle or
     repeated principal angles within tolerance)."""

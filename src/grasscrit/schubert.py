@@ -16,12 +16,13 @@ complete them with any (k-s)-plane orthogonal to both L and those
 directions.  The maximum value is
 sqrt(theta_{k-s+1}^2 + ... + theta_k^2 + (k-s) (pi/2)^2).
 
-Tangent spaces of the variety are computed through the chart: push an
-orthonormal basis of the fixed-rank tangent space through a central
-finite difference of the exponential and read the result in the
-logarithm chart at the image point.  The flag-theoretic description of
-the tangent space as intersection-preserving maps is exposed as a
-cross-check of its dimension (:func:`flag_formula_tangent_dim`).
+Tangent spaces of the variety are computed in closed form.  At a
+smooth point E, with Y spanning E meet W in E's coordinates and R
+spanning (W + E) / E in the normal coordinates of E's frame, the
+tangent space is the set of maps E -> R^n / E sending E meet W into
+(W + E) / E: the tangent matrices A with (I - R R^T) A Y = 0
+(:func:`chart_tangent_basis`).  Its dimension is checked against the
+flag count (:func:`flag_formula_tangent_dim`).
 """
 
 from __future__ import annotations
@@ -35,20 +36,17 @@ import numpy as np
 from . import core, cutlocus
 from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
-    ChartOutOfRange,
     DegenerateAuxSpace,
     DimensionError,
     NonGenericL,
     NotSmoothPoint,
     OnCutLocus,
 )
-from .lowrank import RankRegion, svd
+from .lowrank import svd
 
 #: Separation required between angles and from {0, pi/2}; below this,
 #: operations refuse rather than silently perturb.
 TOL_GEN = 1e-8
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -137,69 +135,52 @@ def _genericity_gate(angles: np.ndarray, tol_gen: float) -> None:
 
 
 def chart_tangent_basis(
-    omega: SchubertVariety, e: Plane, tol_chart: float = 1e-6, tol: float = TOL_GEN
+    omega: SchubertVariety, e: Plane, tol: float = TOL_GEN
 ) -> list[TangentMatrix]:
     """Orthonormal basis of the variety's tangent space at a smooth point.
 
-    Pushes an orthonormal basis of the fixed-rank tangent space at the
-    connecting matrix through a central finite difference of the
-    exponential at the reference plane, reads the images in the
-    logarithm chart at ``e``, and re-orthonormalizes.  Basis size is
-    (k-s)(n-k+s).
+    Closed form in the frame ``core.complete_frame(e)``.  One full SVD
+    of C_E^T B_W gives R (the k - s left singular vectors with nonzero
+    sines, spanning (W + E) / E), its complement R_perp, and the right
+    singular vectors with zero sines, whose images under B_E^T B_W span
+    E meet W as Y.  With U = [Y Y_perp] orthonormal, the products
+    R_i U_j^T and R_perp_i Y_perp_j^T form an orthonormal basis of the
+    tangent matrices A with R_perp^T A Y = 0; there are
+    (k-s)(n-k+s) of them.  Y is taken through the sines rather than as
+    the top left singular vectors of B_E^T B_W because cosines near 1
+    cannot resolve small angles.
+
+    The name dates from a construction through the exponential chart at
+    the reference plane; it is kept because existing callers use it.
 
     Raises
     ------
     NotSmoothPoint
         If ``e`` is not on the smooth stratum.
-    ChartOutOfRange
-        If the largest angle with the reference plane is within
-        ``tol_chart`` of pi/2 (the chart degenerates there).
     """
     stratum = schubert_stratum(omega, e, tol=tol)
     if stratum.kind != "smooth":
         raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
-    angles = core.principal_angles(omega.w.plane, e)
-    if float(angles[-1]) >= math.pi / 2 - tol_chart:
-        raise ChartOutOfRange(
-            f"largest angle {angles[-1]:.9f} within {tol_chart:.1e} of pi/2"
-        )
-    a = core.connecting_tangent(omega.w, e)
-    r = omega.k - omega.s
-    region = RankRegion(r=r, m=omega.n - omega.k, n=omega.k)
-    directions = region.tangent_basis_at(a.a)
     e_frame = core.complete_frame(e)
-    h = _EPS ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(a.a)))
-    pushed = []
-    for z in directions:
-        plus = core.exp(omega.w, core.tangent(omega.w, a.a + h * z))
-        minus = core.exp(omega.w, core.tangent(omega.w, a.a - h * z))
-        diff = (core.log(e_frame, plus).a - core.log(e_frame, minus).a) / (2.0 * h)
-        pushed.append(diff.ravel())
-    stacked = np.array(pushed).T
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if float(svals[-1]) <= 1e-8 * float(svals[0]):
-        # exponential differential nearly singular along the variety
-        # (conjugate-point degeneration); the chart basis is unreliable
-        raise ChartOutOfRange(
-            f"tangent pushforward nearly singular (sv ratio {svals[-1] / svals[0]:.2e})"
-        )
-    q = core._signed_qr(stacked)
-    return [
-        core.tangent(e_frame, q[:, i].reshape(omega.n - omega.k, omega.k))
-        for i in range(q.shape[1])
-    ]
+    r = omega.k - omega.s
+    b_w = omega.w.plane.basis
+    left, _, vt = np.linalg.svd(e_frame.complement.T @ b_w)
+    u, _ = np.linalg.qr(e.basis.T @ b_w @ vt[r:].T, mode="complete")
+    pairs = itertools.chain(
+        itertools.product(left[:, :r].T, u.T),
+        itertools.product(left[:, r:].T, u[:, omega.s:].T),
+    )
+    return [core.tangent(e_frame, np.outer(x, y)) for x, y in pairs]
 
 
-def normality_residual(
-    omega: SchubertVariety, l: Plane, e: Plane, tol_chart: float = 1e-6
-) -> float:
+def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     """Norm of the tangential component of the geodesic direction to ``l``.
 
     At a smooth point off the cut locus of ``l``, criticality of the
     restricted distance is equivalent to the minimizing geodesic being
     normal to the variety, so small residuals certify critical points.
     """
-    basis = chart_tangent_basis(omega, e, tol_chart=tol_chart)
+    basis = chart_tangent_basis(omega, e)
     frame = basis[0].frame
     angles_l = core.principal_angles(e, l)
     if float(angles_l[-1]) >= math.pi / 2 - core.TOL_CUT:
@@ -365,12 +346,13 @@ def sample_variety_distances(
 def flag_formula_tangent_dim(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> int:
     """Dimension of {maps e -> R^n / e sending e meet w into (w + e) / e}.
 
-    Cross-check of the chart tangent space: the maps from ``e`` to its
-    normal space R^n / e that send the intersection of ``e`` with the
+    Counts, from dimensions alone, the space that
+    :func:`chart_tangent_basis` spans: the maps from ``e`` to its normal
+    space R^n / e that send the intersection of ``e`` with the
     reference plane w into (w + e) / e, whose dimension is
     k - dim(e meet w).  At a smooth point the intersection has
     dimension s, so the count (k-s)(n-k) + s (k - s) equals
-    :attr:`SchubertVariety.smooth_dim`.
+    :attr:`SchubertVariety.smooth_dim` and the length of that basis.
     """
     stratum = schubert_stratum(omega, e, tol=tol)
     if stratum.kind != "smooth":

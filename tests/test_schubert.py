@@ -5,10 +5,10 @@ import pytest
 
 from grasscrit import core, cutlocus, schubert
 from grasscrit.errors import (
-    ChartOutOfRange,
     NonGenericL,
     NotSmoothPoint,
 )
+from grasscrit.lowrank import RankRegion
 
 from conftest import framed
 
@@ -25,6 +25,30 @@ def plane_with_angles(omega, angles, seed=1):
     v = core._signed_qr(rng.standard_normal((k, k)))
     a = u @ np.diag(angles) @ v.T
     return core.exp(omega.w, core.tangent(omega.w, a))
+
+
+SHAPES = [(5, 2, 1), (7, 3, 1), (7, 3, 2), (8, 2, 1), (9, 4, 2)]
+
+
+def flat_rows(basis):
+    return np.array([b.a.ravel() for b in basis])
+
+
+def pushforward_reference(omega, e):
+    """Reference tangent span: central differences of exp at w, read through
+    log in the frame at ``e``, over a basis of the fixed-rank tangent space
+    at the connecting matrix.  Returns orthonormal rows."""
+    a = core.connecting_tangent(omega.w, e).a
+    region = RankRegion(r=omega.k - omega.s, m=omega.n - omega.k, n=omega.k)
+    e_frame = core.complete_frame(e)
+    h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(a)))
+    pushed = []
+    for z in region.tangent_basis_at(a):
+        plus = core.exp(omega.w, core.tangent(omega.w, a + h * z))
+        minus = core.exp(omega.w, core.tangent(omega.w, a - h * z))
+        pushed.append((core.log(e_frame, plus).a - core.log(e_frame, minus).a).ravel() / (2.0 * h))
+    q, _ = np.linalg.qr(np.array(pushed).T)
+    return q.T
 
 
 class TestStratum:
@@ -74,11 +98,39 @@ class TestChartTangentBasis:
         with pytest.raises(NotSmoothPoint):
             schubert.chart_tangent_basis(omega, omega.w.plane)
 
-    def test_chart_range_guard(self):
+    def test_basis_near_right_angle(self):
+        # geodesics along basis elements stay in the variety (the s-th angle
+        # to w stays 0); geodesics along unit normals leave it at rate ~1
         omega = variety(5, 2, 1, seed=11)
         e = plane_with_angles(omega, [0.0, math.pi / 2 - 1e-9], seed=12)
-        with pytest.raises(ChartOutOfRange):
-            schubert.chart_tangent_basis(omega, e)
+        basis = schubert.chart_tangent_basis(omega, e)
+        flat = flat_rows(basis)
+        assert len(basis) == omega.smooth_dim
+        assert float(np.max(np.abs(flat @ flat.T - np.eye(len(basis))))) < 1e-12
+        frame = basis[0].frame
+        normals = np.linalg.svd(flat)[2][len(basis):]
+
+        def rate(a, t):
+            moved = core.exp(frame, core.tangent(frame, t * a.reshape(omega.n - omega.k, omega.k)))
+            return float(core.principal_angles(moved, omega.w.plane)[omega.s - 1]) / t
+
+        for t in (1e-3, 1e-4):
+            assert max(rate(b.a, t) for b in basis) < 1e-6
+            assert min(rate(nv, t) for nv in normals) > 0.5
+
+    def test_matches_pushforward_reference(self):
+        for n, k, s in SHAPES:
+            for seed in range(2):
+                omega = variety(n, k, s, seed=60 + seed)
+                rng = np.random.default_rng(70 + seed)
+                angles = [0.0] * s + list(rng.uniform(0.2, 1.3, k - s))
+                e = plane_with_angles(omega, angles, seed=rng)
+                basis = schubert.chart_tangent_basis(omega, e)
+                assert len(basis) == schubert.flag_formula_tangent_dim(omega, e) == omega.smooth_dim
+                cosines = np.linalg.svd(
+                    flat_rows(basis) @ pushforward_reference(omega, e).T, compute_uv=False
+                )
+                assert 1.0 - float(np.min(cosines)) <= 1e-10
 
     def test_flag_formula_matches_smooth_dim(self):
         omega = variety(5, 2, 1, seed=13)
@@ -95,6 +147,14 @@ class TestSelectionCriticalPoints:
         for r in records:
             assert r.normality_residual < 1e-7
             assert not r.on_cut_of_l
+
+    def test_residuals_at_machine_precision(self):
+        for i in range(30):
+            n, k, s = SHAPES[i % len(SHAPES)]
+            omega = variety(n, k, s, seed=200 + i)
+            l = core.random_plane(n, k, 300 + i)
+            for r in schubert.ey_schubert_critical_points(omega, l):
+                assert r.normality_residual < 1e-12
 
     def test_values_are_dropped_angle_norms(self):
         omega = variety(6, 2, 1, seed=17)
@@ -166,7 +226,7 @@ class TestGlobalMin:
     def test_local_minimality_within_variety(self):
         # perturb the minimizer through the fixed-rank chart: no nearby
         # variety point improves on the value
-        from grasscrit.lowrank import RankRegion, svd as lr_svd
+        from grasscrit.lowrank import svd as lr_svd
 
         omega = variety(6, 2, 1, seed=90)
         l = core.random_plane(6, 2, 91)
