@@ -191,7 +191,7 @@ def _cmd_subdiff_zero_test(args):
     if "tangent_basis" in doc:
         basis = [
             core.tangent(s_frame, serialize.matrix_from_json(m, path=f"tangent_basis[{i}]"))
-            for i, m in enumerate(doc["tangent_basis"])
+            for i, m in enumerate(serialize._list(doc["tangent_basis"], "tangent_basis"))
         ]
     else:
         n, k = s_frame.n, s_frame.k
@@ -229,7 +229,7 @@ def _cmd_ey(args):
 def _schubert_inputs(doc):
     w = _plane(doc, "w")
     l = _plane(doc, "l")
-    s = int(serialize._require(doc, "s", "input"))
+    s = serialize._integer(serialize._require(doc, "s", "input"), "input.s")
     omega = schubert.SchubertVariety(w=core.complete_frame(w), s=s)
     return omega, l
 

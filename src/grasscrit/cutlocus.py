@@ -90,12 +90,6 @@ def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumRepo
     return CutStratumReport(j=j, angles=angles, tol=tol)
 
 
-def _orbit_factors(base: FramedPlane, target: Plane, tol: float):
-    """Connecting-matrix factors (N, theta, U) with right angles snapped
-    to exactly pi/2 and placed last; A0 = N diag(theta) U^T."""
-    return core.connecting_factors(base, target, snap_tol=tol)
-
-
 def _block(k: int, j: int, w: np.ndarray) -> np.ndarray:
     blk = np.eye(k)
     blk[k - j:, k - j:] = w
@@ -130,7 +124,7 @@ def geodesic_preimages(
     report = cut_stratum(l.plane, s, tol=tol)
     if report.j == 0:
         raise NotOnCut("target is off the cut locus; log gives the unique preimage")
-    ncols, theta, u_right = _orbit_factors(l, s, tol)
+    ncols, theta, u_right = core.connecting_factors(l, s, snap_tol=tol)
     k = l.k
     out = []
     for w in w_list:
@@ -152,7 +146,7 @@ def subdiff_generators(
     report = cut_stratum(l, s.plane, tol=tol)
     if report.j == 0:
         raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
-    ncols, theta, u_right = _orbit_factors(s, l, tol)
+    ncols, theta, u_right = core.connecting_factors(s, l, snap_tol=tol)
     delta = float(np.linalg.norm(theta))
     k = s.k
     gens = []

@@ -33,16 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, cutlocus
+from . import core, cutlocus, lowrank
 from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
     DegenerateAuxSpace,
     DimensionError,
     NonGenericL,
     NotSmoothPoint,
-    OnCutLocus,
 )
-from .lowrank import svd
 
 #: Separation required between angles and from {0, pi/2}; below this,
 #: operations refuse rather than silently perturb.
@@ -179,12 +177,10 @@ def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     At a smooth point off the cut locus of ``l``, criticality of the
     restricted distance is equivalent to the minimizing geodesic being
     normal to the variety, so small residuals certify critical points.
+    :func:`core.log` raises :class:`OnCutLocus` on the cut locus of ``l``.
     """
     basis = chart_tangent_basis(omega, e)
     frame = basis[0].frame
-    angles_l = core.principal_angles(e, l)
-    if float(angles_l[-1]) >= math.pi / 2 - core.TOL_CUT:
-        raise OnCutLocus("point lies on the cut locus of l")
     v = core.log(frame, l).a
     coeffs = [float(np.sum(v * b.a)) for b in basis]
     return float(math.sqrt(sum(c * c for c in coeffs)))
@@ -196,11 +192,13 @@ def ey_schubert_critical_points(
     """Critical points of the distance from ``l`` via singular-triplet selection.
 
     Truncates the connecting matrix of ``l`` at the reference plane to
-    each rank-(k-s) selection of its singular triplets and maps the
-    truncations back through the exponential.  Exactly binomial(k, s)
-    records are returned, in lexicographic order of the kept 0-based
-    index sets; the record keeping the largest k - s singular values
-    (indices 0..k-s-1) attains the minimum value.
+    each rank-(k-s) selection of its singular triplets
+    (:func:`lowrank.ey_critical_set`) and maps the truncations back
+    through one stacked exponential; each value is the Frobenius
+    distance from the connecting matrix to its truncation.  Exactly
+    binomial(k, s) records are returned, in lexicographic order of the
+    kept 0-based index sets; the record keeping the largest k - s
+    singular values (indices 0..k-s-1) attains the minimum value.
 
     Raises
     ------
@@ -210,25 +208,19 @@ def ey_schubert_critical_points(
     """
     angles = core.principal_angles(omega.w.plane, l)
     _genericity_gate(angles, tol_gen)
-    a_l = core.log(omega.w, l)
-    t = svd(a_l.a)
-    k, s = omega.k, omega.s
+    a_l = core.log(omega.w, l).a
+    selections = lowrank.ey_critical_set(a_l, omega.k - omega.s)
+    bases, _ = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
     records = []
-    for combo in itertools.combinations(range(k), k - s):
-        mask = np.zeros(k)
-        mask[list(combo)] = 1.0
-        a_trunc = t.u @ np.diag(t.sigma * mask) @ t.v.T
-        point = core.exp(omega.w, core.tangent(omega.w, a_trunc))
-        value = float(np.linalg.norm(t.sigma * (1.0 - mask)))
-        on_cut = cutlocus.cut_stratum(l, point).j >= 1
-        resid = normality_residual(omega, l, point)
+    for (combo, a_trunc), basis in zip(selections, bases):
+        point = Plane(n=omega.n, k=omega.k, basis=basis)
         records.append(
             CriticalPointRecord(
                 point=point,
                 index_set=combo,
-                value=value,
-                normality_residual=resid,
-                on_cut_of_l=on_cut,
+                value=float(np.linalg.norm(a_l - a_trunc)),
+                normality_residual=normality_residual(omega, l, point),
+                on_cut_of_l=cutlocus.cut_stratum(l, point).j >= 1,
             )
         )
     return records
@@ -331,16 +323,8 @@ def sample_variety_distances(
     smax = np.linalg.svd(a, compute_uv=False)[:, 0]
     scale = (math.pi / 2) * rng.uniform(0.0, 1.0, count) / smax
     a *= scale[:, None, None]
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    top = np.transpose(vt, (0, 2, 1)) * np.cos(s)[:, None, :]
-    bottom = u * np.sin(s)[:, None, :]
-    bases = np.einsum("ij,bjk->bik", omega.w.frame, np.concatenate([top, bottom], axis=1))
-    m = np.einsum("ji,bjk->bik", l.basis, bases)
-    cosines = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
-    proj = np.einsum("ij,bjk->bik", l.basis @ l.basis.T, bases)
-    sines = np.clip(np.linalg.svd(bases - proj, compute_uv=False)[:, ::-1], 0.0, 1.0)
-    theta = np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
-    return np.linalg.norm(theta, axis=1)
+    bases, _ = core._geodesic_end(omega.w, a)
+    return np.linalg.norm(core._hybrid_angles(l.basis, bases), axis=-1)
 
 
 def flag_formula_tangent_dim(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> int:

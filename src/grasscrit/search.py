@@ -57,8 +57,6 @@ CERT_TOL = 1e-6
 #: Grassmann distance under which two found critical points are merged.
 DEDUP_DISTANCE = 1e-6
 
-_EPS = float(np.finfo(float).eps)
-
 
 # ---------------------------------------------------------------------------
 # Plucker polynomials
@@ -186,27 +184,6 @@ def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[float, n
     return value, grad
 
 
-def _geodesic_end(l: FramedPlane, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis Y of exp_l(a) and the geodesic velocity Ydot at it.
-
-    Y = B cos(sqrt M) + C a sinc(sqrt M) and
-    Ydot = -B M sinc(sqrt M) + C a cos(sqrt M) with M = a^T a; both are
-    power series in M, so they carry no singular-vector gauge and stay
-    smooth at repeated angles.
-    """
-    s, q = np.linalg.eigh(a.T @ a)
-    root = np.sqrt(np.clip(s, 0.0, None))
-
-    def matrix_function(values):
-        return (q * values) @ q.T
-
-    cos = matrix_function(np.cos(root))
-    b, c = l.plane.basis, l.complement
-    y = b @ cos + c @ a @ matrix_function(np.sinc(root / math.pi))
-    ydot = -b @ matrix_function(root * np.sin(root)) + c @ a @ cos
-    return y, ydot
-
-
 def _unit(x: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(x))
     return x / norm if norm > 0.0 else x
@@ -225,7 +202,7 @@ def lagrange_residual(p: PluckerPolynomial, l: FramedPlane, a: TangentMatrix) ->
     """
     if not np.array_equal(a.frame.frame, l.frame):
         raise FrameMismatch("tangent matrix not attached to the base frame")
-    y, ydot = _geodesic_end(l, a.a)
+    y, ydot = core._geodesic_end(l, a.a)
     value, grad = _value_and_basis_grad(p, y)
     velocity = _unit(ydot)
     normal = _unit(grad - y @ (y.T @ grad))

@@ -25,7 +25,7 @@ from .core import Plane, make_plane
 from .errors import SchemaError
 from .search import PluckerPolynomial
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +94,32 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer, else a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    """``value`` as a float if it is a JSON number, else a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path} must be a list, got {value!r}")
+    return value
+
+
 def plane_to_json(plane: Plane) -> dict:
     return {"n": plane.n, "k": plane.k, "basis": plane.basis.tolist()}
 
 
 def plane_from_json(obj, path: str = "plane") -> Plane:
-    n = _require(obj, "n", path)
-    k = _require(obj, "k", path)
-    basis = _require(obj, "basis", path)
-    try:
-        raw = np.asarray(basis, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}.basis is not a numeric matrix: {exc}") from None
-    if raw.shape != (int(n), int(k)):
-        raise SchemaError(f"{path}.basis shape {raw.shape} != ({n}, {k})")
-    return make_plane(raw)
+    return make_plane(_shaped_matrix(obj, path, "n", "k", "basis"))
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -117,15 +128,20 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
-    rows = _require(obj, "rows", path)
-    cols = _require(obj, "cols", path)
-    data = _require(obj, "a", path)
+    return _shaped_matrix(obj, path, "rows", "cols", "a")
+
+
+def _shaped_matrix(obj, path: str, rows_key: str, cols_key: str, data_key: str) -> np.ndarray:
+    """The numeric matrix ``obj[data_key]``, checked against the integer
+    shape fields ``obj[rows_key]`` and ``obj[cols_key]``."""
+    rows = _integer(_require(obj, rows_key, path), f"{path}.{rows_key}")
+    cols = _integer(_require(obj, cols_key, path), f"{path}.{cols_key}")
     try:
-        a = np.asarray(data, dtype=float)
+        a = np.asarray(_require(obj, data_key, path), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}.a is not a numeric matrix: {exc}") from None
-    if a.shape != (int(rows), int(cols)):
-        raise SchemaError(f"{path}.a shape {a.shape} != ({rows}, {cols})")
+        raise SchemaError(f"{path}.{data_key} is not a numeric matrix: {exc}") from None
+    if a.shape != (rows, cols):
+        raise SchemaError(f"{path}.{data_key} shape {a.shape} != ({rows}, {cols})")
     return a
 
 
@@ -138,14 +154,13 @@ def polynomial_to_json(p: PluckerPolynomial) -> dict:
 
 
 def polynomial_from_json(obj, path: str = "hypersurface") -> PluckerPolynomial:
-    n = int(_require(obj, "n", path))
-    k = int(_require(obj, "k", path))
-    raw_terms = _require(obj, "terms", path)
-    if not isinstance(raw_terms, list):
-        raise SchemaError(f"{path}.terms must be a list")
+    n = _integer(_require(obj, "n", path), f"{path}.n")
+    k = _integer(_require(obj, "k", path), f"{path}.k")
+    raw_terms = _list(_require(obj, "terms", path), f"{path}.terms")
     terms = []
     for i, term in enumerate(raw_terms):
-        idx = _require(term, "idx", f"{path}.terms[{i}]")
-        coef = _require(term, "coef", f"{path}.terms[{i}]")
-        terms.append((tuple(int(e) for e in idx), float(coef)))
+        where = f"{path}.terms[{i}]"
+        idx = _list(_require(term, "idx", where), f"{where}.idx")
+        coef = _number(_require(term, "coef", where), f"{where}.coef")
+        terms.append((tuple(_integer(e, f"{where}.idx[{j}]") for j, e in enumerate(idx)), coef))
     return PluckerPolynomial(n=n, k=k, terms=tuple(terms))

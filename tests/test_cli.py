@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "3"
+        assert report["schema_version"] == "4"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -208,6 +208,40 @@ class TestErrorPaths:
         )
         assert code == cli.EXIT_PARSE
         assert json.loads(out)["error"]["code"] == "ParseError"
+
+
+def _malformed_inputs():
+    w = plane_json(core.random_plane(5, 2, 3))
+    l = plane_json(core.random_plane(5, 2, 4))
+    plane = {"n": 4, "k": 2, "basis": [[1, 0], [0, 1], [0, 0], [0, 0]]}
+    line = {"n": 2, "k": 1, "basis": [[1], [0]]}
+    hyper = {"n": 2, "k": 1, "terms": [{"idx": [1, 0], "coef": 1.0}]}
+    gdc = ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "0"]
+
+    def with_term(**field):
+        return dict(hyper, terms=[dict(hyper["terms"][0], **field)])
+
+    return {
+        "s-string": (["schubert-min"], {"w": w, "s": "one", "l": l}),
+        "s-list": (["schubert-critical"], {"w": w, "s": [1], "l": l}),
+        "plane-n-string": (["distance"], {"e1": dict(plane, n="four"), "e2": plane}),
+        "plane-n-fraction": (["distance"], {"e1": dict(plane, n=4.5), "e2": plane}),
+        "hypersurface-n-string": (gdc, dict(hyper, n="x")),
+        "hypersurface-idx-number": (gdc, with_term(idx=5)),
+        "hypersurface-coef-string": (gdc, with_term(coef="abc")),
+        "tangent-basis-number": (
+            ["subdiff-zero-test"],
+            {"l": line, "s": {"n": 2, "k": 1, "basis": [[0], [1]]}, "tangent_basis": 5},
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_inputs()))
+def test_malformed_field_is_parse_error(capsys, case):
+    argv, doc = _malformed_inputs()[case]
+    code, out = run(capsys, *argv, "--json", json.dumps(doc))
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"]["code"] == "ParseError"
 
 
 class TestDeterminism:

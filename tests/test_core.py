@@ -115,6 +115,20 @@ class TestPrincipalAngles:
                 core.principal_angles(r1, r2), core.principal_angles(e1, e2), atol=1e-10
             )
 
+    def test_stacked_angles_equal_per_pair(self):
+        # a stack against one plane and a stack against a stack, both
+        # bit for bit equal to the scalar principal_angles
+        for n, k in ((4, 2), (8, 3), (12, 5)):
+            firsts = [core.random_plane(n, k, 100 + s) for s in range(6)]
+            seconds = [core.random_plane(n, k, 200 + s) for s in range(6)]
+            stacked = core._hybrid_angles(
+                np.array([e.basis for e in firsts]), np.array([e.basis for e in seconds])
+            )
+            against_one = core._hybrid_angles(firsts[0].basis, np.array([e.basis for e in seconds]))
+            for i, e in enumerate(seconds):
+                assert np.array_equal(stacked[i], core.principal_angles(firsts[i], e))
+                assert np.array_equal(against_one[i], core.principal_angles(firsts[0], e))
+
 
 class TestRectangularAngles:
     def test_subspace_gives_zero(self):
@@ -232,6 +246,19 @@ class TestExpLog:
         expected = plane_from_columns(e_basis(4, 2), e_basis(4, 3))
         assert core.grassmann_distance(img, expected) < 1e-12
 
+    def test_stacked_kernel_equals_per_matrix_calls(self, rng):
+        for n, k in ((4, 2), (7, 3), (12, 5)):
+            f = framed(core.random_plane(n, k, n))
+            a = rng.uniform(-1.0, 1.0, (2, 3, n - k, k))
+            y, ydot = core._geodesic_end(f, a)
+            assert y.shape == ydot.shape == (2, 3, n, k)
+            for i in range(2):
+                for j in range(3):
+                    y1, ydot1 = core._geodesic_end(f, a[i, j])
+                    assert np.array_equal(y[i, j], y1)
+                    assert np.array_equal(ydot[i, j], ydot1)
+                    assert np.array_equal(y1, core.exp(f, core.tangent(f, a[i, j])).basis)
+
     def test_geodesic_endpoints(self, rng):
         f = framed(core.random_plane(6, 2, 4))
         v = core.tangent(f, rng.standard_normal((4, 2)) * 0.3)
@@ -344,7 +371,7 @@ class TestPlucker:
             v = core._signed_qr(rng.standard_normal((2, 2)))
             v[:, 0] *= np.sign(rng.standard_normal())  # exercise both det signs
             mu = rng.uniform(0.05, math.pi / 2 - 0.05, 2)
-            # the chart-form basis exp produces, with this explicit gauge
+            # the SVD-form basis, with this explicit gauge
             basis = f.frame @ np.vstack([v * np.cos(mu), u * np.sin(mu)])
             lead = core.plucker_minors(basis)[0]
             expected = float(np.linalg.det(v)) * float(np.prod(np.cos(mu)))
@@ -352,7 +379,8 @@ class TestPlucker:
             # and exp of the same velocity spans the same plane
             img = core.exp(f, core.tangent(f, u @ np.diag(mu) @ v.T))
             assert core.grassmann_distance(img, core.Plane(n=5, k=2, basis=basis)) < 1e-12
-            assert abs(abs(core.plucker_minors(img)[0]) - abs(expected)) < 1e-10
+            # exp's basis is this one rotated by V^T, so its minor has no det(V)
+            assert abs(core.plucker_minors(img)[0] - float(np.prod(np.cos(mu)))) < 1e-10
 
     def test_off_cut_planes_have_nonzero_chart_coordinate(self, rng):
         f = framed(core.make_plane(np.eye(5)[:, :2]))
@@ -415,6 +443,34 @@ class TestPullbackMetric:
         minus = core.exp(w, core.tangent(w, -h * b))
         d = (core.log(base, plus).a - core.log(base, minus).a) / (2 * h)
         assert abs(float(np.sum(d * b)) - 1.0) < 1e-6
+
+    def test_matches_log_chart_reference(self):
+        # the reference reads central differences of exp back through
+        # log at a completed frame of the image point, sampling as the
+        # library does
+        for seed, eps in ((0, 0.2), (1, 0.01)):
+            w = framed(core.random_plane(4, 2, 1200 + seed))
+            rng = np.random.default_rng(seed)
+            h0 = float(np.finfo(float).eps) ** (1 / 3)
+            worst = 0.0
+            for _ in range(8):
+                a = rng.standard_normal((2, 2))
+                a *= rng.uniform(0.0, 1.0) / np.linalg.norm(a)
+                bs = [x / np.linalg.norm(x) for x in rng.standard_normal((2, 2, 2))]
+                base = core.complete_frame(core.exp(w, core.tangent(w, eps * a)))
+                h = h0 * max(1.0, eps * float(np.linalg.norm(a)))
+                d = [
+                    (
+                        core.log(base, core.exp(w, core.tangent(w, eps * a + h * b))).a
+                        - core.log(base, core.exp(w, core.tangent(w, eps * a - h * b))).a
+                    ) / (2 * h)
+                    for b in bs
+                ]
+                for i in range(2):
+                    for j in range(2):
+                        worst = max(worst, abs(float(np.sum(d[i] * d[j]) - np.sum(bs[i] * bs[j]))))
+            got = core.pullback_metric_error(w, eps, n_samples=8, seed=seed)
+            assert abs(got - worst) < 1e-4 * worst
 
     def test_circle_is_flat(self):
         w = framed(core.make_plane([[1.0], [0.0]]))

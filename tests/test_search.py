@@ -70,6 +70,13 @@ def repeated_angle_hyperplane(theta, h=1e-6):
     return search.linear_form(4, 2, w), lf, core.exp(lf, a_star)
 
 
+def svd_exp_projector(base, a):
+    """Projector onto exp(a) from the explicit SVD form frame @ [V cos S; U sin S]."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    y = base.frame @ np.vstack([vt.T * np.cos(s), u * np.sin(s)])
+    return y @ y.T
+
+
 class TestCofactors:
     def test_match_minor_expansion(self, rng):
         for k in (1, 2, 3, 4):
@@ -95,24 +102,29 @@ class TestLagrangeResidual:
         base = framed(core.random_plane(4, 2, 3))
         a = core.tangent(base, np.array([[0.3, -0.2], [0.1, 0.6]]))
         resid = search.lagrange_residual(p, base, a)
-        y, _ = search._geodesic_end(base, a.a)
+        y, _ = core._geodesic_end(base, a.a)
         assert abs(resid[0] - p.eval(core.plucker_minors(y)) / p.coefficient_scale()) < 1e-15
         assert resid[0] != 0.0
 
     def test_geodesic_end_matches_exp(self):
-        # Y spans exp(A) and Ydot matches a central difference of the
-        # geodesic, compared through projectors so no basis gauge enters
+        # Y spans the explicit SVD exponential and Ydot matches its
+        # central difference, compared through projectors so no basis
+        # gauge enters; covers repeated singular values, a singular value
+        # at pi/2 and singular values beyond pi/2
         base = framed(core.random_plane(5, 2, 4))
-        a = core.tangent(base, np.random.default_rng(5).uniform(-0.6, 0.6, (3, 2)))
-        y, ydot = search._geodesic_end(base, a.a)
-        assert np.allclose(y.T @ y, np.eye(2), atol=1e-14)
-        assert np.allclose(y @ y.T, core.exp(base, a).projector, atol=1e-14)
+        u = core.random_orthogonal(3, 6)[:, :2]
+        v = core.random_orthogonal(2, 7)
+        cases = [np.random.default_rng(5).uniform(-0.6, 0.6, (3, 2))] + [
+            u @ np.diag(mu) @ v.T
+            for mu in ([0.8, 0.8], [math.pi / 2, 0.4], [2.5, 1.9], [2.2, 2.2])
+        ]
         h = 1e-5
-        dp = (
-            core.geodesic_point(base, a, 1 + h).projector
-            - core.geodesic_point(base, a, 1 - h).projector
-        ) / (2 * h)
-        assert np.allclose(ydot @ y.T + y @ ydot.T, dp, atol=1e-9)
+        for a in cases:
+            y, ydot = core._geodesic_end(base, a)
+            assert np.allclose(y.T @ y, np.eye(2), atol=1e-14)
+            assert np.allclose(y @ y.T, svd_exp_projector(base, a), atol=1e-14)
+            dp = (svd_exp_projector(base, (1 + h) * a) - svd_exp_projector(base, (1 - h) * a)) / (2 * h)
+            assert np.allclose(ydot @ y.T + y @ ydot.T, dp, atol=1e-9)
 
     def test_constructed_critical_point_on_circle(self):
         # the zero set of the two-line slice is 0-dimensional: both zeros
