@@ -34,6 +34,7 @@ seed; values are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -533,22 +534,27 @@ def log(at: FramedPlane, target: Plane, tol_cut: float = TOL_CUT) -> TangentMatr
 # Plucker coordinates
 # ---------------------------------------------------------------------------
 
-def plucker_index_table(n: int, k: int) -> list[tuple[int, ...]]:
-    """Lexicographically ordered k-subsets of {0, ..., n-1}."""
-    return list(itertools.combinations(range(n), k))
+@functools.cache
+def plucker_index_table(n: int, k: int) -> np.ndarray:
+    """Lexicographically ordered k-subsets of {0, ..., n-1}, one per row
+    of a read-only (binomial(n, k), k) index array built once per (n, k)."""
+    table = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    table.setflags(write=False)
+    return table
 
 
 def plucker_minors(plane_or_basis) -> np.ndarray:
     """Raw k x k minors of a basis matrix, lexicographic index order.
 
-    For an orthonormal basis the minor vector has unit norm; this
-    function does not normalize, so the chart identity
-    c_{first k rows} = cos(mu_1)...cos(mu_k) of an :func:`exp` image at
-    a coordinate frame is visible directly.
+    Takes a plane or a stack of basis matrices (..., n, k) and returns
+    the minors (..., binomial(n, k)).  For an orthonormal basis the
+    minor vector has unit norm; this function does not normalize, so
+    the chart identity c_{first k rows} = cos(mu_1)...cos(mu_k) of an
+    :func:`exp` image at a coordinate frame is visible directly.
     """
     b = plane_or_basis.basis if isinstance(plane_or_basis, Plane) else np.asarray(plane_or_basis)
-    n, k = b.shape
-    return np.linalg.det(b[np.array(plucker_index_table(n, k))])
+    n, k = b.shape[-2:]
+    return np.linalg.det(b[..., plucker_index_table(n, k), :])
 
 
 def plucker_coords(e: Plane) -> PluckerPoint:

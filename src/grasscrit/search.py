@@ -22,6 +22,12 @@ also passes.  Counting the surviving points over random base planes
 gives an empirical lower bound for the generic critical-point count,
 which explicit format-based constants bound from above.
 
+The whole evaluation path takes stacks of tangent matrices: the
+exponential kernel, the Plucker minors, their cofactors and the
+compiled polynomial.  The solver's Jacobian is a forward difference
+with scipy's 2-point steps that evaluates the base point and all
+k(n - k) shifted points in one stacked residual call.
+
 The module also evaluates the closed-form sphere-product distance on
 the oriented double cover of G(2, 4), where a family of linear slices
 yields a visibly non-algebraic critical-point system.
@@ -57,6 +63,10 @@ CERT_TOL = 1e-6
 #: Grassmann distance under which two found critical points are merged.
 DEDUP_DISTANCE = 1e-6
 
+#: Relative finite-difference step of the solver's Jacobian (scipy's
+#: 2-point default).
+_FD_STEP = float(np.finfo(float).eps) ** 0.5
+
 
 # ---------------------------------------------------------------------------
 # Plucker polynomials
@@ -68,7 +78,11 @@ class PluckerPolynomial:
 
     ``terms`` maps exponent vectors (tuples of length binomial(n, k))
     to coefficients; all exponent vectors must have the same total
-    degree.
+    degree d.  Construction compiles the terms once: each term becomes
+    its d coordinate indices (powers repeated), one row of a T x d
+    index matrix, beside the indices of the other d - 1 factors of each
+    slot (T x d x (d - 1)), a coefficient vector and the coefficient
+    scale, so evaluation never forms a terms x coordinates matrix.
     """
 
     n: int
@@ -79,20 +93,30 @@ class PluckerPolynomial:
         n_coords = math.comb(self.n, self.k)
         if not self.terms:
             raise SchemaError("polynomial has no terms")
-        degrees = set()
         for exps, _ in self.terms:
             if len(exps) != n_coords:
                 raise SchemaError(
                     f"exponent vector length {len(exps)} != binomial(n,k) = {n_coords}"
                 )
-            if any(e < 0 for e in exps):
-                raise SchemaError("negative exponent")
-            degrees.add(sum(exps))
+        terms = tuple((tuple(e), float(c)) for e, c in self.terms)
+        exponents = np.array([e for e, _ in terms], dtype=np.intp)
+        if np.any(exponents < 0):
+            raise SchemaError("negative exponent")
+        degrees = np.unique(exponents.sum(axis=1))
         if len(degrees) != 1:
-            raise SchemaError(f"polynomial is not homogeneous: degrees {sorted(degrees)}")
-        if degrees == {0}:
+            raise SchemaError(f"polynomial is not homogeneous: degrees {degrees.tolist()}")
+        d = int(degrees[0])
+        if d == 0:
             raise SchemaError("polynomial must have positive degree")
-        object.__setattr__(self, "terms", tuple((tuple(e), float(c)) for e, c in self.terms))
+        coefs = np.array([c for _, c in terms])
+        coord = np.broadcast_to(np.arange(n_coords), exponents.shape)
+        indices = np.repeat(coord.ravel(), exponents.ravel()).reshape(-1, d)
+        others = np.array([[i for i in range(d) if i != j] for j in range(d)], dtype=np.intp)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_others", indices[:, others])
+        object.__setattr__(self, "_coefs", coefs)
+        object.__setattr__(self, "_scale", float(np.max(np.abs(coefs))))
 
     @property
     def degree(self) -> int:
@@ -102,37 +126,28 @@ class PluckerPolynomial:
     def n_coords(self) -> int:
         return math.comb(self.n, self.k)
 
-    def eval(self, coords: np.ndarray) -> float:
-        val = 0.0
-        for exps, coef in self.terms:
-            mon = coef
-            for idx, e in enumerate(exps):
-                if e:
-                    mon *= coords[idx] ** e
-            val += mon
-        return float(val)
+    def eval(self, coords: np.ndarray):
+        """Value at coordinates of shape (..., binomial(n, k)); shape (...)."""
+        return self.eval_grad(coords)[0]
 
-    def eval_grad(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        val = 0.0
-        grad = np.zeros(self.n_coords)
-        for exps, coef in self.terms:
-            mon = coef
-            for idx, e in enumerate(exps):
-                if e:
-                    mon *= coords[idx] ** e
-            val += mon
-            for idx, e in enumerate(exps):
-                if not e:
-                    continue
-                g = coef * e * (coords[idx] ** (e - 1) if e > 1 else 1.0)
-                for idx2, e2 in enumerate(exps):
-                    if idx2 != idx and e2:
-                        g *= coords[idx2] ** e2
-                grad[idx] += g
-        return float(val), grad
+    def eval_grad(self, coords: np.ndarray):
+        """Value (...) and gradient (..., binomial(n, k)) at coordinates
+        of shape (..., binomial(n, k)).
+
+        A monomial's derivative in one of its d slots is the product of
+        the other d - 1 factors (a leave-one-out product), so zero
+        coordinates need no division; repeated slots add up to the
+        power rule.
+        """
+        coords = np.asarray(coords, dtype=float)
+        value = coords[..., self._indices].prod(axis=-1) @ self._coefs
+        grad = np.zeros_like(coords)
+        leave_one_out = coords[..., self._others].prod(axis=-1)
+        np.add.at(grad, (..., self._indices), self._coefs[:, None] * leave_one_out)
+        return value, grad
 
     def coefficient_scale(self) -> float:
-        return max(abs(c) for _, c in self.terms)
+        return self._scale
 
 
 def linear_form(n: int, k: int, weights) -> PluckerPolynomial:
@@ -164,9 +179,7 @@ def _cofactors(blocks: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.ones_like(blocks)
     if k == 2:
-        a, b = blocks[..., 0, 0], blocks[..., 0, 1]
-        c, d = blocks[..., 1, 0], blocks[..., 1, 1]
-        return np.stack([np.stack([d, -c], -1), np.stack([-b, a], -1)], -2)
+        return blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     u, s, vt = np.linalg.svd(blocks)
     leave_one_out = np.stack(
         [np.prod(np.delete(s, i, axis=-1), axis=-1) for i in range(k)], -1
@@ -175,21 +188,27 @@ def _cofactors(blocks: np.ndarray) -> np.ndarray:
     return sign[..., None, None] * (u * leave_one_out[..., None, :]) @ vt
 
 
-def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """p(minors(y)) and its gradient with respect to the n x k matrix y."""
-    table = np.array(core.plucker_index_table(p.n, p.k))
+def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(minors(y)) and its gradient with respect to y, for a stack of
+    n x k matrices (..., n, k)."""
+    table = core.plucker_index_table(p.n, p.k)
     value, dq_dc = p.eval_grad(core.plucker_minors(y))
     grad = np.zeros_like(y)
-    np.add.at(grad, table, dq_dc[:, None, None] * _cofactors(y[table]))
+    cofactors = _cofactors(y[..., table, :])
+    np.add.at(grad, (..., table, slice(None)), dq_dc[..., None, None] * cofactors)
     return value, grad
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    return x / norm if norm > 0.0 else x
+    """Each matrix of a stack divided by its Frobenius norm; zero
+    matrices pass unchanged."""
+    norm = np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    return x / np.where(norm > 0.0, norm, 1.0)
 
 
-def lagrange_residual(p: PluckerPolynomial, l: FramedPlane, a: TangentMatrix) -> np.ndarray:
+def lagrange_residual(
+    p: PluckerPolynomial, l: FramedPlane, a: TangentMatrix | np.ndarray
+) -> np.ndarray:
     """Residual of the Lagrange system at E = exp_l(a) in normal coordinates.
 
     Components, in order: p(minors(Y)) / ``p.coefficient_scale()`` with
@@ -199,15 +218,22 @@ def lagrange_residual(p: PluckerPolynomial, l: FramedPlane, a: TangentMatrix) ->
     vanishes exactly at the off-cut critical points of the distance
     from ``l`` restricted to {p = 0} (Gauss lemma: the distance gradient
     at E is the unit geodesic velocity).
+
+    ``a`` is a :class:`TangentMatrix` at ``l``, or an array stack
+    (..., n-k, k) of tangent matrices read in ``l``'s frame; a stack
+    gives residuals of shape (..., 1 + n k) in one call.
     """
-    if not np.array_equal(a.frame.frame, l.frame):
-        raise FrameMismatch("tangent matrix not attached to the base frame")
-    y, ydot = core._geodesic_end(l, a.a)
+    if isinstance(a, TangentMatrix):
+        if not np.array_equal(a.frame.frame, l.frame):
+            raise FrameMismatch("tangent matrix not attached to the base frame")
+        a = a.a
+    y, ydot = core._geodesic_end(l, a)
     value, grad = _value_and_basis_grad(p, y)
     velocity = _unit(ydot)
-    normal = _unit(grad - y @ (y.T @ grad))
-    tangential = velocity - float(np.sum(velocity * normal)) * normal
-    return np.concatenate([[value / p.coefficient_scale()], tangential.ravel()])
+    normal = _unit(grad - y @ (y.swapaxes(-1, -2) @ grad))
+    tangential = velocity - np.sum(velocity * normal, axis=(-2, -1), keepdims=True) * normal
+    head = np.asarray(value)[..., None] / p.coefficient_scale()
+    return np.concatenate([head, tangential.reshape(y.shape[:-2] + (-1,))], axis=-1)
 
 
 def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane) -> float:
@@ -239,6 +265,27 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
 # Solver
 # ---------------------------------------------------------------------------
 
+def _residual(x: np.ndarray, p: PluckerPolynomial, l: FramedPlane) -> np.ndarray:
+    """:func:`lagrange_residual` at the flattened tangent matrix ``x``."""
+    return lagrange_residual(p, l, x.reshape(p.n - p.k, p.k))
+
+
+def _jacobian(x: np.ndarray, p: PluckerPolynomial, l: FramedPlane) -> np.ndarray:
+    """Forward-difference Jacobian of :func:`_residual` from one stacked
+    residual call at x and the k(n-k) points x + h_j e_j.
+
+    The steps are scipy's 2-point ones inside the box [-pi/2, pi/2]:
+    h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, negated
+    where x_j + h_j would leave the box, and each column is divided by
+    the representable step (x_j + h_j) - x_j.
+    """
+    h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where(np.abs(x + h) > math.pi / 2, -h, h)
+    rows = np.vstack([x, x + np.diag(h)])
+    r = lagrange_residual(p, l, rows.reshape(-1, p.n - p.k, p.k))
+    return (r[1:] - r[0]).T / ((x + h) - x)
+
+
 @dataclass(frozen=True)
 class StartDiagnostic:
     """Outcome of one solver start: ``status`` is "converged", "no
@@ -264,7 +311,9 @@ def find_critical_points(
 
     Runs a bounded least-squares solve of :func:`lagrange_residual` in
     the tangent matrix A at ``l`` from ``n_starts`` seeded random
-    tangent matrices with angles in (0.1, pi/2 - 0.1).  A start is kept
+    tangent matrices with angles in (0.1, pi/2 - 0.1).  The Jacobian
+    is a forward difference with scipy's 2-point steps (flipped at the
+    box [-pi/2, pi/2]) from one stacked residual call.  A start is kept
     when its residual is below ``tol``, the largest singular value of A
     is below pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
     and E = exp_l(A) is off the cut locus) and the chart-free normality
@@ -274,6 +323,9 @@ def find_critical_points(
 
     Raises
     ------
+    DimensionError
+        If the polynomial and ``l`` live on different Grassmannians, or
+        ``n_starts`` is not positive.
     NonGenericL
         If the polynomial vanishes at ``l`` (the base point must be off
         the hypersurface).
@@ -282,13 +334,11 @@ def find_critical_points(
     """
     if (p.n, p.k) != (l.n, l.k):
         raise DimensionError(f"polynomial on G({p.k},{p.n}) but base on G({l.k},{l.n})")
+    if n_starts < 1:
+        raise DimensionError(f"n_starts must be positive, got {n_starts}")
     if abs(p.eval(core.plucker_minors(l.plane))) <= 1e-12 * p.coefficient_scale():
         raise NonGenericL("polynomial vanishes at the base plane")
     n, k = p.n, p.k
-
-    def residual(x):
-        return lagrange_residual(p, l, core.tangent(l, x.reshape(n - k, k)))
-
     rng = np.random.default_rng(seed)
     found: list[tuple[Plane, float]] = []
     diagnostics: list[StartDiagnostic] = []
@@ -297,8 +347,10 @@ def find_critical_points(
         v0 = core._signed_qr(rng.standard_normal((k, k)))
         mu0 = rng.uniform(0.1, math.pi / 2 - 0.1, k)
         res = least_squares(
-            residual,
+            _residual,
             ((u0 * mu0) @ v0.T).ravel(),
+            jac=_jacobian,
+            args=(p, l),
             bounds=(-math.pi / 2, math.pi / 2),
             xtol=1e-15,
             ftol=1e-15,

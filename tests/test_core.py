@@ -363,6 +363,17 @@ class TestPlucker:
             loop = [np.linalg.det(basis[list(rows), :]) for rows in core.plucker_index_table(n, k)]
             assert np.array_equal(core.plucker_minors(basis), np.array(loop))
 
+    def test_stacked_minors_equal_per_basis(self, rng):
+        for n, k in ((4, 2), (12, 5)):
+            stack = np.array(
+                [[core.random_plane(n, k, rng).basis for _ in range(3)] for _ in range(2)]
+            )
+            minors = core.plucker_minors(stack)
+            assert minors.shape == (2, 3, math.comb(n, k))
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(minors[i, j], core.plucker_minors(stack[i, j]))
+
     def test_first_chart_coordinate_of_exponential(self, rng):
         # leading minor of the exponential image equals det(V) prod cos(mu)
         f = framed(core.make_plane(np.eye(5)[:, :2]))

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from grasscrit import core, search
 from grasscrit.errors import (
@@ -42,6 +44,12 @@ class TestPolynomial:
         with pytest.raises(SchemaError):
             search.PluckerPolynomial(n=2, k=1, terms=(((0, 0), 1.0),))
 
+    def test_malformed_exponents_rejected(self):
+        with pytest.raises(SchemaError):
+            search.PluckerPolynomial(n=2, k=1, terms=(((-1, 2), 1.0),))
+        with pytest.raises(SchemaError):
+            search.PluckerPolynomial(n=2, k=1, terms=(((1,), 1.0),))
+
     def test_eval_grad_consistent(self, rng):
         p = g24_hyperplane()
         c = rng.standard_normal(6)
@@ -53,6 +61,55 @@ class TestPolynomial:
             cp[i] += h
             cm[i] -= h
             assert abs(grad[i] - (p.eval(cp) - p.eval(cm)) / (2 * h)) < 1e-6
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_stacked_eval_grad_matches_loop(self, rng, degree):
+        for n, k in ((3, 1), (4, 2), (5, 2)):
+            p = random_polynomial(rng, n, k, degree, 12)
+            for shape in ((), (5,), (2, 3)):
+                coords = rng.standard_normal(shape + (p.n_coords,))
+                coords[..., 1] = 0.0
+                value, grad = p.eval_grad(coords)
+                assert np.shape(value) == shape and grad.shape == coords.shape
+                assert np.array_equal(p.eval(coords), value)
+                for idx in np.ndindex(*shape):
+                    ref_val, ref_grad = loop_eval_grad(p, coords[idx])
+                    assert abs(value[idx] - ref_val) <= 1e-13 * max(1.0, abs(ref_val))
+                    assert np.allclose(grad[idx], ref_grad, rtol=1e-13, atol=1e-13)
+
+
+def loop_eval_grad(p, coords):
+    """Reference: value and gradient by plain loops over terms and
+    coordinates, one coordinate vector at a time."""
+    val = 0.0
+    grad = np.zeros(p.n_coords)
+    for exps, coef in p.terms:
+        mon = coef
+        for idx, e in enumerate(exps):
+            if e:
+                mon *= coords[idx] ** e
+        val += mon
+        for idx, e in enumerate(exps):
+            if not e:
+                continue
+            g = coef * e * (coords[idx] ** (e - 1) if e > 1 else 1.0)
+            for idx2, e2 in enumerate(exps):
+                if idx2 != idx and e2:
+                    g *= coords[idx2] ** e2
+            grad[idx] += g
+    return val, grad
+
+
+def random_polynomial(rng, n, k, degree, n_terms):
+    """Random homogeneous polynomial whose terms repeat coordinates."""
+    size = math.comb(n, k)
+    terms = []
+    for _ in range(n_terms):
+        e = [0] * size
+        for i in rng.integers(0, size, degree):
+            e[i] += 1
+        terms.append((tuple(e), float(rng.standard_normal())))
+    return search.PluckerPolynomial(n=n, k=k, terms=tuple(terms))
 
 
 def repeated_angle_hyperplane(theta, h=1e-6):
@@ -136,6 +193,56 @@ class TestLagrangeResidual:
         target = core.make_plane([[-math.sin(0.7)], [math.cos(0.7)]])
         resid = search.lagrange_residual(p, lf, core.log(lf, target))
         assert float(np.linalg.norm(resid)) < 1e-9
+
+    def test_stacked_equals_per_matrix_calls(self, rng):
+        for n, k in ((3, 1), (4, 2), (5, 2), (7, 3)):
+            p = random_polynomial(rng, n, k, 2, 8)
+            base = framed(core.random_plane(n, k, rng))
+            stack = rng.uniform(-1.2, 1.2, (2, 3, n - k, k))
+            stacked = search.lagrange_residual(p, base, stack)
+            assert stacked.shape == (2, 3, 1 + n * k)
+            for idx in np.ndindex(2, 3):
+                single = search.lagrange_residual(p, base, core.tangent(base, stack[idx]))
+                assert np.max(np.abs(stacked[idx] - single)) <= 1e-15
+
+    def test_zero_tangent_is_finite(self):
+        # the velocity vanishes at A = 0; the unit vector must stay zero
+        p = g24_hyperplane()
+        base = framed(core.random_plane(4, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = search.lagrange_residual(p, base, core.zero_tangent(base))
+            stacked = search.lagrange_residual(p, base, np.zeros((3, 2, 2)))
+        assert np.all(np.isfinite(single)) and np.all(np.isfinite(stacked))
+        assert np.array_equal(single[1:], np.zeros(8))
+
+    def test_jacobian_matches_scipy_2_point(self, rng, monkeypatch):
+        # same steps as scipy's bounded 2-point rule, including the flip
+        # of a step that would leave the box [-pi/2, pi/2]
+        seen = []
+        residual = search.lagrange_residual
+
+        def recording(p, l, a):
+            seen.append(np.array(a))
+            return residual(p, l, a)
+
+        monkeypatch.setattr(search, "lagrange_residual", recording)
+        for n, k in ((3, 1), (4, 2), (5, 2)):
+            p = random_polynomial(rng, n, k, 2, 8)
+            base = framed(core.random_plane(n, k, rng))
+            x = rng.uniform(-1.2, 1.2, (n - k) * k)
+            x[0] = math.pi / 2 - 1e-9
+            x[-1] = 0.0
+            seen.clear()
+            jac = search._jacobian(x, p, base)
+            assert len(seen) == 1 and seen[0].shape == ((n - k) * k + 1, n - k, k)
+            assert np.max(np.abs(seen[0])) <= math.pi / 2
+            expected = approx_derivative(
+                search._residual, x, method="2-point",
+                bounds=(-math.pi / 2, math.pi / 2), args=(p, base),
+            )
+            assert jac.shape == expected.shape
+            assert np.max(np.abs(jac - expected)) <= 1e-6
 
     def test_frame_mismatch_guard(self):
         p = g24_hyperplane()
@@ -233,6 +340,12 @@ class TestFindCriticalPoints:
             assert 1 <= d.nfev <= 100
             if d.status == "converged":
                 assert d.residual < search.SOLVER_TOL and d.certificate < search.CERT_TOL
+
+    @pytest.mark.parametrize("n_starts", [0, -2])
+    def test_nonpositive_starts_rejected(self, n_starts):
+        p = g24_hyperplane()
+        with pytest.raises(DimensionError):
+            search.find_critical_points(p, framed(core.random_plane(4, 2, 3)), n_starts, seed=0)
 
     def test_base_on_hypersurface_rejected(self):
         p = circle_two_point_slice(0.7)
