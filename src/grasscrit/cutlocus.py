@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import core
 from .core import FramedPlane, Plane, TangentMatrix
@@ -244,6 +243,8 @@ def restricted_critical_test(
     a_ub = np.array(rows)
     b_ub = np.zeros(2 * dim_t)
     a_eq = np.array([[1.0] * m + [0.0]])
+    from scipy.optimize import linprog  # on first use: keeps scipy off the import path
+
     res = linprog(
         c,
         A_ub=a_ub,

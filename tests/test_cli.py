@@ -210,6 +210,27 @@ class TestErrorPaths:
         assert json.loads(out)["error"]["code"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--grid", "0"], "DimensionError"),
+        (["--grid", "1"], "DimensionError"),
+        (["--grid", "-3"], "DimensionError"),
+        # no grid point with |beta * y1| < 1 (beta = 2 is a default beta)
+        (["--grid", "2"], "DomainError"),
+        (["--beta", "1e6", "--grid", "200"], "DomainError"),
+        (["--beta", "nan"], "DomainError"),
+        (["--beta", "inf"], "DomainError"),
+    ],
+)
+def test_g24_demo_without_finite_scan_is_validation_error(capsys, argv, error):
+    code = cli.main(["g24-demo", *argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(captured.out)["error"]["code"] == error
+    assert "Traceback" not in captured.err
+
+
 def _malformed_inputs():
     w = plane_json(core.random_plane(5, 2, 3))
     l = plane_json(core.random_plane(5, 2, 4))

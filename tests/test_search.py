@@ -341,6 +341,27 @@ class TestFindCriticalPoints:
             if d.status == "converged":
                 assert d.residual < search.SOLVER_TOL and d.certificate < search.CERT_TOL
 
+    def test_solver_called_through_module_attribute(self, monkeypatch):
+        # the traced benchmark wraps search.least_squares by name to time
+        # each start; a solver imported under another name escapes it
+        p = g24_hyperplane()
+        lf = framed(core.random_plane(4, 2, 50))
+        plain = search.find_critical_points(p, lf, n_starts=6, seed=77)
+        calls = []
+        solver = search.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(search, "least_squares", counting)
+        traced = search.find_critical_points(p, lf, n_starts=6, seed=77)
+        assert len(calls) == 6
+        assert len(traced) == len(plain)
+        for (pt, value), (ref, ref_value) in zip(traced, plain):
+            assert value == ref_value
+            assert np.array_equal(pt.basis, ref.basis)
+
     @pytest.mark.parametrize("n_starts", [0, -2])
     def test_nonpositive_starts_rejected(self, n_starts):
         p = g24_hyperplane()
