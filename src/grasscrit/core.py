@@ -27,6 +27,10 @@ Conventions used throughout (and by every caller of this module):
 * exp_L(A) has the basis B cos(sqrt M) + C A sinc(sqrt M), M = A^T A,
   which is (B V cos(mu) + C U sin(mu)) V^T for A = U diag(mu) V^T:
   continuous in A, with no singular-vector sign choice.
+* log_L(E) is one formula, C^T B_E Q diag(theta / sin theta) P^T
+  from the SVD B^T B_E = P diag(cos theta) Q^T, in every regime from
+  coincident planes to the cut locus.  Off the cut locus the tangent
+  matrix in a given frame is unique, so it may be compared entrywise.
 
 All operations are pure functions of their inputs plus an explicit
 seed; values are safe to share across threads.
@@ -483,51 +487,37 @@ def connecting_tangent(
     return tangent(at, ncols @ np.diag(theta) @ u_right.T)
 
 
-def _graph_log_matrix(at: FramedPlane, target: Plane) -> np.ndarray:
-    """Logarithm through the graph chart: A = X h(X^T X) with
-    X = C^T B_t (B^T B_t)^{-1} and h(s) = arctan(sqrt(s))/sqrt(s).
-
-    A matrix function of X, hence free of the singular-vector gauge
-    instability that makes the principal-vector construction noisy for
-    nearly coincident planes; ill-conditioned only near the cut locus,
-    where the caller switches to the principal-vector construction.
-    """
-    m = at.plane.basis.T @ target.basis
-    x = at.complement.T @ target.basis @ np.linalg.inv(m)
-
-    def h(s):
-        small = s < 1e-8
-        safe = np.where(small, 1.0, s)
-        return np.where(small, 1.0 - s / 3.0 + s * s / 5.0, np.arctan(np.sqrt(safe)) / np.sqrt(safe))
-
-    return x @ _psd_functions(x.T @ x, h)
-
-
 def log(at: FramedPlane, target: Plane, tol_cut: float = TOL_CUT) -> TangentMatrix:
     """Riemannian logarithm at a framed plane.
 
     Defined off the cut locus only: the largest principal angle must be
     below pi/2 - tol_cut, otherwise the minimizing geodesic is not
     unique and :class:`OnCutLocus` is raised.  At the base point this
-    degenerates to the zero matrix.  With repeated angles the returned
-    matrix is one representative of a gauge orbit; compare through
-    :func:`exp`, not entrywise.
+    degenerates to the zero matrix.  Off the cut locus the tangent
+    matrix in a fixed frame is unique, repeated angles included, so it
+    may be compared entrywise: for a target spanned by
+    B V cos(theta) + C U sin(theta) it is U diag(theta) V^T.
 
-    The two internal evaluations agree wherever both are accurate: the
-    graph-chart matrix function is used for moderate angles (stable for
-    nearly coincident planes, which matters inside finite differences)
-    and the principal-vector construction near the cut locus (stable
-    where the graph chart blows up).
+    One formula serves every regime (Bendokat, Zimmermann and Absil,
+    *A Grassmann manifold handbook*, 2024, sec. 5).  With
+    B^T B_t = P diag(cos theta) Q^T, the polar factor Q P^T aligns the
+    target basis, S = C^T B_t Q P^T = U sin(theta) P^T, and
+    A = S g(S^T S) with g = theta / sin(theta), 1 at sin = 0.  The SVD
+    already diagonalizes S^T S, so A = C^T B_t Q diag(g) P^T, with the
+    sines read as column norms of C^T B_t Q (accurate for small angles)
+    and theta = atan2(sin, cos) (accurate near pi/2 too).
     """
     _check_same_shape(at.plane, target)
-    theta = principal_angles(at.plane, target)
-    if theta.size and float(theta[-1]) >= math.pi / 2 - tol_cut:
-        raise OnCutLocus(
-            f"largest principal angle {theta[-1]:.12f} within {tol_cut:.1e} of pi/2"
-        )
-    if theta.size and float(theta[-1]) < 1.0:
-        return tangent(at, _graph_log_matrix(at, target))
-    return connecting_tangent(at, target)
+    p, cos, qt = np.linalg.svd(at.plane.basis.T @ target.basis)
+    if cos[0] > 1.0 + CLAMP_SLACK:
+        raise GrasscritError(f"cosine {cos[0]!r} exceeds 1 beyond clamping slack")
+    top = math.acos(min(float(cos[-1]), 1.0))
+    if top >= math.pi / 2 - tol_cut:
+        raise OnCutLocus(f"largest principal angle {top:.12f} within {tol_cut:.1e} of pi/2")
+    s = at.complement.T @ target.basis @ qt.T
+    sin = np.linalg.norm(s, axis=0)
+    g = np.divide(np.arctan2(sin, cos), sin, out=np.ones_like(sin), where=sin > 0.0)
+    return tangent(at, (s * g) @ p.T)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,16 @@ class TestExpLog:
             d = core.grassmann_distance(f.plane, core.geodesic_point(f, v, t))
             assert abs(d - t * v.norm) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
     def test_log_at_base(self):
         f = framed(core.random_plane(5, 2, 6))
         assert core.log(f, f.plane).norm < 1e-12
+        # one shared direction: an angle of exactly 0 next to one of 0.7,
+        # in the identity frame so that the zero sine is exact
+        f = framed(plane_from_columns(e_basis(4, 0), e_basis(4, 1)))
+        target = plane_from_columns(e_basis(4, 0), [0.0, math.cos(0.7), math.sin(0.7), 0.0])
+        a = core.log(f, target).a
+        assert np.allclose(a, [[0.0, 0.7], [0.0, 0.0]], rtol=0.0, atol=1e-15)
 
     def test_log_norm_on_circle(self):
         f = framed(core.make_plane([[1.0], [0.0]]))
@@ -328,8 +335,6 @@ class TestExpLog:
             assert core.grassmann_distance(back, target) < 1e-11
 
     def test_log_branch_seam_continuity(self, rng):
-        # the two internal log evaluations hand over near max angle 1.0;
-        # norms and roundtrips stay consistent across the seam
         f = framed(core.random_plane(5, 2, 88))
         u = core._signed_qr(rng.standard_normal((3, 2)))
         v = core._signed_qr(rng.standard_normal((2, 2)))
@@ -339,6 +344,40 @@ class TestExpLog:
             t = core.log(f, target)
             assert abs(t.norm - math.sqrt(0.16 + top * top)) < 1e-10
             assert core.grassmann_distance(core.exp(f, t), target) < 1e-11
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (12, 5)])
+    def test_log_equals_angle_oracle_entrywise(self, n, k):
+        # Targets are built without exp or log, as the span of
+        # B V cos(theta) + C U sin(theta) in a random basis R; off the cut
+        # locus the log is then exactly U diag(theta) V^T.  Tolerance:
+        # eps (32 + 256 |theta| / pair), pair = min(1, cos th_i + cos th_j
+        # over i < j).  The constant term is the rounding of the target
+        # basis, which sets the floor for tiny angles; 1/pair is the
+        # conditioning of log, which blows up only where two angles near
+        # pi/2 together (sin(th_i + th_j) -> 0).
+        rng = np.random.default_rng(n)
+        f = framed(core.random_plane(n, k, n))
+        cases = [
+            *(rng.uniform(1e-10, 1e-6, k) for _ in range(4)),
+            *(rng.uniform(0.05, 1.5, k) for _ in range(4)),
+            *(np.full(k, rng.uniform(0.1, 1.4)) for _ in range(4)),
+            *(np.r_[0.0, rng.uniform(0.1, 1.4, k - 1)] for _ in range(4)),
+            *(math.pi / 2 - 10.0 ** rng.uniform(-6, -4, k) for _ in range(4)),
+            *(np.r_[rng.uniform(0.1, 1.4, k - 1), math.pi / 2 - d] for d in (1e-4, 1e-5, 1e-6)),
+            *(np.r_[np.full(k - 1, 0.4), top] for top in (0.999999, 1 - 1e-12, 1 + 1e-12, 1.000001)),
+        ]
+        eps = float(np.finfo(float).eps)
+        for theta in cases:
+            theta = np.sort(theta)
+            u = core._signed_qr(rng.standard_normal((n - k, k)))
+            v = core._signed_qr(rng.standard_normal((k, k)))
+            r = core._signed_qr(rng.standard_normal((k, k)))
+            basis = f.frame @ np.vstack([v * np.cos(theta), u * np.sin(theta)]) @ r
+            got = core.log(f, core.Plane(n=n, k=k, basis=basis)).a
+            c = np.cos(theta)
+            pair = min(1.0, min(c[i] + c[j] for i in range(k) for j in range(i + 1, k)))
+            tol = eps * (32.0 + 256.0 * float(np.linalg.norm(theta)) / pair)
+            assert np.max(np.abs(got - u @ np.diag(theta) @ v.T)) <= tol, theta
 
 
 # ---------------------------------------------------------------------------
