@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import core, cutlocus, lowrank, schubert, search, serialize
-from .errors import GrasscritError, NoConvergence, SchemaError
+from .errors import DimensionError, GrasscritError, NoConvergence, SchemaError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -188,19 +188,18 @@ def _cmd_subdiff_dim(args):
 def _cmd_subdiff_zero_test(args):
     doc = _load_doc(args)
     _, s_frame, gens = _generators(doc, args.grid, args.seed)
+    shape = (s_frame.n - s_frame.k, s_frame.k)
     if "tangent_basis" in doc:
-        basis = [
-            core.tangent(s_frame, serialize.matrix_from_json(m, path=f"tangent_basis[{i}]"))
-            for i, m in enumerate(serialize._list(doc["tangent_basis"], "tangent_basis"))
-        ]
+        mats = []
+        for i, m in enumerate(serialize._list(doc["tangent_basis"], "tangent_basis")):
+            a = serialize.matrix_from_json(m, path=f"tangent_basis[{i}]")
+            if a.shape != shape:
+                raise DimensionError(f"tangent_basis[{i}] shape {a.shape} != {shape}")
+            mats.append(a)
+        stack = np.reshape(mats, (-1, *shape))
     else:
-        n, k = s_frame.n, s_frame.k
-        basis = []
-        for i in range(n - k):
-            for j in range(k):
-                z = np.zeros((n - k, k))
-                z[i, j] = 1.0
-                basis.append(core.tangent(s_frame, z))
+        stack = np.eye(math.prod(shape)).reshape(-1, *shape)
+    basis = core.tangent(s_frame, stack)
     result = cutlocus.restricted_critical_test(gens, basis, tol=args.tol)
     return {
         "j": gens.j,
@@ -355,6 +354,8 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and not value > 0:
                 raise GrasscritError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if getattr(args, "seed", 0) < 0:
+            raise GrasscritError(f"--seed must be nonnegative, got {args.seed}")
         payload = handler(args)
     except (_CliParseError, SchemaError) as exc:
         _emit(_error_payload("ParseError", str(exc), src), getattr(args, "out", None))

@@ -29,8 +29,10 @@ Conventions used throughout (and by every caller of this module):
   continuous in A, with no singular-vector sign choice.
 * log_L(E) is one formula, C^T B_E Q diag(theta / sin theta) P^T
   from the SVD B^T B_E = P diag(cos theta) Q^T, in every regime from
-  coincident planes to the cut locus.  Off the cut locus the tangent
-  matrix in a given frame is unique, so it may be compared entrywise.
+  coincident planes to the cut locus, built from the factors of
+  :func:`connecting_factors`.  Off the cut locus the tangent matrix in
+  a given frame is unique, so it may be compared entrywise.
+* A set of tangent vectors is one :class:`TangentMatrix` stack.
 
 All operations are pure functions of their inputs plus an explicit
 seed; values are safe to share across threads.
@@ -159,28 +161,27 @@ class FramedPlane:
 
 @dataclass(frozen=True)
 class TangentMatrix:
-    """An (n-k) x k matrix representing a tangent vector at a framed plane."""
+    """One (n-k) x k tangent matrix at a framed plane, or a stack
+    (..., n-k, k) of them at that frame, validated once as a whole."""
 
     a: np.ndarray
     frame: FramedPlane
 
     def __post_init__(self):
-        a = _as_matrix(self.a, "tangent matrix")
+        a = np.asarray(self.a, dtype=float)
         n, k = self.frame.n, self.frame.k
-        if a.shape != (n - k, k):
-            raise DimensionError(f"tangent shape {a.shape} != ({n - k}, {k})")
+        if a.shape[-2:] != (n - k, k):
+            raise DimensionError(f"tangent shape {a.shape} != (..., {n - k}, {k})")
+        if not np.all(np.isfinite(a)):
+            raise DimensionError("tangent matrix contains non-finite entries")
         object.__setattr__(self, "a", _frozen(a))
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-
-def same_frame(t1: TangentMatrix, t2: TangentMatrix) -> bool:
-    """Whether two tangent matrices are attached to the identical frame."""
-    return t1.frame.plane.n == t2.frame.plane.n and np.array_equal(
-        t1.frame.frame, t2.frame.frame
-    )
+    def norm(self) -> float | np.ndarray:
+        """Frobenius norm of each matrix: a float for a single matrix,
+        an array over the leading axes for a stack."""
+        norms = np.linalg.norm(self.a, axis=(-2, -1))
+        return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
@@ -377,10 +378,13 @@ def metric(at: FramedPlane, v1: TangentMatrix, v2: TangentMatrix) -> float:
     The half-rescaled bi-invariant metric upstairs on the orthogonal
     group is chosen precisely so that no extra factor appears here;
     compare against conventions without that rescaling with care.
+    Takes single tangent matrices; a stack raises :class:`DimensionError`.
     """
     for v in (v1, v2):
         if not np.array_equal(v.frame.frame, at.frame):
             raise FrameMismatch("tangent vector not attached to the given frame")
+        if v.a.ndim != 2:
+            raise DimensionError(f"metric takes single tangent matrices, got shape {v.a.shape}")
     return float(np.sum(v1.a * v2.a))
 
 
@@ -437,40 +441,33 @@ def connecting_factors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors (N, theta, U) of a minimizing connecting matrix N diag(theta) U^T.
 
-    ``theta`` holds the nondecreasing principal angles (so right angles
-    sit in the last slots), ``N`` the complement coordinates of the
-    rotation directions (zero columns where no rotation happens) and
-    ``U`` the principal-vector gauge of the base plane.  Total
-    construction: on the cut locus it fixes one choice of minimizing
-    geodesic; sweeping the gauge orbit of the right-angle block then
-    recovers all of them.
+    One SVD B^T B_t = P diag(cos theta) Q^T gives all three: ``U = P``
+    is the principal-vector gauge of the base plane, ``N`` holds the
+    columns of C^T B_t Q divided by their norms (the sines; zero columns
+    where no rotation happens) and ``theta = atan2(sin, cos)``, accurate
+    at both ends and nondecreasing, so right angles sit in the last
+    slots.  Total construction: on the cut locus it fixes one choice of
+    minimizing geodesic; sweeping the gauge orbit of the right-angle
+    block then recovers all of them.
 
     Parameters
     ----------
     snap_tol:
         If given, angles within ``snap_tol`` of pi/2 are snapped to
-        exactly pi/2 before building the factors (cut-locus
-        constructions place right angles exactly).
+        exactly pi/2 (cut-locus constructions place right angles
+        exactly).
     """
     _check_same_shape(at.plane, target)
-    n, k = at.n, at.k
-    pd = principal_decomposition(at.plane, target)
-    theta = pd.angles.copy()
+    p, cos, qt = np.linalg.svd(at.plane.basis.T @ target.basis)
+    if cos[0] > 1.0 + CLAMP_SLACK:
+        raise GrasscritError(f"cosine {cos[0]!r} exceeds 1 beyond clamping slack")
+    s = at.complement.T @ target.basis @ qt.T
+    sin = np.linalg.norm(s, axis=0)
+    ncols = np.divide(s, sin, out=np.zeros_like(s), where=sin > 0.0)
+    theta = np.arctan2(sin, cos)
     if snap_tol is not None:
         theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
-    # Rotation directions: unit vectors in the 2-planes of principal pairs,
-    # orthogonal to the base plane.  Zero angles need no rotation; their
-    # columns stay zero.
-    comp = at.complement
-    ncols = np.zeros((n - k, k))
-    for i in range(k):
-        if theta[i] > 1e-14:
-            ni = (pd.q_vectors[:, i] - math.cos(theta[i]) * pd.p_vectors[:, i]) / math.sin(
-                theta[i]
-            )
-            ncols[:, i] = comp.T @ ni
-    u_right = at.plane.basis.T @ pd.p_vectors
-    return ncols, theta, u_right
+    return ncols, theta, p
 
 
 def connecting_tangent(
@@ -484,7 +481,7 @@ def connecting_tangent(
     principal angles; its Frobenius norm equals the distance.
     """
     ncols, theta, u_right = connecting_factors(at, target, snap_tol=snap_tol)
-    return tangent(at, ncols @ np.diag(theta) @ u_right.T)
+    return tangent(at, (ncols * theta) @ u_right.T)
 
 
 def log(at: FramedPlane, target: Plane, tol_cut: float = TOL_CUT) -> TangentMatrix:
@@ -503,21 +500,14 @@ def log(at: FramedPlane, target: Plane, tol_cut: float = TOL_CUT) -> TangentMatr
     B^T B_t = P diag(cos theta) Q^T, the polar factor Q P^T aligns the
     target basis, S = C^T B_t Q P^T = U sin(theta) P^T, and
     A = S g(S^T S) with g = theta / sin(theta), 1 at sin = 0.  The SVD
-    already diagonalizes S^T S, so A = C^T B_t Q diag(g) P^T, with the
-    sines read as column norms of C^T B_t Q (accurate for small angles)
-    and theta = atan2(sin, cos) (accurate near pi/2 too).
+    already diagonalizes S^T S, so A = N diag(theta) P^T with N, theta
+    and P from :func:`connecting_factors`.
     """
-    _check_same_shape(at.plane, target)
-    p, cos, qt = np.linalg.svd(at.plane.basis.T @ target.basis)
-    if cos[0] > 1.0 + CLAMP_SLACK:
-        raise GrasscritError(f"cosine {cos[0]!r} exceeds 1 beyond clamping slack")
-    top = math.acos(min(float(cos[-1]), 1.0))
+    ncols, theta, u_right = connecting_factors(at, target)
+    top = float(np.max(theta))
     if top >= math.pi / 2 - tol_cut:
         raise OnCutLocus(f"largest principal angle {top:.12f} within {tol_cut:.1e} of pi/2")
-    s = at.complement.T @ target.basis @ qt.T
-    sin = np.linalg.norm(s, axis=0)
-    g = np.divide(np.arctan2(sin, cos), sin, out=np.ones_like(sin), where=sin > 0.0)
-    return tangent(at, (s * g) @ p.T)
+    return tangent(at, (ncols * theta) @ u_right.T)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ through the quotient differential is not constructed separately; the
 two agree and the test suite spot-checks the generator form against
 limits of gradients along geodesics.)  The hull of the full orthogonal
 orbit has affine dimension j^2, so sampled generator sets should reach
-that rank.
+that rank.  A sample of O(j) is one (m, j, j) array; the preimages and
+generators built from it are one (m, n-k, k) :class:`TangentMatrix`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from . import core
 from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
+    DimensionError,
     DimensionMismatch,
     InsufficientSamples,
     NotOnCut,
@@ -57,16 +59,17 @@ class CutStratumReport:
 class SubdiffGeneratorSet:
     """Sampled generators of the distance subdifferential at a cut point.
 
-    Each generator is a unit-norm tangent matrix at ``base``; their
-    convex hull inner-approximates the subdifferential, with Hausdorff
-    error controlled by the fineness of the orthogonal-group sample.
+    ``generators`` is one stack (m, n-k, k) of unit-norm tangent
+    matrices at ``base``, one per sampled orbit element; their convex
+    hull inner-approximates the subdifferential, with Hausdorff error
+    controlled by the fineness of the orthogonal-group sample.
     """
 
     base: FramedPlane
     delta: float
     b0_svd: SvdTriple
     j: int
-    generators: list[TangentMatrix]
+    generators: TangentMatrix
 
 
 @dataclass(frozen=True)
@@ -89,27 +92,28 @@ def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumRepo
     return CutStratumReport(j=j, angles=angles, tol=tol)
 
 
-def _block(k: int, j: int, w: np.ndarray) -> np.ndarray:
-    blk = np.eye(k)
-    blk[k - j:, k - j:] = w
-    return blk
-
-
-def _validate_w(w, j: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (j, j):
-        raise DimensionMismatch(f"orbit element has shape {w.shape}, expected ({j}, {j})")
-    if float(np.max(np.abs(w.T @ w - np.eye(j)))) > 1e-8:
+def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
+    """The stack blockdiag(I_{k-j}, W) over a nonempty sample of W in O(j),
+    the whole sample checked at once."""
+    w = np.asarray(w_sample, dtype=float)
+    if w.size == 0:
+        raise DimensionMismatch("empty orbit sample")
+    if w.shape[1:] != (j, j):
+        raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
+    if not float(np.max(np.abs(w.swapaxes(-1, -2) @ w - np.eye(j)))) <= 1e-8:
         raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
-    return w
+    blocks = np.tile(np.eye(k), (len(w), 1, 1))
+    blocks[:, k - j:, k - j:] = w
+    return blocks
 
 
 def geodesic_preimages(
-    l: FramedPlane, s: Plane, w_list, tol: float = core.TOL_CUT
-) -> list[TangentMatrix]:
+    l: FramedPlane, s: Plane, w_sample, tol: float = core.TOL_CUT
+) -> TangentMatrix:
     """Minimizing-geodesic velocities from ``l`` hitting a cut point ``s``.
 
-    For each orthogonal ``W`` in ``w_list`` returns the connecting matrix
+    For each orthogonal ``W`` of ``w_sample`` (shape (m, j, j), or a
+    sequence of j x j matrices) the stack holds the connecting matrix
     ``A_W``; all share the singular values of the base preimage and map
     to ``s`` under the exponential.  ``W = identity`` reproduces the base
     preimage itself.
@@ -119,64 +123,59 @@ def geodesic_preimages(
     NotOnCut
         If ``s`` has no right angle with the base plane (use the
         logarithm instead; the preimage is unique).
+    DimensionMismatch
+        If the sample is empty, misshapen or not orthogonal.
     """
     report = cut_stratum(l.plane, s, tol=tol)
     if report.j == 0:
         raise NotOnCut("target is off the cut locus; log gives the unique preimage")
     ncols, theta, u_right = core.connecting_factors(l, s, snap_tol=tol)
-    k = l.k
-    out = []
-    for w in w_list:
-        w = _validate_w(w, report.j)
-        a_w = ncols @ (np.diag(theta) @ _block(k, report.j, w)) @ u_right.T
-        out.append(core.tangent(l, a_w))
-    return out
+    blocks = _orbit_blocks(w_sample, l.k, report.j)
+    return core.tangent(l, ncols @ (theta[:, None] * blocks) @ u_right.T)
 
 
 def subdiff_generators(
-    l: Plane, s: FramedPlane, w_list, tol: float = core.TOL_CUT
+    l: Plane, s: FramedPlane, w_sample, tol: float = core.TOL_CUT
 ) -> SubdiffGeneratorSet:
     """Sampled subdifferential generators of the distance from ``l`` at ``s``.
 
     Builds one connecting matrix B0 from ``s`` back to ``l``, sweeps its
-    orthogonal gauge orbit with the transposed orbit elements, and
-    normalizes by the distance; every generator has unit norm.
+    orthogonal gauge orbit with the transposed elements of ``w_sample``,
+    and normalizes by the distance; every generator has unit norm.
     """
     report = cut_stratum(l, s.plane, tol=tol)
     if report.j == 0:
         raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
     ncols, theta, u_right = core.connecting_factors(s, l, snap_tol=tol)
     delta = float(np.linalg.norm(theta))
-    k = s.k
-    gens = []
-    for w in w_list:
-        w = _validate_w(w, report.j)
-        b_w = ncols @ (np.diag(theta) @ _block(k, report.j, w.T)) @ u_right.T
-        gens.append(core.tangent(s, -b_w / delta))
+    blocks = _orbit_blocks(w_sample, s.k, report.j).swapaxes(-1, -2)
+    gens = core.tangent(s, -(ncols @ (theta[:, None] * blocks) @ u_right.T) / delta)
     # Standard nonincreasing triple for the stored base preimage.
     rev = slice(None, None, -1)
     b0 = SvdTriple(u=ncols[:, rev], sigma=theta[rev], v=u_right[:, rev])
     return SubdiffGeneratorSet(base=s, delta=delta, b0_svd=b0, j=report.j, generators=gens)
 
 
-def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> list[np.ndarray]:
-    """Deterministic sample of O(j).
+def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray:
+    """Deterministic sample of O(j), as one array of shape (m, j, j).
 
     O(1) is enumerated exactly; O(2) is sampled on a uniform angle grid
     of rotations and reflections (``n_grid`` points per component);
     larger groups fall back to ``n_grid`` seeded Haar-like draws.
+    ``n_grid`` < 1 raises :class:`DimensionError`.
     """
+    if n_grid < 1:
+        raise DimensionError(f"n_grid must be at least 1, got {n_grid}")
     if j == 1:
-        return [np.array([[1.0]]), np.array([[-1.0]])]
+        return np.array([[[1.0]], [[-1.0]]])
     if j == 2:
         out = []
         for t in np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False):
             c, s = math.cos(t), math.sin(t)
-            out.append(np.array([[c, -s], [s, c]]))
-            out.append(np.array([[c, s], [s, -c]]))
-        return out
+            out += [[[c, -s], [s, c]], [[c, s], [s, -c]]]
+        return np.array(out)
     rng = np.random.default_rng(seed)
-    return [core._signed_qr(rng.standard_normal((j, j))) for _ in range(n_grid)]
+    return np.array([core._signed_qr(rng.standard_normal((j, j))) for _ in range(n_grid)])
 
 
 def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-8) -> int:
@@ -196,11 +195,11 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
     if gen_set.j == 0:
         raise NotOnCut("off the cut locus the subdifferential is a point")
     need = gen_set.j ** 2 + 1
-    if len(gen_set.generators) < need:
+    x = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
+    if len(x) < need:
         raise InsufficientSamples(
-            f"{len(gen_set.generators)} generators < {need} required for stratum j={gen_set.j}"
+            f"{len(x)} generators < {need} required for stratum j={gen_set.j}"
         )
-    x = np.array([g.a.ravel() for g in gen_set.generators])
     centered = x - x[0]
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals.size == 0 or svals[0] <= 0.0:
@@ -213,25 +212,25 @@ def restricted_critical_test(
 ) -> CriticalTestResult:
     """Does zero lie in the projection of the sampled hull onto a tangent space?
 
-    ``tangent_basis`` is an orthonormal list of tangent matrices at the
-    same frame as the generators (the tangent space of the constraint
-    manifold at the cut point).  Solves the linear program minimizing
-    the sup-norm of a convex combination of projected generators; a
-    combination with l2 residual below ``tol`` is returned as a witness.
-    Extreme points of the hull of the orthogonal group are the group
-    itself, so sampled group elements give a sound inner approximation:
-    a witness certifies criticality, absence of one is inconclusive.
+    ``tangent_basis`` is a stacked :class:`TangentMatrix` (d, n-k, k) of
+    orthonormal tangent matrices at the same frame as the generators
+    (the tangent space of the constraint manifold at the cut point).
+    Solves the linear program minimizing the sup-norm of a convex
+    combination of projected generators; a combination with l2 residual
+    below ``tol`` is returned as a witness.  Extreme points of the hull
+    of the orthogonal group are the group itself, so sampled group
+    elements give a sound inner approximation: a witness certifies
+    criticality, absence of one is inconclusive.
     """
-    if not tangent_basis:
+    if not np.array_equal(tangent_basis.frame.frame, gen_set.generators.frame.frame):
+        raise DimensionMismatch("tangent basis attached to a different frame")
+    gens = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
+    basis = tangent_basis.a.reshape(-1, gens.shape[1])
+    if len(basis) == 0:
         raise DimensionMismatch("empty tangent basis")
-    for t in tangent_basis:
-        if not core.same_frame(t, gen_set.generators[0]):
-            raise DimensionMismatch("tangent basis attached to a different frame")
-    basis = np.array([t.a.ravel() for t in tangent_basis])
-    gram = basis @ basis.T - np.eye(len(tangent_basis))
+    gram = basis @ basis.T - np.eye(len(basis))
     if float(np.max(np.abs(gram))) > 1e-8:
         raise DimensionMismatch("tangent basis is not orthonormal within 1e-8")
-    gens = np.array([g.a.ravel() for g in gen_set.generators])
     proj = basis @ gens.T  # (dim_T, n_gens)
     dim_t, m = proj.shape
     c = np.zeros(m + 1)

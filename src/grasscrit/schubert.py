@@ -21,13 +21,13 @@ smooth point E, with Y spanning E meet W in E's coordinates and R
 spanning (W + E) / E in the normal coordinates of E's frame, the
 tangent space is the set of maps E -> R^n / E sending E meet W into
 (W + E) / E: the tangent matrices A with (I - R R^T) A Y = 0
-(:func:`chart_tangent_basis`).  Its dimension is checked against the
-flag count (:func:`flag_formula_tangent_dim`).
+(:func:`chart_tangent_basis`, one orthonormal stack of shape
+(smooth_dim, n-k, k)).  Its dimension is checked against the flag count
+(:func:`flag_formula_tangent_dim`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,8 +134,9 @@ def _genericity_gate(angles: np.ndarray, tol_gen: float) -> None:
 
 def chart_tangent_basis(
     omega: SchubertVariety, e: Plane, tol: float = TOL_GEN
-) -> list[TangentMatrix]:
-    """Orthonormal basis of the variety's tangent space at a smooth point.
+) -> TangentMatrix:
+    """Orthonormal basis of the variety's tangent space at a smooth point,
+    as one stack of shape (smooth_dim, n-k, k).
 
     Closed form in the frame ``core.complete_frame(e)``.  One full SVD
     of C_E^T B_W gives R (the k - s left singular vectors with nonzero
@@ -144,7 +145,8 @@ def chart_tangent_basis(
     E meet W as Y.  With U = [Y Y_perp] orthonormal, the products
     R_i U_j^T and R_perp_i Y_perp_j^T form an orthonormal basis of the
     tangent matrices A with R_perp^T A Y = 0; there are
-    (k-s)(n-k+s) of them.  Y is taken through the sines rather than as
+    (k-s)(n-k+s) of them, stacked i-major: all R_i U_j^T first, then
+    all R_perp_i Y_perp_j^T.  Y is taken through the sines rather than as
     the top left singular vectors of B_E^T B_W because cosines near 1
     cannot resolve small angles.
 
@@ -164,11 +166,12 @@ def chart_tangent_basis(
     b_w = omega.w.plane.basis
     left, _, vt = np.linalg.svd(e_frame.complement.T @ b_w)
     u, _ = np.linalg.qr(e.basis.T @ b_w @ vt[r:].T, mode="complete")
-    pairs = itertools.chain(
-        itertools.product(left[:, :r].T, u.T),
-        itertools.product(left[:, r:].T, u[:, omega.s:].T),
-    )
-    return [core.tangent(e_frame, np.outer(x, y)) for x, y in pairs]
+
+    def outer(x, y):  # x_i y_j^T for every column pair, i-major
+        return (x.T[:, None, :, None] * y.T[None, :, None, :]).reshape(-1, len(x), len(y))
+
+    stack = np.concatenate([outer(left[:, :r], u), outer(left[:, r:], u[:, omega.s:])])
+    return core.tangent(e_frame, stack)
 
 
 def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
@@ -180,10 +183,8 @@ def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     :func:`core.log` raises :class:`OnCutLocus` on the cut locus of ``l``.
     """
     basis = chart_tangent_basis(omega, e)
-    frame = basis[0].frame
-    v = core.log(frame, l).a
-    coeffs = [float(np.sum(v * b.a)) for b in basis]
-    return float(math.sqrt(sum(c * c for c in coeffs)))
+    v = core.log(basis.frame, l).a
+    return float(np.linalg.norm(np.tensordot(basis.a, v, axes=2)))
 
 
 def ey_schubert_critical_points(

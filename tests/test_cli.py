@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "5"
+        assert report["schema_version"] == "6"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -229,6 +229,85 @@ def test_g24_demo_without_finite_scan_is_validation_error(capsys, argv, error):
     assert code == cli.EXIT_VALIDATION
     assert json.loads(captured.out)["error"]["code"] == error
     assert "Traceback" not in captured.err
+
+
+def _bad_seed_and_grid_inputs():
+    w = plane_json(core.random_plane(5, 2, 3))
+    l = plane_json(core.random_plane(5, 2, 4))
+    hyper = {"n": 2, "k": 1, "terms": [{"idx": [1, 0], "coef": 1.0}]}
+
+    def orthogonal_pair(k):  # every principal angle a right angle: j = k
+        eye = np.eye(2 * k)
+        return {
+            "l": plane_json(core.make_plane(eye[:, :k])),
+            "s": plane_json(core.make_plane(eye[:, k:])),
+        }
+
+    j2, j3 = orthogonal_pair(2), orthogonal_pair(3)
+    return {
+        "schubert-max-seed": (["schubert-max", "--seed", "-1"], {"w": w, "s": 1, "l": l}),
+        "gdc-sample-seed": (
+            ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "-1"], hyper
+        ),
+        "subdiff-dim-seed": (["subdiff-dim", "--seed", "-2"], j3),
+        "subdiff-zero-test-seed": (["subdiff-zero-test", "--seed", "-2"], j3),
+        "subdiff-dim-grid": (["subdiff-dim", "--grid", "-3"], j2),
+        "subdiff-zero-test-grid": (["subdiff-zero-test", "--grid", "-3"], j2),
+        "subdiff-zero-test-grid-0": (["subdiff-zero-test", "--grid", "0"], j2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_seed_and_grid_inputs()))
+def test_negative_seed_or_empty_grid_is_validation_error(capsys, case):
+    argv, doc = _bad_seed_and_grid_inputs()[case]
+    code = cli.main([*argv, "--json", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert set(json.loads(captured.out)["error"]) == {"code", "message", "path"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "tangent_basis, error",
+    [
+        ([], "DimensionMismatch"),
+        ([{"rows": 2, "cols": 1, "a": [[1.0], [0.0]]}], "DimensionError"),
+        ([{"rows": 1, "cols": 1, "a": [[1.0]]}, {"rows": 1, "cols": 2, "a": [[1.0, 0.0]]}],
+         "DimensionError"),
+        ([{"rows": 1, "cols": 1, "a": [[float("nan")]]}], "DimensionError"),
+        ([{"rows": 1, "cols": 1, "a": [[2.0]]}], "DimensionMismatch"),
+        ([{"rows": 1, "cols": 1, "a": [[1.0]]}, {"rows": 1, "cols": 1, "a": [[1.0]]}],
+         "DimensionMismatch"),
+    ],
+    ids=["empty", "wrong-shape", "ragged", "non-finite", "not-unit", "not-orthogonal"],
+)
+def test_bad_tangent_basis_is_validation_error(capsys, tangent_basis, error):
+    doc = {
+        "l": {"n": 2, "k": 1, "basis": [[1], [0]]},
+        "s": {"n": 2, "k": 1, "basis": [[0], [1]]},
+        "tangent_basis": tangent_basis,
+    }
+    code, out = run(capsys, "subdiff-zero-test", "--json", json.dumps(doc))
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(out)["error"]["code"] == error
+
+
+def test_default_and_explicit_identity_basis_agree(capsys):
+    # the default basis is the stacked identity in row-major order
+    l = core.random_plane(4, 2, 5)
+    lf = framed(l)
+    rng = np.random.default_rng(6)
+    u = core._signed_qr(rng.standard_normal((2, 2)))
+    v = core._signed_qr(rng.standard_normal((2, 2)))
+    s = core.exp(lf, core.tangent(lf, u @ np.diag([0.5, math.pi / 2]) @ v.T))
+    doc = {"l": plane_json(l), "s": plane_json(s)}
+    _, default = run(capsys, "subdiff-zero-test", "--json", json.dumps(doc))
+    basis = [serialize.matrix_to_json(e.reshape(2, 2)) for e in np.eye(4)]
+    _, explicit = run(
+        capsys, "subdiff-zero-test", "--json", json.dumps(dict(doc, tangent_basis=basis))
+    )
+    assert json.loads(default)["j"] == 1
+    assert default == explicit
 
 
 def _malformed_inputs():

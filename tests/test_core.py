@@ -222,6 +222,52 @@ class TestMetric:
         with pytest.raises(FrameMismatch):
             core.metric(f1, v1, v2)
 
+    def test_stack_rejected(self, rng):
+        f = framed(core.random_plane(6, 2, 3))
+        v = core.tangent(f, rng.standard_normal((4, 2)))
+        stack = core.tangent(f, rng.standard_normal((3, 4, 2)))
+        for pair in ((stack, v), (v, stack), (stack, stack)):
+            with pytest.raises(DimensionError):
+                core.metric(f, *pair)
+
+
+class TestTangentStack:
+    def test_norm_per_matrix(self, rng):
+        f = framed(core.random_plane(7, 3, 4))
+        a = rng.standard_normal((2, 5, 4, 3))
+        stack = core.tangent(f, a)
+        assert stack.norm.shape == (2, 5)
+        for i in range(2):
+            for j in range(5):
+                single = core.tangent(f, a[i, j]).norm
+                assert isinstance(single, float)
+                assert stack.norm[i, j] == single
+                assert abs(single - float(np.linalg.norm(a[i, j]))) <= 4e-16 * single
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 1), (4, 1, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_rejected(self, rng, where, bad):
+        f = framed(core.random_plane(6, 2, 5))
+        a = rng.standard_normal((5, 4, 2))
+        a[where] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            core.tangent(f, a)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 1), (4,), (), (3, 4, 2, 1)])
+    def test_wrong_trailing_shape_rejected(self, shape):
+        f = framed(core.random_plane(6, 2, 6))
+        with pytest.raises(DimensionError, match="tangent shape"):
+            core.tangent(f, np.zeros(shape))
+
+    def test_stack_is_frozen_copy(self, rng):
+        f = framed(core.random_plane(5, 2, 7))
+        a = rng.standard_normal((3, 3, 2))
+        stack = core.tangent(f, a)
+        a[0, 0, 0] = 99.0
+        assert stack.a[0, 0, 0] != 99.0
+        with pytest.raises(ValueError):
+            stack.a[0, 0, 0] = 1.0
+
 
 # ---------------------------------------------------------------------------
 # exp / geodesics / log
@@ -378,6 +424,78 @@ class TestExpLog:
             pair = min(1.0, min(c[i] + c[j] for i in range(k) for j in range(i + 1, k)))
             tol = eps * (32.0 + 256.0 * float(np.linalg.norm(theta)) / pair)
             assert np.max(np.abs(got - u @ np.diag(theta) @ v.T)) <= tol, theta
+
+
+def principal_vector_factors(at, target, snap_tol=None):
+    """The construction of (N, theta, U) from paired principal vectors:
+    n_i = (q_i - cos(theta_i) p_i) / sin(theta_i) in complement
+    coordinates, zero for theta_i <= 1e-14, with the hybrid angles."""
+    pd = core.principal_decomposition(at.plane, target)
+    theta = pd.angles.copy()
+    if snap_tol is not None:
+        theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
+    ncols = np.zeros((at.n - at.k, at.k))
+    for i in range(at.k):
+        if theta[i] > 1e-14:
+            ni = (pd.q_vectors[:, i] - math.cos(theta[i]) * pd.p_vectors[:, i]) / math.sin(theta[i])
+            ncols[:, i] = at.complement.T @ ni
+    return ncols, theta, at.plane.basis.T @ pd.p_vectors
+
+
+class TestConnectingFactors:
+    @pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (12, 5)])
+    def test_matches_principal_vector_construction(self, n, k):
+        # Gauge-invariant comparison: the connecting matrix N diag(theta) U^T
+        # where it is unique (at most one right angle), and otherwise the
+        # spans of the right-angle columns of N and U, which fix the orbit
+        # of minimizing geodesics.
+        rng = np.random.default_rng(100 + n)
+        f = framed(core.random_plane(n, k, n))
+        gap = math.pi / 2 - 1e-11  # snapped by snap_tol = 1e-9
+        cases = [
+            np.sort(rng.uniform(0.05, 1.5, k)),
+            np.r_[0.0, np.sort(rng.uniform(0.1, 1.4, k - 1))],
+            np.full(k, rng.uniform(0.1, 1.4)),
+            np.r_[np.full(k - 1, 0.7), gap],
+            np.r_[0.0, np.full(k - 2, 0.5), math.pi / 2],
+            np.r_[np.sort(rng.uniform(0.1, 1.4, k - 2)), gap, math.pi / 2],
+            np.full(k, math.pi / 2),
+        ]
+        for theta in cases:
+            u = core._signed_qr(rng.standard_normal((n - k, k)))
+            v = core._signed_qr(rng.standard_normal((k, k)))
+            r = core._signed_qr(rng.standard_normal((k, k)))
+            basis = f.frame @ np.vstack([v * np.cos(theta), u * np.sin(theta)]) @ r
+            target = core.Plane(n=n, k=k, basis=basis)
+            got = core.connecting_factors(f, target, snap_tol=1e-9)
+            ref = principal_vector_factors(f, target, snap_tol=1e-9)
+            assert np.max(np.abs(got[1] - ref[1])) < 1e-14, theta
+            assert np.allclose(got[2].T @ got[2], np.eye(k), rtol=0.0, atol=1e-14)
+            right = got[1] == math.pi / 2
+            assert np.array_equal(right, ref[1] == math.pi / 2)
+            assert np.array_equal(right, theta >= gap)
+            if right.sum() <= 1:
+                a_got = (got[0] * got[1]) @ got[2].T
+                a_ref = (ref[0] * ref[1]) @ ref[2].T
+                assert np.max(np.abs(a_got - a_ref)) < 1e-13, theta
+            else:
+                for x, y in ((got[0], ref[0]), (got[2], ref[2])):
+                    xr, yr = x[:, right], y[:, right]
+                    assert np.max(np.abs(xr @ xr.T - yr @ yr.T)) < 1e-13, theta
+                a_got = (got[0][:, ~right] * got[1][~right]) @ got[2][:, ~right].T
+                a_ref = (ref[0][:, ~right] * ref[1][~right]) @ ref[2][:, ~right].T
+                assert np.max(np.abs(a_got - a_ref)) < 1e-13, theta
+            a = (got[0] * got[1]) @ got[2].T
+            assert core.grassmann_distance(core.exp(f, core.tangent(f, a)), target) < 1e-10
+
+    def test_zero_angle_gives_zero_direction(self):
+        # an exactly shared direction in the identity frame: the zero sine
+        # leaves a zero column, without a division warning
+        f = framed(plane_from_columns(e_basis(4, 0), e_basis(4, 1)))
+        target = plane_from_columns(e_basis(4, 0), [0.0, math.cos(0.7), math.sin(0.7), 0.0])
+        ncols, theta, _ = core.connecting_factors(f, target)
+        assert theta[0] == 0.0 and np.all(ncols[:, 0] == 0.0)
+        assert abs(theta[1] - 0.7) < 1e-15 and abs(np.linalg.norm(ncols[:, 1]) - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,22 @@ SHAPES = [(5, 2, 1), (7, 3, 1), (7, 3, 2), (8, 2, 1), (9, 4, 2)]
 
 
 def flat_rows(basis):
-    return np.array([b.a.ravel() for b in basis])
+    return basis.a.reshape(len(basis.a), -1)
+
+
+def outer_list_reference(omega, e):
+    """The tangent basis as a list of np.outer products, one element at a
+    time: R_i U_j^T, then R_perp_i Y_perp_j^T, i-major."""
+    e_frame = core.complete_frame(e)
+    r = omega.k - omega.s
+    b_w = omega.w.plane.basis
+    left, _, vt = np.linalg.svd(e_frame.complement.T @ b_w)
+    u, _ = np.linalg.qr(e.basis.T @ b_w @ vt[r:].T, mode="complete")
+    pairs = itertools.chain(
+        itertools.product(left[:, :r].T, u.T),
+        itertools.product(left[:, r:].T, u[:, omega.s:].T),
+    )
+    return [np.outer(x, y) for x, y in pairs]
 
 
 def pushforward_reference(omega, e):
@@ -79,19 +95,18 @@ class TestChartTangentBasis:
         omega = variety(5, 2, 1, seed=4)
         e = plane_with_angles(omega, [0.0, 0.9], seed=5)
         basis = schubert.chart_tangent_basis(omega, e)
-        assert len(basis) == 1 * (5 - 2 + 1) == omega.smooth_dim
+        assert basis.a.shape == (1 * (5 - 2 + 1), 3, 2) and len(basis.a) == omega.smooth_dim
 
     def test_dimension_g24(self):
         omega = variety(4, 2, 1, seed=6)
         e = plane_with_angles(omega, [0.0, 0.8], seed=7)
-        assert len(schubert.chart_tangent_basis(omega, e)) == 3
+        assert len(schubert.chart_tangent_basis(omega, e).a) == 3
 
     def test_orthonormality(self):
         omega = variety(7, 3, 1, seed=8)
         e = plane_with_angles(omega, [0.0, 0.5, 1.0], seed=9)
-        basis = schubert.chart_tangent_basis(omega, e)
-        flat = np.array([b.a.ravel() for b in basis])
-        assert float(np.max(np.abs(flat @ flat.T - np.eye(len(basis))))) < 1e-10
+        flat = flat_rows(schubert.chart_tangent_basis(omega, e))
+        assert float(np.max(np.abs(flat @ flat.T - np.eye(len(flat))))) < 1e-10
 
     def test_not_smooth_rejected(self):
         omega = variety(5, 2, 1, seed=10)
@@ -105,17 +120,17 @@ class TestChartTangentBasis:
         e = plane_with_angles(omega, [0.0, math.pi / 2 - 1e-9], seed=12)
         basis = schubert.chart_tangent_basis(omega, e)
         flat = flat_rows(basis)
-        assert len(basis) == omega.smooth_dim
-        assert float(np.max(np.abs(flat @ flat.T - np.eye(len(basis))))) < 1e-12
-        frame = basis[0].frame
-        normals = np.linalg.svd(flat)[2][len(basis):]
+        assert len(flat) == omega.smooth_dim
+        assert float(np.max(np.abs(flat @ flat.T - np.eye(len(flat))))) < 1e-12
+        frame = basis.frame
+        normals = np.linalg.svd(flat)[2][len(flat):]
 
         def rate(a, t):
             moved = core.exp(frame, core.tangent(frame, t * a.reshape(omega.n - omega.k, omega.k)))
             return float(core.principal_angles(moved, omega.w.plane)[omega.s - 1]) / t
 
         for t in (1e-3, 1e-4):
-            assert max(rate(b.a, t) for b in basis) < 1e-6
+            assert max(rate(b, t) for b in basis.a) < 1e-6
             assert min(rate(nv, t) for nv in normals) > 0.5
 
     def test_matches_pushforward_reference(self):
@@ -126,11 +141,36 @@ class TestChartTangentBasis:
                 angles = [0.0] * s + list(rng.uniform(0.2, 1.3, k - s))
                 e = plane_with_angles(omega, angles, seed=rng)
                 basis = schubert.chart_tangent_basis(omega, e)
-                assert len(basis) == schubert.flag_formula_tangent_dim(omega, e) == omega.smooth_dim
+                dim = schubert.flag_formula_tangent_dim(omega, e)
+                assert basis.a.shape == (dim, n - k, k) and dim == omega.smooth_dim
                 cosines = np.linalg.svd(
                     flat_rows(basis) @ pushforward_reference(omega, e).T, compute_uv=False
                 )
                 assert 1.0 - float(np.min(cosines)) <= 1e-10
+
+    def test_stack_equals_outer_list_bit_for_bit(self):
+        for n, k, s in SHAPES:
+            for seed in range(3):
+                omega = variety(n, k, s, seed=90 + seed)
+                rng = np.random.default_rng(95 + seed)
+                angles = [0.0] * s + list(rng.uniform(0.2, 1.3, k - s))
+                e = plane_with_angles(omega, angles, seed=rng)
+                basis = schubert.chart_tangent_basis(omega, e)
+                assert np.array_equal(basis.frame.frame, core.complete_frame(e).frame)
+                assert np.array_equal(basis.a, np.array(outer_list_reference(omega, e)))
+
+    def test_normality_residual_is_norm_of_coefficients(self):
+        # the one contraction against the stack equals the coefficient
+        # vector taken one basis element at a time
+        for n, k, s in SHAPES:
+            omega = variety(n, k, s, seed=97)
+            l = core.random_plane(n, k, 98)
+            for record in schubert.ey_schubert_critical_points(omega, l):
+                e = record.point
+                v = core.log(core.complete_frame(e), l).a
+                coeffs = [float(np.sum(v * b)) for b in outer_list_reference(omega, e)]
+                want = math.sqrt(sum(c * c for c in coeffs))
+                assert abs(schubert.normality_residual(omega, l, e) - want) <= 1e-15
 
     def test_flag_formula_matches_smooth_dim(self):
         omega = variety(5, 2, 1, seed=13)
