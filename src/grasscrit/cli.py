@@ -58,10 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=cutlocus.O2_GRID)
     p.add_argument("--tol-rank", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
-    p = add("subdiff-zero-test", "zero-in-projected-hull feasibility test")
-    p.add_argument("--grid", type=int, default=cutlocus.O2_GRID)
+    p = add("subdiff-zero-test", "zero-in-projected-subdifferential test")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p = add("ey", "full critical set of the rank-r approximation problem")
     p.add_argument("--rank", type=int, required=True)
     add("schubert-critical", "selection critical points for a Schubert variety")
@@ -169,25 +167,26 @@ def _cmd_cut_stratum(args):
     return {"j": report.j, "angles": report.angles.tolist(), "tol": report.tol}
 
 
-def _generators(doc, grid, seed):
+def _cut_point(doc):
+    """Base plane, framed cut point and its stratum j, at least 1
+    (``subdiff_generators`` rejects points off the cut locus)."""
     l, s = _plane(doc, "l"), _plane(doc, "s")
-    s_frame = core.complete_frame(s)
-    report = cutlocus.cut_stratum(l, s)
-    w_list = cutlocus.sample_orthogonal_group(max(report.j, 1), seed=seed, n_grid=grid)
-    gens = cutlocus.subdiff_generators(l, s_frame, w_list)
-    return l, s_frame, gens
+    return l, core.complete_frame(s), max(cutlocus.cut_stratum(l, s).j, 1)
 
 
 def _cmd_subdiff_dim(args):
     doc = _load_doc(args)
-    _, _, gens = _generators(doc, args.grid, args.seed)
+    l, s_frame, j = _cut_point(doc)
+    w_list = cutlocus.sample_orthogonal_group(j, seed=args.seed, n_grid=args.grid)
+    gens = cutlocus.subdiff_generators(l, s_frame, w_list)
     dim = cutlocus.subdiff_affine_dimension(gens, tol_rank=args.tol_rank)
     return {"j": gens.j, "dimension": dim}
 
 
 def _cmd_subdiff_zero_test(args):
     doc = _load_doc(args)
-    _, s_frame, gens = _generators(doc, args.grid, args.seed)
+    l, s_frame, j = _cut_point(doc)
+    gens = cutlocus.subdiff_generators(l, s_frame, np.eye(j)[None])
     shape = (s_frame.n - s_frame.k, s_frame.k)
     if "tangent_basis" in doc:
         mats = []
@@ -204,7 +203,7 @@ def _cmd_subdiff_zero_test(args):
     return {
         "j": gens.j,
         "found": result.found,
-        "witness": result.weights.tolist() if result.found else None,
+        "witness": result.witness.tolist() if result.found else None,
         "residual": result.residual,
     }
 

@@ -424,15 +424,25 @@ def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     cos(mu_i) v_i over sin(mu_i) u_i.  The returned basis is that one
     rotated by V^T, the matrix function computed by
     :func:`_geodesic_end`, so it depends continuously on ``a``.
+    Takes a single tangent matrix; a stack raises :class:`DimensionError`.
     """
     if not np.array_equal(a.frame.frame, at.frame):
         raise FrameMismatch("tangent vector not attached to the given frame")
+    if a.a.ndim != 2:
+        raise DimensionError(f"exp takes a single tangent matrix, got shape {a.a.shape}")
     basis, _ = _geodesic_end(at, a.a)
     return Plane(n=at.n, k=at.k, basis=basis)
 
 
 def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
-    """Point at parameter ``t`` of the geodesic with initial velocity ``a``."""
+    """Point at parameter ``t`` of the geodesic with initial velocity ``a``.
+
+    Takes a single tangent matrix; a stack raises :class:`DimensionError`.
+    """
+    if a.a.ndim != 2:
+        raise DimensionError(
+            f"geodesic_point takes a single tangent matrix, got shape {a.a.shape}"
+        )
     return exp(at, tangent(at, float(t) * a.a))
 
 

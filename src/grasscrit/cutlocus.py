@@ -15,10 +15,16 @@ where ``B_W = U S blockdiag(I, W^T) V^T`` runs over the connecting
 matrices from S back to L.  (The equivalent form pushing the orbit
 through the quotient differential is not constructed separately; the
 two agree and the test suite spot-checks the generator form against
-limits of gradients along geodesics.)  The hull of the full orthogonal
-orbit has affine dimension j^2, so sampled generator sets should reach
-that rank.  A sample of O(j) is one (m, j, j) array; the preimages and
-generators built from it are one (m, n-k, k) :class:`TangentMatrix`.
+limits of gradients along geodesics.)  The convex hull of O(j) is the
+unit ball of the spectral norm (Saunderson, Parrilo and Willsky, SIAM
+J. Optim. 2015), so the subdifferential is exactly
+``{G0 + L(Q) : ||Q||_2 <= 1}``: G0 carries the non-right angles and the
+injective linear map L puts Q into the right-angle block.  The zero
+test of :func:`restricted_critical_test` works on that description.
+Sampled generator sets remain for the affine dimension, which for the
+full orbit is j^2: a sample of O(j) is one (m, j, j) array, and the
+preimages and generators built from it are one (m, n-k, k)
+:class:`TangentMatrix`.
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ from .lowrank import SvdTriple
 
 #: Default number of grid samples per connected component of O(2).
 O2_GRID = 64
+
+#: Singular values of the zero test's matrix M below this fraction of
+#: pi / (2 delta), the largest one possible, count as zero.
+RANK_RTOL = 1e-10
+
+#: Round cap of the zero test's alternating projections when M has
+#: rank below j^2.
+ALTERNATING_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,9 @@ class SubdiffGeneratorSet:
     matrices at ``base``, one per sampled orbit element; their convex
     hull inner-approximates the subdifferential, with Hausdorff error
     controlled by the fineness of the orthogonal-group sample.
+    ``b0_svd`` is the base preimage B0 with nonincreasing angles (the j
+    right angles first); with ``delta`` and ``j`` it fixes the whole
+    subdifferential, which is what :func:`restricted_critical_test` uses.
     """
 
     base: FramedPlane
@@ -74,14 +91,16 @@ class SubdiffGeneratorSet:
 
 @dataclass(frozen=True)
 class CriticalTestResult:
-    """Outcome of the zero-in-projected-hull feasibility test.
+    """Outcome of the zero-in-projected-subdifferential test.
 
-    ``found`` means the weights certify a critical point (sound); a
-    negative answer is inconclusive up to the generator sampling net.
+    ``witness`` is a j x j matrix Q with spectral norm at most 1; the
+    subdifferential element G0 + L(Q) projects onto the tangent space
+    with l2 norm ``residual``.  ``found`` means that residual is within
+    the tolerance, which certifies a critical point.
     """
 
     found: bool
-    weights: np.ndarray
+    witness: np.ndarray
     residual: float
 
 
@@ -207,57 +226,77 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
     return int(np.sum(svals > tol_rank * svals[0]))
 
 
+def _clip_spectral_norm(q: np.ndarray) -> np.ndarray:
+    """Nearest matrix of spectral norm at most 1: singular values clipped at 1."""
+    u, s, vt = np.linalg.svd(q)
+    return (u * np.minimum(s, 1.0)) @ vt
+
+
 def restricted_critical_test(
     gen_set: SubdiffGeneratorSet, tangent_basis, tol: float = 1e-8
 ) -> CriticalTestResult:
-    """Does zero lie in the projection of the sampled hull onto a tangent space?
+    """Does zero lie in the projection of the subdifferential onto a tangent space?
 
-    ``tangent_basis`` is a stacked :class:`TangentMatrix` (d, n-k, k) of
-    orthonormal tangent matrices at the same frame as the generators
-    (the tangent space of the constraint manifold at the cut point).
-    Solves the linear program minimizing the sup-norm of a convex
-    combination of projected generators; a combination with l2 residual
-    below ``tol`` is returned as a witness.  Extreme points of the hull
-    of the orthogonal group are the group itself, so sampled group
-    elements give a sound inner approximation: a witness certifies
-    criticality, absence of one is inconclusive.
+    ``tangent_basis`` is a stacked :class:`TangentMatrix` (D, n-k, k) of
+    orthonormal tangent matrices at the generator set's base (the
+    tangent space of the constraint manifold at the cut point).  The
+    subdifferential is built exactly from the stored base preimage, not
+    from the sampled generators: with N1, theta1, P1 the factors of the
+    non-right angles and N2, P2 the j right-angle columns (in the slot
+    order the orbit samples act on), it is ``{G0 + L(Q) : ||Q||_2 <= 1}``
+    where ``G0 = -N1 diag(theta1) P1^T / delta`` and
+    ``L(Q) = -(pi / 2 delta) N2 Q P2^T``.  For orthogonal Q, G0 + L(Q) is
+    the generator that :func:`subdiff_generators` builds from W = Q^T.
+
+    Projecting onto the basis gives g = <T_d, G0> and the D x j^2 matrix
+    M of <T_d, L(.)>; the test asks for Q in the spectral unit ball with
+    g + M vec(Q) = 0.  The least-squares solution Q* is found from one
+    SVD of M, whose rank is decided relative to pi / (2 delta).  When M
+    has rank j^2, Q* is the only candidate: its singular values are
+    clipped at 1 and the residual taken there.  Otherwise the test
+    alternates between the affine set of least-squares solutions and
+    clipping, for at most ``ALTERNATING_ROUNDS`` rounds, and reports the
+    clipped Q with the smallest residual.
+
+    A witness below ``tol`` certifies criticality.  A negative answer
+    is a refutation when M has rank j^2 or when even Q* misses ``tol``;
+    otherwise it is inconclusive.
     """
-    if not np.array_equal(tangent_basis.frame.frame, gen_set.generators.frame.frame):
+    frame = gen_set.base
+    if not np.array_equal(tangent_basis.frame.frame, frame.frame):
         raise DimensionMismatch("tangent basis attached to a different frame")
-    gens = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
-    basis = tangent_basis.a.reshape(-1, gens.shape[1])
+    basis = tangent_basis.a.reshape(-1, frame.n - frame.k, frame.k)
     if len(basis) == 0:
         raise DimensionMismatch("empty tangent basis")
-    gram = basis @ basis.T - np.eye(len(basis))
+    flat = basis.reshape(len(basis), -1)
+    gram = flat @ flat.T - np.eye(len(basis))
     if float(np.max(np.abs(gram))) > 1e-8:
         raise DimensionMismatch("tangent basis is not orthonormal within 1e-8")
-    proj = basis @ gens.T  # (dim_T, n_gens)
-    dim_t, m = proj.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    rows = []
-    for d in range(dim_t):
-        rows.append(np.concatenate([proj[d], [-1.0]]))
-        rows.append(np.concatenate([-proj[d], [-1.0]]))
-    a_ub = np.array(rows)
-    b_ub = np.zeros(2 * dim_t)
-    a_eq = np.array([[1.0] * m + [0.0]])
-    from scipy.optimize import linprog  # on first use: keeps scipy off the import path
-
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * m + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        return CriticalTestResult(found=False, weights=np.full(m, np.nan), residual=math.inf)
-    weights = res.x[:m]
-    residual = float(np.linalg.norm(proj @ weights))
-    return CriticalTestResult(found=residual <= tol, weights=weights, residual=residual)
+    t, j, delta = gen_set.b0_svd, gen_set.j, gen_set.delta
+    scale = math.pi / (2.0 * delta)
+    g0 = -(t.u[:, j:] * t.sigma[j:]) @ t.v[:, j:].T / delta
+    # b0_svd is nonincreasing, so its first j columns hold the right
+    # angles in the reverse of the orbit's slot order
+    n2, p2 = t.u[:, j - 1::-1], t.v[:, j - 1::-1]
+    g = flat @ g0.reshape(-1)
+    m = -scale * (n2.T @ basis @ p2).reshape(len(basis), j * j)
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    rank = int(np.sum(sv > RANK_RTOL * scale))
+    vr = vt[:rank]
+    q_star = -vr.T @ ((u[:, :rank].T @ g) / sv[:rank])
+    # one round decides when Q* is the only candidate or no Q at all reaches tol
+    decided = rank == j * j or float(np.linalg.norm(g + m @ q_star)) > tol
+    q = q_star
+    best_q, best = None, math.inf
+    for _ in range(1 if decided else ALTERNATING_ROUNDS):
+        clipped = _clip_spectral_norm(q.reshape(j, j)).reshape(-1)
+        residual = float(np.linalg.norm(g + m @ clipped))
+        if residual < best:
+            best_q, best = clipped, residual
+        if residual <= tol:
+            break
+        q = clipped - vr.T @ (vr @ clipped) + q_star
+    return CriticalTestResult(found=best <= tol, witness=best_q.reshape(j, j), residual=best)
 
 
 def nearest_cut_witness(l: FramedPlane) -> Plane:

@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "6"
+        assert report["schema_version"] == "7"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -154,7 +154,7 @@ class TestSubdiffCommands:
         assert code == 0
         rep = json.loads(out)
         assert rep["found"] is True
-        assert np.allclose(rep["witness"], [0.5, 0.5], atol=1e-9)
+        assert rep["witness"] == [[0.0]]
 
 
 class TestErrorPaths:
@@ -244,26 +244,32 @@ def _bad_seed_and_grid_inputs():
         }
 
     j2, j3 = orthogonal_pair(2), orthogonal_pair(3)
+    valid, parse = cli.EXIT_VALIDATION, cli.EXIT_PARSE
+    # subdiff-zero-test samples no orthogonal group, so it has no
+    # --seed or --grid option: those are command-line errors
     return {
-        "schubert-max-seed": (["schubert-max", "--seed", "-1"], {"w": w, "s": 1, "l": l}),
+        "schubert-max-seed": (["schubert-max", "--seed", "-1"], {"w": w, "s": 1, "l": l}, valid),
         "gdc-sample-seed": (
-            ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "-1"], hyper
+            ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "-1"], hyper, valid
         ),
-        "subdiff-dim-seed": (["subdiff-dim", "--seed", "-2"], j3),
-        "subdiff-zero-test-seed": (["subdiff-zero-test", "--seed", "-2"], j3),
-        "subdiff-dim-grid": (["subdiff-dim", "--grid", "-3"], j2),
-        "subdiff-zero-test-grid": (["subdiff-zero-test", "--grid", "-3"], j2),
-        "subdiff-zero-test-grid-0": (["subdiff-zero-test", "--grid", "0"], j2),
+        "subdiff-dim-seed": (["subdiff-dim", "--seed", "-2"], j3, valid),
+        "subdiff-zero-test-seed": (["subdiff-zero-test", "--seed", "-2"], j3, parse),
+        "subdiff-dim-grid": (["subdiff-dim", "--grid", "-3"], j2, valid),
+        "subdiff-zero-test-grid": (["subdiff-zero-test", "--grid", "-3"], j2, parse),
+        "subdiff-zero-test-grid-0": (["subdiff-zero-test", "--grid", "0"], j2, parse),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_bad_seed_and_grid_inputs()))
 def test_negative_seed_or_empty_grid_is_validation_error(capsys, case):
-    argv, doc = _bad_seed_and_grid_inputs()[case]
+    argv, doc, exit_code = _bad_seed_and_grid_inputs()[case]
     code = cli.main([*argv, "--json", json.dumps(doc)])
     captured = capsys.readouterr()
-    assert code == cli.EXIT_VALIDATION
-    assert set(json.loads(captured.out)["error"]) == {"code", "message", "path"}
+    assert code == exit_code
+    error = json.loads(captured.out)["error"]
+    assert set(error) == {"code", "message", "path"}
+    if exit_code == cli.EXIT_PARSE:
+        assert error["code"] == "ParseError"
     assert "Traceback" not in captured.err
 
 

@@ -230,6 +230,14 @@ class TestMetric:
             with pytest.raises(DimensionError):
                 core.metric(f, *pair)
 
+    def test_exp_and_geodesic_point_reject_stack_by_its_shape(self):
+        f = framed(core.random_plane(5, 2, 4))
+        stack = core.tangent(f, np.zeros((3, 3, 2)))
+        with pytest.raises(DimensionError, match=r"^exp takes .*shape \(3, 3, 2\)$"):
+            core.exp(f, stack)
+        with pytest.raises(DimensionError, match=r"^geodesic_point takes .*shape \(3, 3, 2\)$"):
+            core.geodesic_point(f, stack, 0.5)
+
 
 class TestTangentStack:
     def test_norm_per_matrix(self, rng):

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from grasscrit import core, cutlocus
 from grasscrit.errors import DimensionError, DimensionMismatch, InsufficientSamples, NotOnCut
@@ -255,6 +257,71 @@ class TestAffineDimension:
             cutlocus.subdiff_affine_dimension(gens)
 
 
+def reference_lp_test(gen_set, basis, tol=1e-8):
+    """The zero test as a linear program over the sampled generators: the
+    convex combination with the smallest sup-norm projection; its l2
+    residual within ``tol`` is a witness.  Returns (found, residual)."""
+    gens = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
+    proj = basis.a.reshape(-1, gens.shape[1]) @ gens.T  # (D, m)
+    dim_t, m = proj.shape
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    a_ub = np.block([[proj, -np.ones((dim_t, 1))], [-proj, -np.ones((dim_t, 1))]])
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(2 * dim_t),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (m + 1),
+        method="highs",
+    )
+    if not res.success:
+        return False, math.inf
+    residual = float(np.linalg.norm(proj @ res.x[:m]))
+    return residual <= tol, residual
+
+
+def check_witness(l, sf, basis, result, tol=1e-8):
+    """Rebuild the witness's subdifferential element from sampled generators:
+    Q = U diag(s) V^T is the convex combination of the 2^j orthogonal
+    matrices U diag(eps) V^T with weights prod (1 + eps_i s_i) / 2, and the
+    generator of W = Q^T is G0 + L(Q)."""
+    q = result.witness
+    u, sv, vt = np.linalg.svd(q)
+    assert sv[0] <= 1.0 + 1e-12
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(q))))
+    weights = np.prod((1.0 + signs * np.minimum(sv, 1.0)) / 2.0, axis=1)
+    corners = (u * signs[:, None, :]) @ vt  # (2^j, j, j)
+    assert np.allclose(np.einsum("e,eab->ab", weights, corners), q, rtol=0.0, atol=1e-12)
+    gens = cutlocus.subdiff_generators(l, sf, corners.swapaxes(-1, -2))
+    element = np.einsum("e,eab->ab", weights, gens.generators.a)
+    projection = basis.a.reshape(len(basis.a), -1) @ element.reshape(-1)
+    assert np.linalg.norm(projection) <= tol
+
+
+def random_tangent_space(sf, dim, rng, normal=None):
+    """Orthonormal stack of ``dim`` random tangent matrices at ``sf``,
+    orthogonal to ``normal`` if given."""
+    shape = (sf.n - sf.k, sf.k)
+    x = rng.standard_normal((math.prod(shape), dim))
+    if normal is not None:
+        unit = normal.reshape(-1) / np.linalg.norm(normal)
+        x -= np.outer(unit, unit @ x)
+    q, _ = np.linalg.qr(x)
+    return core.tangent(sf, q.T.reshape(dim, *shape))
+
+
+# (n, k, angles of the cut point, j, tangent-space dimensions D, fine O(j) sample)
+ORACLE_CASES = [
+    (4, 2, [0.6, math.pi / 2], 1, (1, 2, 3), cutlocus.sample_orthogonal_group(1)),
+    (7, 3, [0.5, math.pi / 2, math.pi / 2], 2, (2, 3, 4, 7),
+     cutlocus.sample_orthogonal_group(2, n_grid=64)),
+    (9, 4, [0.3, math.pi / 2, math.pi / 2, math.pi / 2], 3, (4, 8, 9, 13),
+     cutlocus.sample_orthogonal_group(3, seed=11, n_grid=128)),
+]
+
+
 class TestZeroInHullTest:
     def test_antipodal_circle_witness(self):
         l = core.make_plane([[1.0], [0.0]])
@@ -263,11 +330,13 @@ class TestZeroInHullTest:
         basis = core.tangent(sf, np.array([[[1.0]]]))
         result = cutlocus.restricted_critical_test(gens, basis)
         assert result.found
-        assert np.allclose(result.weights, [0.5, 0.5], atol=1e-9)
+        assert np.array_equal(result.witness, [[0.0]])
         assert result.residual < 1e-12
+        check_witness(l, sf, basis, result)
 
-    def test_transverse_direction_not_found(self):
-        # single-generator direction projected onto itself cannot vanish
+    def test_generator_direction_found_inside_orbit(self):
+        # the basis is the direction of the W = I generator G0 + L(1); the
+        # element G0 + L(q) projects to zero at q = -|theta1|^2 / (pi/2)^2
         l = core.random_plane(4, 2, 31)
         lf = framed(l)
         s = cut_point(lf, [0.4, math.pi / 2], seed=32)
@@ -276,7 +345,48 @@ class TestZeroInHullTest:
         g = gens.generators.a[0]
         basis = core.tangent(sf, [g / np.linalg.norm(g)])
         result = cutlocus.restricted_critical_test(gens, basis)
+        assert result.found
+        assert abs(result.witness[0, 0] - (-(0.4**2) / (math.pi / 2) ** 2)) < 1e-12
+        check_witness(l, sf, basis, result)
+
+    def test_direction_of_g0_is_refuted(self):
+        # G0 is orthogonal to every L(Q): the projection is the single
+        # point |G0| = 0.4 / delta, away from zero
+        l = core.random_plane(4, 2, 33)
+        s = cut_point(framed(l), [0.4, math.pi / 2], seed=34)
+        sf = framed(s)
+        gens = cutlocus.subdiff_generators(l, sf, cutlocus.sample_orthogonal_group(1))
+        g0 = gens.generators.a.mean(axis=0)
+        basis = core.tangent(sf, [g0 / np.linalg.norm(g0)])
+        result = cutlocus.restricted_critical_test(gens, basis)
         assert not result.found
+        assert abs(result.residual - 0.4 / gens.delta) < 1e-12
+        assert np.linalg.norm(result.witness, 2) <= 1.0
+
+    @pytest.mark.parametrize("n, k, angles, j, dims, w_fine", ORACLE_CASES)
+    def test_finds_every_reference_lp_witness(self, n, k, angles, j, dims, w_fine):
+        # random tangent spaces, half of them orthogonal to an element
+        # G0 + L(Q0) with Q0 the mean of a few sampled W^T, so that the
+        # sampled hull already contains a zero
+        rng = np.random.default_rng(n * 10 + j)
+        reference_hits = 0
+        for seed in range(3):
+            l = core.random_plane(n, k, 100 + seed)
+            sf = framed(cut_point(framed(l), angles, seed=200 + seed))
+            fine = cutlocus.subdiff_generators(l, sf, w_fine)
+            gens = cutlocus.subdiff_generators(l, sf, np.eye(j)[None])
+            for dim in dims:
+                picks = rng.choice(len(w_fine), size=min(3, len(w_fine)), replace=False)
+                for normal in (None, fine.generators.a[picks].mean(axis=0)):
+                    basis = random_tangent_space(sf, dim, rng, normal)
+                    ref_found, _ = reference_lp_test(fine, basis)
+                    result = cutlocus.restricted_critical_test(gens, basis)
+                    reference_hits += ref_found
+                    if ref_found:
+                        assert result.found, (seed, dim)
+                    if result.found:
+                        check_witness(l, sf, basis, result)
+        assert reference_hits >= len(dims) * 3
 
     def test_orthonormality_enforced(self):
         l = core.make_plane([[1.0], [0.0]])
@@ -288,8 +398,8 @@ class TestZeroInHullTest:
 
     def test_schubert_maximizer_is_critical(self):
         # global farthest points of a Schubert variety sit on the cut locus;
-        # zero must lie in the projection of the subdifferential hull onto
-        # the variety's tangent space there
+        # zero must lie in the projection of the subdifferential onto the
+        # variety's tangent space there
         from grasscrit import schubert
 
         omega = schubert.SchubertVariety(
@@ -299,17 +409,16 @@ class TestZeroInHullTest:
         _, maximizer = schubert.global_max(omega, l, b_seed=3)
         j = cutlocus.cut_stratum(l, maximizer).j
         assert j == omega.k - omega.s == 1
-        gens = cutlocus.subdiff_generators(
-            l, framed(maximizer), cutlocus.sample_orthogonal_group(j)
-        )
+        sf = framed(maximizer)
+        gens = cutlocus.subdiff_generators(l, sf, cutlocus.sample_orthogonal_group(j))
         basis = schubert.chart_tangent_basis(omega, maximizer)
         result = cutlocus.restricted_critical_test(gens, basis, tol=1e-8)
         assert result.found
         assert result.residual < 1e-8
+        check_witness(l, sf, basis, result)
 
     def test_schubert_maximizer_critical_on_second_stratum(self):
-        # same chain with two right angles: the hull needs the full
-        # orthogonal-group sample, not just the sign pair
+        # same chain with two right angles
         from grasscrit import schubert
 
         omega = schubert.SchubertVariety(
@@ -319,12 +428,12 @@ class TestZeroInHullTest:
         _, maximizer = schubert.global_max(omega, l, b_seed=4)
         j = cutlocus.cut_stratum(l, maximizer).j
         assert j == omega.k - omega.s == 2
-        gens = cutlocus.subdiff_generators(
-            l, framed(maximizer), cutlocus.sample_orthogonal_group(2)
-        )
+        sf = framed(maximizer)
+        gens = cutlocus.subdiff_generators(l, sf, cutlocus.sample_orthogonal_group(2))
         basis = schubert.chart_tangent_basis(omega, maximizer)
         result = cutlocus.restricted_critical_test(gens, basis, tol=1e-7)
         assert result.found
+        check_witness(l, sf, basis, result, tol=1e-7)
 
 
 class TestCutDistance:
