@@ -203,6 +203,7 @@ def _cmd_subdiff_zero_test(args):
     return {
         "j": gens.j,
         "found": result.found,
+        "outcome": result.outcome,
         "witness": result.witness.tolist() if result.found else None,
         "residual": result.residual,
     }

@@ -96,12 +96,16 @@ class CriticalTestResult:
     ``witness`` is a j x j matrix Q with spectral norm at most 1; the
     subdifferential element G0 + L(Q) projects onto the tangent space
     with l2 norm ``residual``.  ``found`` means that residual is within
-    the tolerance, which certifies a critical point.
+    the tolerance, which certifies a critical point.  ``outcome`` is
+    ``"witness"`` when found, ``"refuted"`` when no point of the
+    projected subdifferential lies within the tolerance of zero, and
+    ``"inconclusive"`` when the search ended without either.
     """
 
     found: bool
     witness: np.ndarray
     residual: float
+    outcome: str
 
 
 def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumReport:
@@ -260,7 +264,8 @@ def restricted_critical_test(
 
     A witness below ``tol`` certifies criticality.  A negative answer
     is a refutation when M has rank j^2 or when even Q* misses ``tol``;
-    otherwise it is inconclusive.
+    otherwise it is inconclusive.  ``outcome`` names which of the three
+    happened.
     """
     frame = gen_set.base
     if not np.array_equal(tangent_basis.frame.frame, frame.frame):
@@ -296,7 +301,11 @@ def restricted_critical_test(
         if residual <= tol:
             break
         q = clipped - vr.T @ (vr @ clipped) + q_star
-    return CriticalTestResult(found=best <= tol, witness=best_q.reshape(j, j), residual=best)
+    found = best <= tol
+    outcome = "witness" if found else "refuted" if decided else "inconclusive"
+    return CriticalTestResult(
+        found=found, witness=best_q.reshape(j, j), residual=best, outcome=outcome
+    )
 
 
 def nearest_cut_witness(l: FramedPlane) -> Plane:

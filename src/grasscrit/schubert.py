@@ -24,6 +24,15 @@ tangent space is the set of maps E -> R^n / E sending E meet W into
 (:func:`chart_tangent_basis`, one orthonormal stack of shape
 (smooth_dim, n-k, k)).  Its dimension is checked against the flag count
 (:func:`flag_formula_tangent_dim`).
+
+The selection critical points are certified in one stacked pass: the
+smooth-stratum test, the tangent spaces, the logarithms toward L and
+the normality residuals of all binomial(k, s) points are each one
+stacked evaluation (:func:`_tangent_spaces`,
+:func:`_normality_residuals`), and the single-point
+:func:`chart_tangent_basis` and :func:`normality_residual` are the same
+kernels on a stack of one.  The certificate reads only each point and
+L, never the truncation that built the point.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, cutlocus, lowrank
+from . import core, lowrank
 from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
     DegenerateAuxSpace,
@@ -90,7 +99,10 @@ class CriticalPointRecord:
     ``index_set`` lists the kept triplets as 0-based positions into the
     nonincreasing singular values of the connecting matrix (position 0
     is the largest angle); the squared value is the sum of the squared
-    dropped angles.
+    dropped angles.  ``on_cut_of_l`` is read from the principal angles
+    to L that the certificate's logarithm computed; a point on the cut
+    locus of L has no logarithm and raises :class:`OnCutLocus` instead,
+    so every returned record is off the cut locus.
     """
 
     point: Plane
@@ -107,8 +119,11 @@ def schubert_stratum(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> 
     count is the dimension of the intersection.
     """
     core._check_same_shape(omega.w.plane, e)
-    angles = core.principal_angles(e, omega.w.plane)
-    s_tilde = int(np.sum(angles < tol))
+    return _stratum(omega, int(np.sum(core.principal_angles(e, omega.w.plane) < tol)))
+
+
+def _stratum(omega: SchubertVariety, s_tilde: int) -> SchubertStratum:
+    """Stratum of a plane meeting the reference plane in dimension ``s_tilde``."""
     if s_tilde < omega.s:
         return SchubertStratum(kind="not_member", depth=0, intersection_dim=s_tilde)
     if s_tilde == omega.s:
@@ -132,6 +147,45 @@ def _genericity_gate(angles: np.ndarray, tol_gen: float) -> None:
         raise NonGenericL(f"angle gap {np.min(gaps):.3e} within {tol_gen:.1e}")
 
 
+def _tangent_spaces(
+    omega: SchubertVariety, bases: np.ndarray, tol: float = TOL_GEN
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent spaces of the variety at a stack of smooth points.
+
+    Takes point bases (..., n, k) and returns their frame complements
+    (..., n, n-k) from :func:`core._frame_complements` and the tangent
+    bases (..., smooth_dim, n-k, k) of :func:`chart_tangent_basis`, from
+    one stacked angle evaluation, SVD and QR.
+
+    Raises
+    ------
+    NotSmoothPoint
+        If any point is not on the smooth stratum.
+    """
+    b_w = omega.w.plane.basis
+    dims = np.sum(core._hybrid_angles(bases, b_w) < tol, axis=-1)
+    bad = np.flatnonzero(dims != omega.s)
+    if bad.size:
+        stratum = _stratum(omega, int(dims.flat[bad[0]]))
+        raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
+    comp = core._frame_complements(bases)
+    r = omega.k - omega.s
+    left, _, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
+    u, _ = np.linalg.qr(
+        bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), mode="complete"
+    )
+
+    def outer(x, y):  # x_i y_j^T for every column pair of each point, i-major
+        xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
+        products = xt[..., :, None, :, None] * yt[..., None, :, None, :]
+        return products.reshape(x.shape[:-2] + (-1, x.shape[-2], y.shape[-2]))
+
+    stack = np.concatenate(
+        [outer(left[..., :r], u), outer(left[..., r:], u[..., omega.s:])], axis=-3
+    )
+    return comp, stack
+
+
 def chart_tangent_basis(
     omega: SchubertVariety, e: Plane, tol: float = TOL_GEN
 ) -> TangentMatrix:
@@ -148,7 +202,8 @@ def chart_tangent_basis(
     (k-s)(n-k+s) of them, stacked i-major: all R_i U_j^T first, then
     all R_perp_i Y_perp_j^T.  Y is taken through the sines rather than as
     the top left singular vectors of B_E^T B_W because cosines near 1
-    cannot resolve small angles.
+    cannot resolve small angles.  The work is :func:`_tangent_spaces`
+    on a stack of one.
 
     The name dates from a construction through the exponential chart at
     the reference plane; it is kept because existing callers use it.
@@ -158,20 +213,25 @@ def chart_tangent_basis(
     NotSmoothPoint
         If ``e`` is not on the smooth stratum.
     """
-    stratum = schubert_stratum(omega, e, tol=tol)
-    if stratum.kind != "smooth":
-        raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
-    e_frame = core.complete_frame(e)
-    r = omega.k - omega.s
-    b_w = omega.w.plane.basis
-    left, _, vt = np.linalg.svd(e_frame.complement.T @ b_w)
-    u, _ = np.linalg.qr(e.basis.T @ b_w @ vt[r:].T, mode="complete")
+    core._check_same_shape(omega.w.plane, e)
+    comp, stack = _tangent_spaces(omega, e.basis[None], tol=tol)
+    return core.tangent(FramedPlane(plane=e, frame=np.hstack([e.basis, comp[0]])), stack[0])
 
-    def outer(x, y):  # x_i y_j^T for every column pair, i-major
-        return (x.T[:, None, :, None] * y.T[None, :, None, :]).reshape(-1, len(x), len(y))
 
-    stack = np.concatenate([outer(left[:, :r], u), outer(left[:, r:], u[:, omega.s:])])
-    return core.tangent(e_frame, stack)
+def _normality_residuals(
+    omega: SchubertVariety, l: Plane, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normality_residual` at a stack of points (..., n, k).
+
+    Returns the residuals (...) and the principal angles (..., k) of
+    each point to ``l`` that the stacked logarithm computed.  One
+    tangent-space evaluation, one logarithm toward ``l`` and one
+    contraction per point.
+    """
+    comp, basis = _tangent_spaces(omega, bases)
+    v, theta = core._log(bases, comp, l.basis, core.TOL_CUT)
+    coeffs = basis.reshape(basis.shape[:-2] + (-1,)) @ v.reshape(v.shape[:-2] + (-1, 1))
+    return np.linalg.norm(coeffs[..., 0], axis=-1), theta
 
 
 def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
@@ -180,11 +240,13 @@ def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     At a smooth point off the cut locus of ``l``, criticality of the
     restricted distance is equivalent to the minimizing geodesic being
     normal to the variety, so small residuals certify critical points.
-    :func:`core.log` raises :class:`OnCutLocus` on the cut locus of ``l``.
+    The logarithm raises :class:`OnCutLocus` on the cut locus of ``l``.
+    The work is :func:`_normality_residuals` on a stack of one.
     """
-    basis = chart_tangent_basis(omega, e)
-    v = core.log(basis.frame, l).a
-    return float(np.linalg.norm(np.tensordot(basis.a, v, axes=2)))
+    core._check_same_shape(omega.w.plane, e)
+    core._check_same_shape(e, l)
+    residuals, _ = _normality_residuals(omega, l, e.basis[None])
+    return float(residuals[0])
 
 
 def ey_schubert_critical_points(
@@ -201,30 +263,37 @@ def ey_schubert_critical_points(
     kept 0-based index sets; the record keeping the largest k - s
     singular values (indices 0..k-s-1) attains the minimum value.
 
+    Every record is certified from its point and ``l`` alone, all of
+    them in one stacked pass of :func:`_normality_residuals`: each
+    residual equals :func:`normality_residual` at that point.
+
     Raises
     ------
     NonGenericL
         If angles to the reference plane are zero, right, or repeated
         within ``tol_gen``.
+    NotSmoothPoint
+        If a point is off the smooth stratum.
+    OnCutLocus
+        If a point is on the cut locus of ``l``.
     """
     angles = core.principal_angles(omega.w.plane, l)
     _genericity_gate(angles, tol_gen)
     a_l = core.log(omega.w, l).a
     selections = lowrank.ey_critical_set(a_l, omega.k - omega.s)
-    bases, _ = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
-    records = []
-    for (combo, a_trunc), basis in zip(selections, bases):
-        point = Plane(n=omega.n, k=omega.k, basis=basis)
-        records.append(
-            CriticalPointRecord(
-                point=point,
-                index_set=combo,
-                value=float(np.linalg.norm(a_l - a_trunc)),
-                normality_residual=normality_residual(omega, l, point),
-                on_cut_of_l=cutlocus.cut_stratum(l, point).j >= 1,
-            )
+    bases = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
+    residuals, theta = _normality_residuals(omega, l, bases)
+    on_cut = np.max(theta, axis=-1) >= math.pi / 2 - core.TOL_CUT
+    return [
+        CriticalPointRecord(
+            point=Plane(n=omega.n, k=omega.k, basis=basis),
+            index_set=combo,
+            value=float(np.linalg.norm(a_l - a_trunc)),
+            normality_residual=float(residual),
+            on_cut_of_l=bool(cut),
         )
-    return records
+        for (combo, a_trunc), basis, residual, cut in zip(selections, bases, residuals, on_cut)
+    ]
 
 
 def global_min(
@@ -324,7 +393,7 @@ def sample_variety_distances(
     smax = np.linalg.svd(a, compute_uv=False)[:, 0]
     scale = (math.pi / 2) * rng.uniform(0.0, 1.0, count) / smax
     a *= scale[:, None, None]
-    bases, _ = core._geodesic_end(omega.w, a)
+    bases = core._geodesic_end(omega.w, a)
     return np.linalg.norm(core._hybrid_angles(l.basis, bases), axis=-1)
 
 

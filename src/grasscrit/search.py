@@ -230,7 +230,7 @@ def lagrange_residual(
         if not np.array_equal(a.frame.frame, l.frame):
             raise FrameMismatch("tangent matrix not attached to the base frame")
         a = a.a
-    y, ydot = core._geodesic_end(l, a)
+    y, ydot = core._geodesic_end(l, a, velocity=True)
     value, grad = _value_and_basis_grad(p, y)
     velocity = _unit(ydot)
     normal = _unit(grad - y @ (y.swapaxes(-1, -2) @ grad))

@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "7"
+        assert report["schema_version"] == "8"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -153,7 +153,7 @@ class TestSubdiffCommands:
         code, out = run(capsys, "subdiff-zero-test", "--json", doc)
         assert code == 0
         rep = json.loads(out)
-        assert rep["found"] is True
+        assert rep["found"] is True and rep["outcome"] == "witness"
         assert rep["witness"] == [[0.0]]
 
 

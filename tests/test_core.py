@@ -66,6 +66,21 @@ class TestCompleteFrame:
         p = core.random_plane(7, 3, 99)
         assert np.array_equal(framed(p).frame, framed(p).frame)
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (7, 3), (9, 4), (12, 5)])
+    def test_stacked_kernel_equals_per_plane_bit_for_bit(self, n, k):
+        # a coordinate plane in the stack ties residual norms, which
+        # the stable order breaks by index in every slot alike
+        planes = [core.make_plane(np.eye(n)[:, :k])] + [
+            core.random_plane(n, k, 10 * n + i) for i in range(5)
+        ]
+        bases = np.array([p.basis for p in planes])
+        comps = core._frame_complements(bases)
+        assert comps.shape == (6, n, n - k)
+        for p, c in zip(planes, comps):
+            assert np.array_equal(np.hstack([p.basis, c]), framed(p).frame)
+        grid = core._frame_complements(bases.reshape(2, 3, n, k))
+        assert np.array_equal(grid.reshape(comps.shape), comps)
+
 
 # ---------------------------------------------------------------------------
 # principal angles
@@ -304,11 +319,13 @@ class TestExpLog:
         for n, k in ((4, 2), (7, 3), (12, 5)):
             f = framed(core.random_plane(n, k, n))
             a = rng.uniform(-1.0, 1.0, (2, 3, n - k, k))
-            y, ydot = core._geodesic_end(f, a)
+            y, ydot = core._geodesic_end(f, a, velocity=True)
             assert y.shape == ydot.shape == (2, 3, n, k)
+            # the velocity is computed on request only, and leaves Y untouched
+            assert np.array_equal(core._geodesic_end(f, a), y)
             for i in range(2):
                 for j in range(3):
-                    y1, ydot1 = core._geodesic_end(f, a[i, j])
+                    y1, ydot1 = core._geodesic_end(f, a[i, j], velocity=True)
                     assert np.array_equal(y[i, j], y1)
                     assert np.array_equal(ydot[i, j], ydot1)
                     assert np.array_equal(y1, core.exp(f, core.tangent(f, a[i, j])).basis)
@@ -495,6 +512,22 @@ class TestConnectingFactors:
                 assert np.max(np.abs(a_got - a_ref)) < 1e-13, theta
             a = (got[0] * got[1]) @ got[2].T
             assert core.grassmann_distance(core.exp(f, core.tangent(f, a)), target) < 1e-10
+
+    def test_stacked_log_equals_log_per_frame(self, rng):
+        # the stacked kernel behind log, with one frame per base plane
+        # and one target, as the Schubert certificate calls it
+        n, k = 7, 3
+        target = core.random_plane(n, k, 5)
+        frames = [framed(core.random_plane(n, k, 20 + i)) for i in range(4)]
+        bases = np.array([f.plane.basis for f in frames])
+        comps = np.array([f.complement for f in frames])
+        a, theta = core._log(bases, comps, target.basis, core.TOL_CUT)
+        for f, a_i, theta_i in zip(frames, a, theta):
+            assert np.array_equal(a_i, core.log(f, target).a)
+            assert np.array_equal(theta_i, core.connecting_factors(f, target)[1])
+        cut = core.make_plane(np.hstack([frames[2].complement[:, :1], bases[2][:, 1:]]))
+        with pytest.raises(OnCutLocus):
+            core._log(bases, comps, cut.basis, core.TOL_CUT)
 
     def test_zero_angle_gives_zero_direction(self):
         # an exactly shared direction in the identity frame: the zero sine

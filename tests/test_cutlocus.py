@@ -329,7 +329,7 @@ class TestZeroInHullTest:
         gens = cutlocus.subdiff_generators(l, sf, cutlocus.sample_orthogonal_group(1))
         basis = core.tangent(sf, np.array([[[1.0]]]))
         result = cutlocus.restricted_critical_test(gens, basis)
-        assert result.found
+        assert result.found and result.outcome == "witness"
         assert np.array_equal(result.witness, [[0.0]])
         assert result.residual < 1e-12
         check_witness(l, sf, basis, result)
@@ -359,7 +359,7 @@ class TestZeroInHullTest:
         g0 = gens.generators.a.mean(axis=0)
         basis = core.tangent(sf, [g0 / np.linalg.norm(g0)])
         result = cutlocus.restricted_critical_test(gens, basis)
-        assert not result.found
+        assert not result.found and result.outcome == "refuted"
         assert abs(result.residual - 0.4 / gens.delta) < 1e-12
         assert np.linalg.norm(result.witness, 2) <= 1.0
 
@@ -370,6 +370,7 @@ class TestZeroInHullTest:
         # sampled hull already contains a zero
         rng = np.random.default_rng(n * 10 + j)
         reference_hits = 0
+        inconclusive = []
         for seed in range(3):
             l = core.random_plane(n, k, 100 + seed)
             sf = framed(cut_point(framed(l), angles, seed=200 + seed))
@@ -382,11 +383,18 @@ class TestZeroInHullTest:
                     ref_found, _ = reference_lp_test(fine, basis)
                     result = cutlocus.restricted_critical_test(gens, basis)
                     reference_hits += ref_found
+                    assert (result.outcome == "witness") == result.found
                     if ref_found:
                         assert result.found, (seed, dim)
                     if result.found:
                         check_witness(l, sf, basis, result)
+                    if result.outcome == "inconclusive":
+                        inconclusive.append((seed, dim))
         assert reference_hits >= len(dims) * 3
+        # reported, not asserted: how many cases below D = j^2 the
+        # alternating search leaves undecided (shown with pytest -s)
+        below = sum(2 * 3 for dim in dims if dim < j * j)
+        print(f"j={j}: {len(inconclusive)} of {below} cases with D < {j * j} inconclusive")
 
     def test_orthonormality_enforced(self):
         l = core.make_plane([[1.0], [0.0]])

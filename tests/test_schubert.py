@@ -8,6 +8,7 @@ from grasscrit import core, cutlocus, schubert
 from grasscrit.errors import (
     NonGenericL,
     NotSmoothPoint,
+    OnCutLocus,
 )
 from grasscrit.lowrank import RankRegion
 
@@ -349,6 +350,75 @@ class TestNormalityResidual:
             if schubert.normality_residual(omega, l, e) > 1e-2:
                 hits += 1
         assert hits >= 9
+
+
+# the test shapes plus G(5,12), s=2 (10 records in 7 x 5 tangent matrices)
+STACK_SHAPES = SHAPES + [(12, 5, 2)]
+
+
+class TestStackedCertificate:
+    @pytest.mark.parametrize("n, k, s", STACK_SHAPES)
+    def test_records_match_single_point_certificate(self, n, k, s):
+        for seed in range(3):
+            omega = variety(n, k, s, seed=400 + seed)
+            l = core.random_plane(n, k, 410 + seed)
+            records = schubert.ey_schubert_critical_points(omega, l)
+            assert len(records) == math.comb(k, s)
+            for r in records:
+                single = schubert.normality_residual(omega, l, r.point)
+                assert abs(r.normality_residual - single) <= 1e-15
+                assert r.on_cut_of_l == (cutlocus.cut_stratum(l, r.point).j >= 1)
+
+    @pytest.mark.parametrize("n, k, s", STACK_SHAPES)
+    def test_stacked_tangent_spaces_equal_outer_list_bit_for_bit(self, n, k, s):
+        omega = variety(n, k, s, seed=420)
+        l = core.random_plane(n, k, 421)
+        points = [r.point for r in schubert.ey_schubert_critical_points(omega, l)]
+        comps, stacks = schubert._tangent_spaces(omega, np.array([e.basis for e in points]))
+        for e, comp, stack in zip(points, comps, stacks):
+            assert np.array_equal(np.hstack([e.basis, comp]), core.complete_frame(e).frame)
+            assert np.array_equal(stack, np.array(outer_list_reference(omega, e)))
+
+    def test_one_singular_point_in_stack_raises(self):
+        omega = variety(7, 3, 1, seed=430)
+        l = core.random_plane(7, 3, 431)
+        bases = [r.point.basis for r in schubert.ey_schubert_critical_points(omega, l)]
+        with pytest.raises(NotSmoothPoint, match="singular"):
+            schubert._tangent_spaces(omega, np.array(bases + [omega.w.plane.basis]))
+
+    def test_point_on_cut_of_l_raises(self):
+        # a farthest point is smooth and on the cut locus of l, where the
+        # certificate has no logarithm
+        omega = variety(7, 3, 1, seed=432)
+        l = core.random_plane(7, 3, 433)
+        _, maximizer = schubert.global_max(omega, l, b_seed=0)
+        with pytest.raises(OnCutLocus):
+            schubert.normality_residual(omega, l, maximizer)
+
+    def test_linear_algebra_calls_do_not_grow_with_records(self, monkeypatch):
+        # the certificate is one stacked pass: G(4,9) has 4 records at
+        # s = 1 and 6 at s = 2, and both take the same SVD and QR calls
+        counts = {"svd": 0, "qr": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        calls = {}
+        for s in (1, 2):
+            omega = variety(9, 4, s, seed=440)
+            l = core.random_plane(9, 4, 441)
+            before = dict(counts)
+            records = schubert.ey_schubert_critical_points(omega, l)
+            calls[s] = (len(records), {m: counts[m] - before[m] for m in counts})
+        assert calls[1][0] == 4 and calls[2][0] == 6
+        assert calls[1][1] == calls[2][1]
+        assert calls[1][1]["svd"] > 0 and calls[1][1]["qr"] > 0
 
 
 class TestStrataMonotonicity:
