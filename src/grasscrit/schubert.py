@@ -155,7 +155,10 @@ def _tangent_spaces(
     Takes point bases (..., n, k) and returns their frame complements
     (..., n, n-k) from :func:`core._frame_complements` and the tangent
     bases (..., smooth_dim, n-k, k) of :func:`chart_tangent_basis`, from
-    one stacked angle evaluation, SVD and QR.
+    one stacked SVD and QR.  The singular values of C_E^T B_W are the
+    sines of the principal angles between E and W, so the same SVD
+    gives the intersection dimension: the angles below ``tol``, plus
+    the k - (n-k) angles that vanish when n - k < k.
 
     Raises
     ------
@@ -163,14 +166,14 @@ def _tangent_spaces(
         If any point is not on the smooth stratum.
     """
     b_w = omega.w.plane.basis
-    dims = np.sum(core._hybrid_angles(bases, b_w) < tol, axis=-1)
+    comp = core._frame_complements(bases)
+    left, sines, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
+    dims = omega.k - sines.shape[-1] + np.sum(sines < math.sin(tol), axis=-1)
     bad = np.flatnonzero(dims != omega.s)
     if bad.size:
         stratum = _stratum(omega, int(dims.flat[bad[0]]))
         raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
-    comp = core._frame_complements(bases)
     r = omega.k - omega.s
-    left, _, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
     u, _ = np.linalg.qr(
         bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), mode="complete"
     )

@@ -24,13 +24,17 @@ which explicit format-based constants bound from above.
 
 The whole evaluation path takes stacks of tangent matrices: the
 exponential kernel, the Plucker minors, their cofactors and the
-compiled polynomial.  The solver's Jacobian is a forward difference
-with scipy's 2-point steps that evaluates the base point and all
-k(n - k) shifted points in one stacked residual call.  The solver,
-``scipy.optimize.least_squares``, is imported on the first solve by the
-module-level :func:`least_squares`, so importing this module (and the
-CLI) loads numpy alone; the solver is called through that module
-attribute, which the traced benchmark wraps by name to time each start.
+compiled polynomial.  The solver, :func:`least_squares`, runs all
+starts of a query in lockstep, each with its own state, through the
+trust-region-reflective method of Branch, Coleman and Li with Moré's
+Levenberg-Marquardt step (the configuration of scipy's bounded ``trf``
+with exact trust-region solves; the tests run scipy as the reference,
+start by start).  Each round makes one
+stacked residual call for the trial points of all running starts and
+one stacked forward-difference Jacobian call, at the k(n - k) shifted
+points of each start whose step was accepted.  The module needs numpy
+alone; the solver is called through the module attribute, which the
+traced benchmark wraps by name to time each query.
 
 The module also evaluates the closed-form sphere-product distance on
 the oriented double cover of G(2, 4), where a family of linear slices
@@ -66,9 +70,22 @@ CERT_TOL = 1e-6
 #: Grassmann distance under which two found critical points are merged.
 DEDUP_DISTANCE = 1e-6
 
+_EPS = float(np.finfo(float).eps)
+
 #: Relative finite-difference step of the solver's Jacobian (scipy's
 #: 2-point default).
-_FD_STEP = float(np.finfo(float).eps) ** 0.5
+_FD_STEP = _EPS**0.5
+
+#: Bound on every entry of the solver's tangent matrix: the box
+#: [-pi/2, pi/2] holds the off-cut domain ||A||_2 < pi/2.
+_BOX = math.pi / 2
+_INSIDE = float(np.nextafter(_BOX, 0.0))
+
+#: The solver's stopping rules: relative cost and step changes, scaled
+#: gradient norm and residual evaluations per start.
+_FTOL = _XTOL = 1e-15
+_GTOL = 1e-13
+_MAX_NFEV = 100
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +222,8 @@ def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarr
 def _unit(x: np.ndarray) -> np.ndarray:
     """Each matrix of a stack divided by its Frobenius norm; zero
     matrices pass unchanged."""
-    norm = np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    # np.linalg.norm's arithmetic, without its per-call overhead
+    norm = np.sqrt(np.add.reduce(x * x, axis=(-2, -1), keepdims=True))
     return x / np.where(norm > 0.0, norm, 1.0)
 
 
@@ -268,40 +286,322 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
 # Solver
 # ---------------------------------------------------------------------------
 
-def _residual(x: np.ndarray, p: PluckerPolynomial, l: FramedPlane) -> np.ndarray:
-    """:func:`lagrange_residual` at the flattened tangent matrix ``x``."""
-    return lagrange_residual(p, l, x.reshape(p.n - p.k, p.k))
-
-
-def _jacobian(x: np.ndarray, p: PluckerPolynomial, l: FramedPlane) -> np.ndarray:
-    """Forward-difference Jacobian of :func:`_residual` from one stacked
-    residual call at x and the k(n-k) points x + h_j e_j.
+def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobians (S, 1 + n k, m) of
+    :func:`lagrange_residual` at the S flattened tangent matrices ``x``
+    (S, m), whose residuals ``f`` are known, from one stacked call at
+    the S m shifted points x + h_j e_j.
 
     The steps are scipy's 2-point ones inside the box [-pi/2, pi/2]:
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, negated
     where x_j + h_j would leave the box, and each column is divided by
     the representable step (x_j + h_j) - x_j.
     """
+    n_starts, m = x.shape
     h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    h = np.where(np.abs(x + h) > math.pi / 2, -h, h)
-    rows = np.vstack([x, x + np.diag(h)])
-    r = lagrange_residual(p, l, rows.reshape(-1, p.n - p.k, p.k))
-    return (r[1:] - r[0]).T / ((x + h) - x)
+    h = np.where(np.abs(x + h) > _BOX, -h, h)
+    shifted = x[:, None, :] + h[:, :, None] * np.eye(m)
+    r = lagrange_residual(p, l, shifted.reshape(n_starts * m, p.n - p.k, p.k))
+    return (r.reshape(n_starts, m, -1) - f[:, None, :]).swapaxes(1, 2) / ((x + h) - x)[:, None, :]
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first use.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (S, m) stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Importing ``scipy.optimize`` costs several hundred ms, which every
-    command that never solves would otherwise pay at start-up.  The
-    function is a module attribute, looked up by name at each solve, so
-    a tracer (``bench/run.py``) can wrap ``search.least_squares`` to time
-    each start and read its nfev; a local import inside
-    :func:`find_critical_points` would hide the solver from it.
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (S, m) stack."""
+    return np.sqrt(_dot(a, a))
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_s @ x_s for a stack of matrices (S, r, m) and vectors (S, m)."""
+    return (a @ x[:, :, None])[:, :, 0]
+
+
+def _quadratic(j_h: np.ndarray, g_h: np.ndarray, s: np.ndarray, diag_h: np.ndarray) -> np.ndarray:
+    """The model 0.5 s^T (J^T J + diag) s + g^T s of each start."""
+    js = _matvec(j_h, s)
+    return 0.5 * (_dot(js, js) + _dot(s * diag_h, s)) + _dot(s, g_h)
+
+
+def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
+    """Moré's trust-region step of each start from one SVD of its
+    augmented scaled Jacobian (U, sv, V^T), with ``uf`` = U^T f.
+
+    The Gauss-Newton step is taken when the Jacobian has full rank and
+    the step fits in the radius ``delta``; otherwise the
+    Levenberg-Marquardt parameter alpha solves ||p(alpha)|| = delta to
+    1 % by at most 10 safeguarded Newton iterations on
+    phi(alpha) = ||p(alpha)|| - delta, warm-started from ``alpha``, and
+    the step is scaled onto the boundary.  Starts still iterating are
+    masked; each sees scipy's scalar iteration.  Returns the steps (S, m)
+    and the new parameters (S,).
     """
-    from scipy import optimize
+    suf = sv * uf
+    full_rank = sv[:, -1] > _EPS * n_res * sv[:, 0]
+    step = -_matvec(v, np.divide(uf, sv, out=np.zeros_like(uf), where=full_rank[:, None]))
+    gauss_newton = full_rank & (_norm(step) <= delta)
+    alpha = np.where(gauss_newton, 0.0, alpha)
+    rest = np.flatnonzero(~gauss_newton)
+    if not rest.size:
+        return step, alpha
 
-    return optimize.least_squares(*args, **kwargs)
+    suf, sv, radius, full_rank = suf[rest], sv[rest], delta[rest], full_rank[rest]
+
+    def phi_and_derivative(a, i):
+        denom = sv[i] ** 2 + a[:, None]
+        p_norm = _norm(suf[i] / denom)
+        return p_norm - radius[i], -np.sum(suf[i] ** 2 / denom**3, axis=1) / p_norm
+
+    upper = _norm(suf) / radius
+    lower = np.zeros_like(upper)
+    fr = np.flatnonzero(full_rank)
+    if fr.size:
+        phi, phi_prime = phi_and_derivative(np.zeros(fr.size), fr)
+        lower[fr] = -phi / phi_prime
+    a = alpha[rest]
+    a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
+    running = np.arange(rest.size)
+    for _ in range(10):
+        ai, lo, up, radius_i = a[running], lower[running], upper[running], radius[running]
+        ai = np.where((ai < lo) | (ai > up), np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
+        phi, phi_prime = phi_and_derivative(ai, running)
+        upper[running] = np.where(phi < 0, ai, up)
+        ratio = phi / phi_prime
+        lower[running] = np.maximum(lo, ai - ratio)
+        a[running] = ai - (phi + radius_i) * ratio / radius_i
+        running = running[~(np.abs(phi) < 0.01 * radius_i)]
+        if not running.size:
+            break
+    p = -_matvec(v[rest], suf / (sv**2 + a[:, None]))
+    step[rest] = p * (radius / _norm(p))[:, None]
+    alpha[rest] = a
+    return step, alpha
+
+
+def _to_bound(x: np.ndarray, s: np.ndarray):
+    """Largest t >= 0 with x + t s in the box, and the entries that hit
+    it there (+1 or -1 by the sign of s, else 0)."""
+    moving = s != 0
+    steps = np.full_like(x, np.inf)
+    steps[moving] = np.maximum((-_BOX - x)[moving] / s[moving], (_BOX - x)[moving] / s[moving])
+    t = np.min(steps)
+    return t, np.equal(steps, t) * np.sign(s).astype(int)
+
+
+def _quadratic_1d(j_h, g_h, s, diag_h, s0=None):
+    """Coefficients of t -> model(s0 + t s): (a, b) from s0 = 0, else
+    (a, b, c)."""
+    v = j_h.dot(s)
+    a = 0.5 * (np.dot(v, v) + np.dot(s * diag_h, s))
+    b = np.dot(g_h, s)
+    if s0 is None:
+        return a, b
+    u = j_h.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g_h, s0)
+    b += np.dot(s0 * diag_h, s)
+    c += 0.5 * np.dot(s0 * diag_h, s0)
+    return a, b, c
+
+
+def _minimize_1d(a, b, lb, ub, c=0.0):
+    """Minimum point and value of a t^2 + b t + c on [lb, ub]."""
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _reflective_step(x, j_h, diag_h, g_h, p, p_h, d, delta, theta):
+    """One start's step when its trust-region step ``p`` leaves the box.
+
+    The trust-region-reflective choice of Branch, Coleman and Li: the
+    best, on the quadratic model, of the step cut at the box and
+    stepped back by ``theta``, its reflection at the box, and the
+    scaled steepest-descent step.  Returns the step, its scaled form
+    and its predicted reduction.
+    """
+    p_stride, hits = _to_bound(x, p)
+    r_h = np.where(hits != 0, -p_h, p_h)
+    r = d * r_h
+    p = p * p_stride
+    p_h = p_h * p_stride
+    # the reflected direction leaves the trust region or the box first
+    aa, bb = np.dot(r_h, r_h), np.dot(p_h, r_h)
+    cc = np.dot(p_h, p_h) - delta**2
+    q = -(bb + math.copysign(np.sqrt(bb * bb - aa * cc), bb))
+    to_tr = max(q / aa, cc / q)
+    to_bound, _ = _to_bound(x + p, r)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_lo = (1 - theta) * p_stride / r_stride
+        r_hi = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_lo, r_hi = 0, -1
+    if r_lo <= r_hi:
+        a, b, c = _quadratic_1d(j_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
+        r_h = r_h * r_stride + p_h
+        r = r_h * d
+    else:
+        r_value = math.inf
+    p = p * theta
+    p_h = p_h * theta
+    p_value = _quadratic(j_h[None], g_h[None], p_h[None], diag_h[None])[0]
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = delta / np.linalg.norm(ag_h)
+    to_bound, _ = _to_bound(x, ag)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _quadratic_1d(j_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_1d(a, b, 0, ag_stride)
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag * ag_stride, ag_h * ag_stride, -ag_value
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Final points ``x`` (S, m) and residuals ``fun`` (S, 1 + n k) of
+    S starts, each start's residual evaluations ``start_nfev`` (S,), and
+    the totals over the starts: ``nfev`` residual evaluations and
+    ``njev`` Jacobian evaluations."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    start_nfev: np.ndarray
+    nfev: int
+    njev: int
+
+
+def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> SolveResult:
+    """Bounded least-squares solves of :func:`lagrange_residual` from the
+    starts ``x0`` (S, k(n-k)), flattened tangent matrices at ``l`` with
+    every entry inside (-pi/2, pi/2), run in lockstep.
+
+    Each start runs the trust-region-reflective method (scipy's ``trf``
+    with ``tr_solver="exact"``, ``x_scale=1``): Moré's trust-region
+    Levenberg-Marquardt step in the Coleman-Li scaling of the box
+    [-pi/2, pi/2] on every entry, reflected at the box when the step
+    leaves it, with ``xtol = ftol = 1e-15``, ``gtol = 1e-13`` and at
+    most 100 residual evaluations.  Every start keeps its own iterate,
+    radius, Levenberg-Marquardt parameter and evaluation count, and
+    stops on its own; each round evaluates the trial points of all
+    running starts in one stacked residual call, the Jacobians of the
+    starts whose step was accepted in one stacked call (see
+    :func:`_jacobian`), and takes one batched SVD of their augmented
+    scaled Jacobians.
+
+    The solver is a module attribute, looked up by name at each query,
+    so a tracer can wrap ``search.least_squares`` to time each query.
+    """
+    shape = (p.n - p.k, p.k)
+    x = np.array(x0, dtype=float)
+    n_starts, m = x.shape
+    f = lagrange_residual(p, l, x.reshape((n_starts,) + shape))
+    n_res = f.shape[1]
+    cost = 0.5 * _dot(f, f)
+    nfev = np.ones(n_starts, dtype=int)
+    njev = 0
+    delta = None
+    alpha = np.zeros(n_starts)
+    # each start's scaled problem, refreshed after each accepted step
+    d = np.empty((n_starts, m))
+    diag_h = np.empty((n_starts, m))
+    g_h = np.empty((n_starts, m))
+    j_h = np.empty((n_starts, n_res, m))
+    uf = np.empty((n_starts, m))
+    sv = np.empty((n_starts, m))
+    v_svd = np.empty((n_starts, m, m))
+    theta = np.empty(n_starts)
+    running = np.ones(n_starts, dtype=bool)
+    fresh = np.arange(n_starts)
+    while True:
+        if fresh.size:
+            xf, ff = x[fresh], f[fresh]
+            jac = _jacobian(p, l, xf, ff)
+            njev += fresh.size
+            g = (ff[:, None, :] @ jac)[:, 0]
+            # Coleman-Li scaling: distance to the bound a descent step moves toward
+            dv = np.sign(g)
+            v = np.where(dv < 0, _BOX - xf, np.where(dv > 0, xf + _BOX, 1.0))
+            if delta is None:  # the first round, where every start is fresh
+                delta = _norm(x / np.sqrt(v))
+                delta[delta == 0] = 1.0
+            g_norm = np.max(np.abs(g * v), axis=1)
+            stop = g_norm < _GTOL
+            if stop.any():
+                running[fresh[stop]] = False
+                keep = ~stop
+                fresh, ff, g, v, dv, jac, g_norm = (
+                    a[keep] for a in (fresh, ff, g, v, dv, jac, g_norm)
+                )
+            scale = np.sqrt(v)
+            scaled_jac = jac * scale[:, None, :]
+            diag = g * dv
+            u, sv[fresh], vt = np.linalg.svd(
+                np.concatenate([scaled_jac, np.sqrt(diag)[:, :, None] * np.eye(m)], axis=1),
+                full_matrices=False,
+            )
+            d[fresh], diag_h[fresh], g_h[fresh], j_h[fresh] = scale, diag, scale * g, scaled_jac
+            v_svd[fresh] = vt.swapaxes(1, 2)
+            uf[fresh] = (ff[:, None, :] @ u[:, :n_res])[:, 0]
+            theta[fresh] = np.maximum(0.995, 1 - g_norm)
+        idx = np.flatnonzero(running)
+        if not idx.size:
+            break
+        step_h, alpha[idx] = _trust_region_steps(
+            uf[idx], sv[idx], v_svd[idx], delta[idx], alpha[idx], n_res
+        )
+        step = d[idx] * step_h
+        predicted = -_quadratic(j_h[idx], g_h[idx], step_h, diag_h[idx])
+        xs = x[idx]
+        for i in np.flatnonzero(np.any(np.abs(xs + step) > _BOX, axis=1)):
+            s = idx[i]
+            step[i], step_h[i], predicted[i] = _reflective_step(
+                xs[i], j_h[s], diag_h[s], g_h[s], step[i], step_h[i], d[s], delta[s], theta[s]
+            )
+        # strictly inside the box: no double lies between -_BOX and _INSIDE
+        x_new = np.clip(xs + step, -_INSIDE, _INSIDE)
+        f_new = lagrange_residual(p, l, x_new.reshape((idx.size,) + shape))
+        nfev[idx] += 1
+        step_h_norm = _norm(step_h)
+        finite = np.all(np.isfinite(f_new), axis=1)
+        cost_new = 0.5 * _dot(f_new, f_new)
+        actual = cost[idx] - cost_new
+        ratio = np.where((predicted == 0) & (actual == 0), 1.0, 0.0)
+        np.divide(actual, predicted, out=ratio, where=predicted > 0)
+        radius = delta[idx]
+        new_radius = np.where(
+            ratio < 0.25,
+            0.25 * step_h_norm,
+            np.where((ratio > 0.75) & (step_h_norm > 0.95 * radius), 2.0 * radius, radius),
+        )
+        stopped = (
+            (actual < _FTOL * cost[idx]) & (ratio > 0.25)
+            | (_norm(step) < _XTOL * (_XTOL + _norm(xs)))
+        ) & finite
+        update = finite & ~stopped
+        alpha[idx[update]] *= radius[update] / new_radius[update]
+        delta[idx[update]] = new_radius[update]
+        delta[idx[~finite]] = 0.25 * step_h_norm[~finite]
+        accepted = finite & (actual > 0)
+        taken = idx[accepted]
+        x[taken], f[taken], cost[taken] = x_new[accepted], f_new[accepted], cost_new[accepted]
+        done = stopped | (nfev[idx] == _MAX_NFEV)
+        running[idx[done]] = False
+        fresh = idx[accepted & ~done]
+    return SolveResult(x=x, fun=f, start_nfev=nfev, nfev=int(nfev.sum()), njev=njev)
 
 
 @dataclass(frozen=True)
@@ -327,13 +627,14 @@ def find_critical_points(
 ):
     """Critical points of the distance from ``l`` restricted to {p = 0}.
 
-    Runs a bounded least-squares solve of :func:`lagrange_residual` in
-    the tangent matrix A at ``l`` from ``n_starts`` seeded random
-    tangent matrices with angles in (0.1, pi/2 - 0.1).  The Jacobian
-    is a forward difference with scipy's 2-point steps (flipped at the
-    box [-pi/2, pi/2]) from one stacked residual call.  A start is kept
-    when its residual is below ``tol``, the largest singular value of A
-    is below pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
+    Solves :func:`lagrange_residual` = 0 in the least-squares sense for
+    the tangent matrix A at ``l``, inside the box [-pi/2, pi/2] on every
+    entry, from ``n_starts`` seeded random tangent matrices with angles
+    in (0.1, pi/2 - 0.1), all in one lockstep call of
+    :func:`least_squares`; each start's diagnostic carries its own
+    residual evaluations (nfev).  A start is kept when its residual is
+    below ``tol``, the largest singular value of A is below
+    pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
     and E = exp_l(A) is off the cut locus) and the chart-free normality
     certificate is below ``cert_tol``.  Survivors are deduplicated by
     Grassmann distance, which is sound because off-cut critical points
@@ -360,23 +661,16 @@ def find_critical_points(
     rng = np.random.default_rng(seed)
     found: list[tuple[Plane, float]] = []
     diagnostics: list[StartDiagnostic] = []
+    x0 = np.empty((n_starts, (n - k) * k))
     for start in range(n_starts):
         u0 = core._signed_qr(rng.standard_normal((n - k, k)))
         v0 = core._signed_qr(rng.standard_normal((k, k)))
         mu0 = rng.uniform(0.1, math.pi / 2 - 0.1, k)
-        res = least_squares(
-            _residual,
-            ((u0 * mu0) @ v0.T).ravel(),
-            jac=_jacobian,
-            args=(p, l),
-            bounds=(-math.pi / 2, math.pi / 2),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-13,
-            max_nfev=100,
-        )
-        a = res.x.reshape(n - k, k)
-        resid_norm = float(np.linalg.norm(res.fun))
+        x0[start] = ((u0 * mu0) @ v0.T).ravel()
+    res = least_squares(p, l, x0)
+    for start in range(n_starts):
+        a = res.x[start].reshape(n - k, k)
+        resid_norm = float(np.linalg.norm(res.fun[start]))
         cert = math.inf
         if resid_norm >= tol:
             status = "no convergence"
@@ -386,7 +680,9 @@ def find_critical_points(
             point = core.exp(l, core.tangent(l, a))
             cert = hypersurface_normality_residual(p, l.plane, point)
             status = "converged" if cert < cert_tol else "certificate failed"
-        diagnostics.append(StartDiagnostic(start, status, resid_norm, cert, int(res.nfev)))
+        diagnostics.append(
+            StartDiagnostic(start, status, resid_norm, cert, int(res.start_nfev[start]))
+        )
         if status == "converged":
             found.append((point, float(np.linalg.norm(a))))
     deduped: list[tuple[Plane, float]] = []

@@ -397,7 +397,9 @@ class TestStackedCertificate:
 
     def test_linear_algebra_calls_do_not_grow_with_records(self, monkeypatch):
         # the certificate is one stacked pass: G(4,9) has 4 records at
-        # s = 1 and 6 at s = 2, and both take the same SVD and QR calls
+        # s = 1 and 6 at s = 2, and both take the same SVD and QR calls;
+        # the tangent spaces read the smooth-stratum test from the sines
+        # of their own SVD, so no angle evaluation adds two more SVDs
         counts = {"svd": 0, "qr": 0}
 
         def counting(name, original):
@@ -417,8 +419,7 @@ class TestStackedCertificate:
             records = schubert.ey_schubert_critical_points(omega, l)
             calls[s] = (len(records), {m: counts[m] - before[m] for m in counts})
         assert calls[1][0] == 4 and calls[2][0] == 6
-        assert calls[1][1] == calls[2][1]
-        assert calls[1][1]["svd"] > 0 and calls[1][1]["qr"] > 0
+        assert calls[1][1] == calls[2][1] == {"svd": 6, "qr": 2}
 
 
 class TestStrataMonotonicity:

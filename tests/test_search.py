@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares as scipy_least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 from grasscrit import core, search
@@ -10,6 +11,7 @@ from grasscrit.errors import (
     DimensionError,
     DomainError,
     FrameMismatch,
+    NoConvergence,
     NonGenericL,
     NotUnit,
     SchemaError,
@@ -217,8 +219,10 @@ class TestLagrangeResidual:
         assert np.array_equal(single[1:], np.zeros(8))
 
     def test_jacobian_matches_scipy_2_point(self, rng, monkeypatch):
-        # same steps as scipy's bounded 2-point rule, including the flip
-        # of a step that would leave the box [-pi/2, pi/2]
+        # the stacked Jacobian of several starts takes scipy's bounded
+        # 2-point steps, including the flip of a step that would leave
+        # the box [-pi/2, pi/2], and evaluates only the S m shifted
+        # points: the residuals at the starts are passed in
         seen = []
         residual = search.lagrange_residual
 
@@ -226,23 +230,27 @@ class TestLagrangeResidual:
             seen.append(np.array(a))
             return residual(p, l, a)
 
-        monkeypatch.setattr(search, "lagrange_residual", recording)
         for n, k in ((3, 1), (4, 2), (5, 2)):
             p = random_polynomial(rng, n, k, 2, 8)
             base = framed(core.random_plane(n, k, rng))
-            x = rng.uniform(-1.2, 1.2, (n - k) * k)
-            x[0] = math.pi / 2 - 1e-9
-            x[-1] = 0.0
+            m = (n - k) * k
+            x = rng.uniform(-1.2, 1.2, (3, m))
+            x[0, 0] = math.pi / 2 - 1e-9
+            x[1, -1] = 0.0
+            f = residual(p, base, x.reshape(3, n - k, k))
             seen.clear()
-            jac = search._jacobian(x, p, base)
-            assert len(seen) == 1 and seen[0].shape == ((n - k) * k + 1, n - k, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "lagrange_residual", recording)
+                jac = search._jacobian(p, base, x, f)
+            assert len(seen) == 1 and seen[0].shape == (3 * m, n - k, k)
             assert np.max(np.abs(seen[0])) <= math.pi / 2
-            expected = approx_derivative(
-                search._residual, x, method="2-point",
-                bounds=(-math.pi / 2, math.pi / 2), args=(p, base),
-            )
-            assert jac.shape == expected.shape
-            assert np.max(np.abs(jac - expected)) <= 1e-6
+            assert jac.shape == (3, 1 + n * k, m)
+            for xs, js in zip(x, jac):
+                expected = approx_derivative(
+                    lambda v: residual(p, base, v.reshape(n - k, k)), xs,
+                    method="2-point", bounds=(-math.pi / 2, math.pi / 2),
+                )
+                assert np.max(np.abs(js - expected)) <= 1e-6
 
     def test_frame_mismatch_guard(self):
         p = g24_hyperplane()
@@ -273,6 +281,42 @@ class TestLagrangeResidual:
                     ym[i, j] -= h
                     fd = (p.eval(core.plucker_minors(yp)) - p.eval(core.plucker_minors(ym))) / (2 * h)
                     assert abs(grad[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+def scipy_trf_reference(p, l, x0):
+    """Reference solver: each start alone through
+    ``scipy.optimize.least_squares`` (trf) with the lockstep solver's
+    settings and Jacobian."""
+    shape = (p.n - p.k, p.k)
+
+    def residual(x):
+        return search.lagrange_residual(p, l, x.reshape(shape))
+
+    def jacobian(x):
+        return search._jacobian(p, l, x[None], residual(x)[None])[0]
+
+    out = [
+        scipy_least_squares(
+            residual, x, jac=jacobian, bounds=(-math.pi / 2, math.pi / 2),
+            xtol=1e-15, ftol=1e-15, gtol=1e-13, max_nfev=100,
+        )
+        for x in x0
+    ]
+    return search.SolveResult(
+        x=np.array([r.x for r in out]),
+        fun=np.array([r.fun for r in out]),
+        start_nfev=np.array([r.nfev for r in out]),
+        nfev=sum(r.nfev for r in out),
+        njev=sum(r.njev for r in out),
+    )
+
+
+def solve_with_diagnostics(p, lf, n_starts, seed):
+    """Found points and per-start diagnostics, also when none is kept."""
+    try:
+        return search.find_critical_points(p, lf, n_starts, seed, return_diagnostics=True)
+    except NoConvergence as exc:
+        return [], exc.diagnostics
 
 
 class TestFindCriticalPoints:
@@ -343,24 +387,65 @@ class TestFindCriticalPoints:
 
     def test_solver_called_through_module_attribute(self, monkeypatch):
         # the traced benchmark wraps search.least_squares by name to time
-        # each start; a solver imported under another name escapes it
+        # each query and reads its scalar nfev and njev; a solver
+        # imported under another name escapes it
         p = g24_hyperplane()
         lf = framed(core.random_plane(4, 2, 50))
-        plain = search.find_critical_points(p, lf, n_starts=6, seed=77)
-        calls = []
+        plain, diags = search.find_critical_points(
+            p, lf, n_starts=6, seed=77, return_diagnostics=True
+        )
+        results = []
         solver = search.least_squares
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solver(*args, **kwargs)
+        def recording(*args, **kwargs):
+            results.append(solver(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(search, "least_squares", counting)
+        monkeypatch.setattr(search, "least_squares", recording)
         traced = search.find_critical_points(p, lf, n_starts=6, seed=77)
-        assert len(calls) == 6
+        assert len(results) == 1
+        res = results[0]
+        assert res.x.shape == (6, 4) and res.fun.shape == (6, 9)
+        assert type(res.nfev) is int and type(res.njev) is int
+        assert res.nfev == sum(d.nfev for d in diags)
+        assert 6 <= res.njev <= res.nfev
         assert len(traced) == len(plain)
         for (pt, value), (ref, ref_value) in zip(traced, plain):
             assert value == ref_value
             assert np.array_equal(pt.basis, ref.basis)
+
+    def test_matches_scipy_trf_reference(self, monkeypatch):
+        # the lockstep solver against scipy's trf run start by start with
+        # the same settings, on random hypersurfaces of degree 1 and 2
+        # from G(1,3) to G(3,7); some steps leave the box and take the
+        # reflective path, which decides some of the statuses here
+        reflective = []
+        step = search._reflective_step
+
+        def counting(*args):
+            reflective.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(search, "_reflective_step", counting)
+        rng = np.random.default_rng(5)
+        cases = ((3, 1, 2), (4, 2, 1), (4, 2, 2), (5, 2, 1), (5, 2, 2), (6, 3, 1), (7, 3, 1))
+        for n, k, degree in cases:
+            p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
+            lf = framed(core.random_plane(n, k, rng))
+            runs = [solve_with_diagnostics(p, lf, 6, seed=n + 10 * degree)]
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "least_squares", scipy_trf_reference)
+                runs.append(solve_with_diagnostics(p, lf, 6, seed=n + 10 * degree))
+            (points, diags), (ref_points, ref_diags) = runs
+            assert [d.status for d in diags] == [d.status for d in ref_diags]
+            for d, ref in zip(diags, ref_diags):
+                if d.status == "converged":
+                    assert abs(d.residual - ref.residual) <= 1e-10
+            assert len(points) == len(ref_points)
+            for (pt, value), (ref, ref_value) in zip(points, ref_points):
+                assert abs(value - ref_value) <= 1e-10
+                assert core.grassmann_distance(pt, ref) <= 1e-10
+        assert reflective
 
     @pytest.mark.parametrize("n_starts", [0, -2])
     def test_nonpositive_starts_rejected(self, n_starts):
