@@ -243,7 +243,6 @@ def _cmd_schubert_critical(args):
                 "index_set": list(r.index_set),
                 "value": r.value,
                 "normality_residual": r.normality_residual,
-                "on_cut_of_l": r.on_cut_of_l,
                 "point": serialize.plane_to_json(r.point),
             }
             for r in records

@@ -99,17 +99,15 @@ class CriticalPointRecord:
     ``index_set`` lists the kept triplets as 0-based positions into the
     nonincreasing singular values of the connecting matrix (position 0
     is the largest angle); the squared value is the sum of the squared
-    dropped angles.  ``on_cut_of_l`` is read from the principal angles
-    to L that the certificate's logarithm computed; a point on the cut
-    locus of L has no logarithm and raises :class:`OnCutLocus` instead,
-    so every returned record is off the cut locus.
+    dropped angles.  A point on the cut locus of L has no logarithm and
+    raises :class:`OnCutLocus`, so every returned record is off the cut
+    locus.
     """
 
     point: Plane
     index_set: tuple[int, ...]
     value: float
     normality_residual: float
-    on_cut_of_l: bool
 
 
 def schubert_stratum(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> SchubertStratum:
@@ -221,20 +219,16 @@ def chart_tangent_basis(
     return core.tangent(FramedPlane(plane=e, frame=np.hstack([e.basis, comp[0]])), stack[0])
 
 
-def _normality_residuals(
-    omega: SchubertVariety, l: Plane, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _normality_residuals(omega: SchubertVariety, l: Plane, bases: np.ndarray) -> np.ndarray:
     """:func:`normality_residual` at a stack of points (..., n, k).
 
-    Returns the residuals (...) and the principal angles (..., k) of
-    each point to ``l`` that the stacked logarithm computed.  One
-    tangent-space evaluation, one logarithm toward ``l`` and one
-    contraction per point.
+    Returns the residuals (...).  One tangent-space evaluation, one
+    logarithm toward ``l`` and one contraction per point.
     """
     comp, basis = _tangent_spaces(omega, bases)
-    v, theta = core._log(bases, comp, l.basis, core.TOL_CUT)
+    v, _ = core._log(bases, comp, l.basis, core.TOL_CUT)
     coeffs = basis.reshape(basis.shape[:-2] + (-1,)) @ v.reshape(v.shape[:-2] + (-1, 1))
-    return np.linalg.norm(coeffs[..., 0], axis=-1), theta
+    return np.linalg.norm(coeffs[..., 0], axis=-1)
 
 
 def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
@@ -248,8 +242,7 @@ def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     """
     core._check_same_shape(omega.w.plane, e)
     core._check_same_shape(e, l)
-    residuals, _ = _normality_residuals(omega, l, e.basis[None])
-    return float(residuals[0])
+    return float(_normality_residuals(omega, l, e.basis[None])[0])
 
 
 def ey_schubert_critical_points(
@@ -285,17 +278,15 @@ def ey_schubert_critical_points(
     a_l = core.log(omega.w, l).a
     selections = lowrank.ey_critical_set(a_l, omega.k - omega.s)
     bases = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
-    residuals, theta = _normality_residuals(omega, l, bases)
-    on_cut = np.max(theta, axis=-1) >= math.pi / 2 - core.TOL_CUT
+    residuals = _normality_residuals(omega, l, bases)
     return [
         CriticalPointRecord(
             point=Plane(n=omega.n, k=omega.k, basis=basis),
             index_set=combo,
             value=float(np.linalg.norm(a_l - a_trunc)),
             normality_residual=float(residual),
-            on_cut_of_l=bool(cut),
         )
-        for (combo, a_trunc), basis, residual, cut in zip(selections, bases, residuals, on_cut)
+        for (combo, a_trunc), basis, residual in zip(selections, bases, residuals)
     ]
 
 

@@ -29,12 +29,14 @@ starts of a query in lockstep, each with its own state, through the
 trust-region-reflective method of Branch, Coleman and Li with Moré's
 Levenberg-Marquardt step (the configuration of scipy's bounded ``trf``
 with exact trust-region solves; the tests run scipy as the reference,
-start by start).  Each round makes one
-stacked residual call for the trial points of all running starts and
-one stacked forward-difference Jacobian call, at the k(n - k) shifted
-points of each start whose step was accepted.  The module needs numpy
-alone; the solver is called through the module attribute, which the
-traced benchmark wraps by name to time each query.
+start by start).  Each round makes one stacked residual call: the
+trial point of every running start together with its k(n - k)
+forward-difference shifts, so the Jacobian of an accepted step is
+already there and that of a rejected one is dropped.  The certificates
+of all candidate starts of a query are one stacked pass too.  The
+module needs numpy alone; the solver is called through the module
+attribute, which the traced benchmark wraps by name to time each
+query.
 
 The module also evaluates the closed-form sphere-product distance on
 the oriented double cover of G(2, 4), where a family of linear slices
@@ -43,6 +45,8 @@ yields a visibly non-algebraic critical-point system.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -189,23 +193,48 @@ def linear_form(n: int, k: int, weights) -> PluckerPolynomial:
 # Normal coordinates at the base plane
 # ---------------------------------------------------------------------------
 
-def _cofactors(blocks: np.ndarray) -> np.ndarray:
-    """Cofactor matrices (gradients of det) of a stack of k x k blocks.
-
-    Closed form for k <= 2; for k >= 3 from the SVD, which stays exact
-    on singular blocks where det * inv breaks down.
-    """
-    k = blocks.shape[-1]
-    if k == 1:
-        return np.ones_like(blocks)
-    if k == 2:
-        return blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    u, s, vt = np.linalg.svd(blocks)
-    leave_one_out = np.stack(
-        [np.prod(np.delete(s, i, axis=-1), axis=-1) for i in range(k)], -1
+@functools.cache
+def _cofactor_table(n: int, k: int) -> np.ndarray:
+    """For each k-subset of rows (lexicographic, as in
+    :func:`core.plucker_index_table`) and each of its k slots, the
+    position of the (k-1)-subset left when that slot's row is dropped:
+    a read-only (binomial(n, k), k) index array built once per (n, k)."""
+    position = {rows: i for i, rows in enumerate(itertools.combinations(range(n), k - 1))}
+    table = np.array(
+        [
+            [position[rows[:i] + rows[i + 1:]] for i in range(k)]
+            for rows in itertools.combinations(range(n), k)
+        ],
+        dtype=np.intp,
     )
-    sign = np.linalg.det(u) * np.linalg.det(vt)
-    return sign[..., None, None] * (u * leave_one_out[..., None, :]) @ vt
+    table.setflags(write=False)
+    return table
+
+
+def _cofactors(y: np.ndarray) -> np.ndarray:
+    """Cofactor matrices (gradients of det) of the k x k row blocks of a
+    stack of n x k matrices (..., n, k), one per k-subset of rows in
+    :func:`core.plucker_index_table` order: (..., binomial(n, k), k, k).
+
+    Closed form for k <= 2.  For k >= 3, entry (i, j) of a block's
+    cofactor matrix is (-1)^(i + j) times the (k-1)-minor of Y on the
+    block's rows without its i-th and on the columns without the j-th;
+    all binomial(n, k-1) k of these minors come from one batched
+    ``det`` and every block gathers its k^2 of them through
+    :func:`_cofactor_table`.  Nothing is divided, so singular blocks
+    are exact.
+    """
+    n, k = y.shape[-2:]
+    if k <= 2:
+        blocks = y[..., core.plucker_index_table(n, k), :]
+        if k == 1:
+            return np.ones_like(blocks)
+        return blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    rows = core.plucker_index_table(n, k - 1)
+    cols = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=np.intp)
+    minors = np.linalg.det(y[..., rows[:, None, :, None], cols[None, :, None, :]])
+    sign = np.where(np.add.outer(np.arange(k), np.arange(k)) % 2, -1.0, 1.0)
+    return minors[..., _cofactor_table(n, k), :] * sign
 
 
 def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +243,7 @@ def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarr
     table = core.plucker_index_table(p.n, p.k)
     value, dq_dc = p.eval_grad(core.plucker_minors(y))
     grad = np.zeros_like(y)
-    cofactors = _cofactors(y[..., table, :])
-    np.add.at(grad, (..., table, slice(None)), dq_dc[..., None, None] * cofactors)
+    np.add.at(grad, (..., table, slice(None)), dq_dc[..., None, None] * _cofactors(y))
     return value, grad
 
 
@@ -257,6 +285,24 @@ def lagrange_residual(
     return np.concatenate([head, tangential.reshape(y.shape[:-2] + (-1,))], axis=-1)
 
 
+def _normality_certificates(p: PluckerPolynomial, l: Plane, y: np.ndarray) -> np.ndarray:
+    """:func:`hypersurface_normality_residual` at a stack of points with
+    orthonormal bases ``y`` (S, n, k): one frame completion, one basis
+    gradient and one logarithm toward ``l`` for the whole stack.
+    Returns the certificates (S,)."""
+    complements = core._frame_complements(y)
+    _, grad = _value_and_basis_grad(p, y)
+    gamma = complements.swapaxes(-1, -2) @ grad
+    direction, _ = core._log(y, complements, l.basis, core.TOL_CUT)
+    gnorm = np.linalg.norm(gamma, axis=(-2, -1), keepdims=True)
+    dnorm = np.linalg.norm(direction, axis=(-2, -1), keepdims=True)
+    gamma = gamma / np.where(gnorm == 0.0, 1.0, gnorm)
+    direction = direction / np.where(dnorm < 1e-15, 1.0, dnorm)
+    along = np.sum(direction * gamma, axis=(-2, -1), keepdims=True)
+    cert = np.linalg.norm(direction - along * gamma, axis=(-2, -1))
+    return np.where((gnorm[:, 0, 0] == 0.0) | (dnorm[:, 0, 0] < 1e-15), math.inf, cert)
+
+
 def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane) -> float:
     """Chart-free criticality certificate at a hypersurface point.
 
@@ -265,32 +311,23 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
     curve, so no basis gauge enters) and returns the norm of the
     component of the unit geodesic direction toward ``l`` orthogonal to
     that gradient line.  Zero means the geodesic is normal to the
-    hypersurface, i.e. the point is critical.
+    hypersurface, i.e. the point is critical.  A vanishing gradient or
+    a point at ``l`` gives ``inf``; a point on the cut locus of ``l``
+    raises :class:`OnCutLocus`.  The work is
+    :func:`_normality_certificates` on a stack of one.
     """
-    frame = core.complete_frame(point)
-    _, grad = _value_and_basis_grad(p, point.basis)
-    gamma = frame.complement.T @ grad
-    gnorm = float(np.linalg.norm(gamma))
-    if gnorm == 0.0:
-        return math.inf
-    gamma /= gnorm
-    direction = core.log(frame, l).a.copy()
-    dnorm = float(np.linalg.norm(direction))
-    if dnorm < 1e-15:
-        return math.inf
-    direction /= dnorm
-    return float(np.linalg.norm(direction - float(np.sum(direction * gamma)) * gamma))
+    return float(_normality_certificates(p, l, point.basis[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
 
-def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobians (S, 1 + n k, m) of
-    :func:`lagrange_residual` at the S flattened tangent matrices ``x``
-    (S, m), whose residuals ``f`` are known, from one stacked call at
-    the S m shifted points x + h_j e_j.
+def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals f (S, 1 + n k) of :func:`lagrange_residual` at the S
+    flattened tangent matrices ``x`` (S, m) and their forward-difference
+    Jacobians J (S, 1 + n k, m), from one stacked call at the S (m + 1)
+    points x and x + h_j e_j.
 
     The steps are scipy's 2-point ones inside the box [-pi/2, pi/2]:
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, negated
@@ -300,9 +337,11 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray, f: np.ndarray
     n_starts, m = x.shape
     h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where(np.abs(x + h) > _BOX, -h, h)
-    shifted = x[:, None, :] + h[:, :, None] * np.eye(m)
-    r = lagrange_residual(p, l, shifted.reshape(n_starts * m, p.n - p.k, p.k))
-    return (r.reshape(n_starts, m, -1) - f[:, None, :]).swapaxes(1, 2) / ((x + h) - x)[:, None, :]
+    stencil = x[:, None, :] + h[:, None, :] * np.eye(m + 1, m, -1)
+    r = lagrange_residual(p, l, stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k))
+    r = r.reshape(n_starts, m + 1, -1)
+    f = r[:, 0]
+    return f, (r[:, 1:] - f[:, None, :]).swapaxes(1, 2) / ((x + h) - x)[:, None, :]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -496,19 +535,23 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     leaves it, with ``xtol = ftol = 1e-15``, ``gtol = 1e-13`` and at
     most 100 residual evaluations.  Every start keeps its own iterate,
     radius, Levenberg-Marquardt parameter and evaluation count, and
-    stops on its own; each round evaluates the trial points of all
-    running starts in one stacked residual call, the Jacobians of the
-    starts whose step was accepted in one stacked call (see
-    :func:`_jacobian`), and takes one batched SVD of their augmented
-    scaled Jacobians.
+    stops on its own.  Each round evaluates the trial points of all
+    running starts, each together with its forward-difference stencil,
+    in one stacked residual call (see :func:`_jacobian`), and takes one
+    batched SVD of the augmented scaled Jacobians of the starts whose
+    step was accepted; the first call does the same for ``x0``.  The
+    stencils at rejected trial points, and at the final point of a
+    start that stops, are computed and discarded: evaluating them
+    speculatively costs one pass per round instead of two.  ``nfev``
+    counts trial points (scipy's meaning) and ``njev`` the Jacobians the
+    solver used.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
     """
-    shape = (p.n - p.k, p.k)
     x = np.array(x0, dtype=float)
     n_starts, m = x.shape
-    f = lagrange_residual(p, l, x.reshape((n_starts,) + shape))
+    f, jac = _jacobian(p, l, x)
     n_res = f.shape[1]
     cost = 0.5 * _dot(f, f)
     nfev = np.ones(n_starts, dtype=int)
@@ -528,10 +571,9 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     fresh = np.arange(n_starts)
     while True:
         if fresh.size:
-            xf, ff = x[fresh], f[fresh]
-            jac = _jacobian(p, l, xf, ff)
+            xf, ff, jf = x[fresh], f[fresh], jac[fresh]
             njev += fresh.size
-            g = (ff[:, None, :] @ jac)[:, 0]
+            g = (ff[:, None, :] @ jf)[:, 0]
             # Coleman-Li scaling: distance to the bound a descent step moves toward
             dv = np.sign(g)
             v = np.where(dv < 0, _BOX - xf, np.where(dv > 0, xf + _BOX, 1.0))
@@ -543,11 +585,11 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             if stop.any():
                 running[fresh[stop]] = False
                 keep = ~stop
-                fresh, ff, g, v, dv, jac, g_norm = (
-                    a[keep] for a in (fresh, ff, g, v, dv, jac, g_norm)
+                fresh, ff, g, v, dv, jf, g_norm = (
+                    a[keep] for a in (fresh, ff, g, v, dv, jf, g_norm)
                 )
             scale = np.sqrt(v)
-            scaled_jac = jac * scale[:, None, :]
+            scaled_jac = jf * scale[:, None, :]
             diag = g * dv
             u, sv[fresh], vt = np.linalg.svd(
                 np.concatenate([scaled_jac, np.sqrt(diag)[:, :, None] * np.eye(m)], axis=1),
@@ -573,7 +615,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             )
         # strictly inside the box: no double lies between -_BOX and _INSIDE
         x_new = np.clip(xs + step, -_INSIDE, _INSIDE)
-        f_new = lagrange_residual(p, l, x_new.reshape((idx.size,) + shape))
+        f_new, jac_new = _jacobian(p, l, x_new)
         nfev[idx] += 1
         step_h_norm = _norm(step_h)
         finite = np.all(np.isfinite(f_new), axis=1)
@@ -598,6 +640,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         accepted = finite & (actual > 0)
         taken = idx[accepted]
         x[taken], f[taken], cost[taken] = x_new[accepted], f_new[accepted], cost_new[accepted]
+        jac[taken] = jac_new[accepted]
         done = stopped | (nfev[idx] == _MAX_NFEV)
         running[idx[done]] = False
         fresh = idx[accepted & ~done]
@@ -636,9 +679,13 @@ def find_critical_points(
     below ``tol``, the largest singular value of A is below
     pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
     and E = exp_l(A) is off the cut locus) and the chart-free normality
-    certificate is below ``cert_tol``.  Survivors are deduplicated by
-    Grassmann distance, which is sound because off-cut critical points
-    are isolated, and sorted by their distance value ||A||.
+    certificate is below ``cert_tol``.  The certificates of all starts
+    that pass the first two tests are one stacked pass, each equal to
+    :func:`hypersurface_normality_residual` at its point, and
+    :func:`core.exp` runs only on the survivors.  Survivors are
+    deduplicated by Grassmann distance, which is sound because off-cut
+    critical points are isolated, and sorted by their distance value
+    ||A||.
 
     Raises
     ------
@@ -668,23 +715,30 @@ def find_critical_points(
         mu0 = rng.uniform(0.1, math.pi / 2 - 0.1, k)
         x0[start] = ((u0 * mu0) @ v0.T).ravel()
     res = least_squares(p, l, x0)
-    for start in range(n_starts):
-        a = res.x[start].reshape(n - k, k)
-        resid_norm = float(np.linalg.norm(res.fun[start]))
-        cert = math.inf
-        if resid_norm >= tol:
-            status = "no convergence"
-        elif float(np.linalg.norm(a, 2)) >= math.pi / 2 - core.TOL_CUT:
-            status = "past cut locus"
-        else:
-            point = core.exp(l, core.tangent(l, a))
-            cert = hypersurface_normality_residual(p, l.plane, point)
-            status = "converged" if cert < cert_tol else "certificate failed"
+    a = res.x.reshape(n_starts, n - k, k)
+    residuals = [float(np.linalg.norm(f)) for f in res.fun]
+    statuses = [
+        "no convergence" if r >= tol
+        else "past cut locus" if float(np.linalg.norm(ai, 2)) >= math.pi / 2 - core.TOL_CUT
+        else None
+        for r, ai in zip(residuals, a)
+    ]
+    candidates = [start for start, status in enumerate(statuses) if status is None]
+    certs = np.full(n_starts, math.inf)
+    if candidates:
+        y = core._geodesic_end(l, a[candidates])
+        certs[candidates] = _normality_certificates(p, l.plane, y)
+    for start, status in enumerate(statuses):
+        if status is None:
+            status = "converged" if certs[start] < cert_tol else "certificate failed"
         diagnostics.append(
-            StartDiagnostic(start, status, resid_norm, cert, int(res.start_nfev[start]))
+            StartDiagnostic(
+                start, status, residuals[start], float(certs[start]), int(res.start_nfev[start])
+            )
         )
         if status == "converged":
-            found.append((point, float(np.linalg.norm(a))))
+            point = core.exp(l, core.tangent(l, a[start]))
+            found.append((point, float(np.linalg.norm(a[start]))))
     deduped: list[tuple[Plane, float]] = []
     for point, value in sorted(found, key=lambda t: t[1]):
         if all(core.grassmann_distance(point, q) > DEDUP_DISTANCE for q, _ in deduped):

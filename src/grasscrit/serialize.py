@@ -25,7 +25,7 @@ from .core import Plane, make_plane
 from .errors import SchemaError
 from .search import PluckerPolynomial
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ class TestSelectionCriticalPoints:
         assert len(records) == math.comb(3, 1)
         for r in records:
             assert r.normality_residual < 1e-7
-            assert not r.on_cut_of_l
+            assert cutlocus.cut_stratum(l, r.point).j == 0
 
     def test_residuals_at_machine_precision(self):
         for i in range(30):
@@ -367,7 +367,7 @@ class TestStackedCertificate:
             for r in records:
                 single = schubert.normality_residual(omega, l, r.point)
                 assert abs(r.normality_residual - single) <= 1e-15
-                assert r.on_cut_of_l == (cutlocus.cut_stratum(l, r.point).j >= 1)
+                assert cutlocus.cut_stratum(l, r.point).j == 0
 
     @pytest.mark.parametrize("n, k, s", STACK_SHAPES)
     def test_stacked_tangent_spaces_equal_outer_list_bit_for_bit(self, n, k, s):

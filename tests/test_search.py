@@ -136,23 +136,36 @@ def svd_exp_projector(base, a):
     return y @ y.T
 
 
+def laplace_cofactors(x):
+    """Reference: the cofactor matrix of one square block by deleting a
+    row and a column for each entry."""
+    k = x.shape[0]
+    if k == 1:
+        return np.ones((1, 1))
+    return np.array(
+        [
+            [(-1) ** (i + j) * np.linalg.det(np.delete(np.delete(x, i, 0), j, 1)) for j in range(k)]
+            for i in range(k)
+        ]
+    )
+
+
 class TestCofactors:
     def test_match_minor_expansion(self, rng):
-        for k in (1, 2, 3, 4):
-            blocks = rng.standard_normal((5, k, k))
-            blocks[0, :, -1] = blocks[0, :, 0]  # a singular block
-            cof = search._cofactors(blocks)
-            for x, got in zip(blocks, cof):
-                expected = np.ones((1, 1)) if k == 1 else np.array(
-                    [
-                        [
-                            (-1) ** (i + j) * np.linalg.det(np.delete(np.delete(x, i, 0), j, 1))
-                            for j in range(k)
-                        ]
-                        for i in range(k)
-                    ]
-                )
-                assert np.allclose(got, expected, atol=1e-12)
+        # every k-row block of a stack of n x k matrices; the second
+        # matrix repeats a row, so every block holding both copies is
+        # singular, and the third has rank k - 1, so every block is
+        for k in (1, 2, 3, 4, 5):
+            n = k + 3
+            y = rng.standard_normal((3, n, k))
+            y[1, 2] = y[1, 0]
+            y[2, :, -1] = y[2, :, 0]
+            table = core.plucker_index_table(n, k)
+            cof = search._cofactors(y)
+            assert cof.shape == (3, len(table), k, k)
+            for matrix, got in zip(y, cof):
+                for rows, block in zip(table, got):
+                    assert np.allclose(block, laplace_cofactors(matrix[rows]), atol=1e-12)
 
 
 class TestLagrangeResidual:
@@ -221,8 +234,8 @@ class TestLagrangeResidual:
     def test_jacobian_matches_scipy_2_point(self, rng, monkeypatch):
         # the stacked Jacobian of several starts takes scipy's bounded
         # 2-point steps, including the flip of a step that would leave
-        # the box [-pi/2, pi/2], and evaluates only the S m shifted
-        # points: the residuals at the starts are passed in
+        # the box [-pi/2, pi/2], and one residual call evaluates each
+        # start together with its m shifted points
         seen = []
         residual = search.lagrange_residual
 
@@ -237,14 +250,15 @@ class TestLagrangeResidual:
             x = rng.uniform(-1.2, 1.2, (3, m))
             x[0, 0] = math.pi / 2 - 1e-9
             x[1, -1] = 0.0
-            f = residual(p, base, x.reshape(3, n - k, k))
             seen.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(search, "lagrange_residual", recording)
-                jac = search._jacobian(p, base, x, f)
-            assert len(seen) == 1 and seen[0].shape == (3 * m, n - k, k)
+                f, jac = search._jacobian(p, base, x)
+            assert len(seen) == 1 and seen[0].shape == (3 * (m + 1), n - k, k)
             assert np.max(np.abs(seen[0])) <= math.pi / 2
-            assert jac.shape == (3, 1 + n * k, m)
+            assert np.array_equal(seen[0].reshape(3, m + 1, m)[:, 0], x)
+            assert f.shape == (3, 1 + n * k) and jac.shape == (3, 1 + n * k, m)
+            assert np.max(np.abs(f - residual(p, base, x.reshape(3, n - k, k)))) <= 1e-15
             for xs, js in zip(x, jac):
                 expected = approx_derivative(
                     lambda v: residual(p, base, v.reshape(n - k, k)), xs,
@@ -261,7 +275,7 @@ class TestLagrangeResidual:
 
     def test_gradients_match_finite_differences(self, rng):
         # degree-2 polynomials on G(2,4) and G(3,6) exercise the closed
-        # form and the SVD cofactors
+        # form and the cofactors from shared 2-minors
         for n, k in ((4, 2), (6, 3)):
             size = math.comb(n, k)
             w = rng.standard_normal(size)
@@ -293,7 +307,7 @@ def scipy_trf_reference(p, l, x0):
         return search.lagrange_residual(p, l, x.reshape(shape))
 
     def jacobian(x):
-        return search._jacobian(p, l, x[None], residual(x)[None])[0]
+        return search._jacobian(p, l, x[None])[1][0]
 
     out = [
         scipy_least_squares(
@@ -361,8 +375,8 @@ class TestFindCriticalPoints:
         assert min(core.grassmann_distance(pt, target) for pt, _ in points) < 1e-9
 
     def test_g37_hyperplane(self):
-        # k = 3 runs the SVD cofactors; only about one start in five
-        # converges on G(3,7) hyperplanes, here the fifth
+        # k = 3 runs the cofactors from shared 2-minors; only about one
+        # start in five converges on G(3,7) hyperplanes, here the fifth
         rng = np.random.default_rng(0)
         p = search.linear_form(7, 3, rng.standard_normal(35))
         lf = framed(core.random_plane(7, 3, rng))
@@ -413,6 +427,69 @@ class TestFindCriticalPoints:
         for (pt, value), (ref, ref_value) in zip(traced, plain):
             assert value == ref_value
             assert np.array_equal(pt.basis, ref.basis)
+
+    def test_one_residual_call_per_round(self, monkeypatch):
+        # each round evaluates the trial points of all running starts
+        # with their Jacobian stencils in one call, and the first call
+        # does the same for the starts; njev counts the Jacobians used
+        p = g24_hyperplane()
+        lf = framed(core.random_plane(4, 2, 50))
+        rng = np.random.default_rng(3)
+        x0 = rng.uniform(-1.0, 1.0, (5, 4))
+        calls = []
+        residual = search.lagrange_residual
+
+        def counting(p, l, a):
+            calls.append(len(a))
+            return residual(p, l, a)
+
+        running = []
+        steps = search._trust_region_steps
+
+        def rounds(uf, *args):
+            running.append(len(uf))
+            return steps(uf, *args)
+
+        monkeypatch.setattr(search, "lagrange_residual", counting)
+        monkeypatch.setattr(search, "_trust_region_steps", rounds)
+        res = search.least_squares(p, lf, x0)
+        assert len(calls) == len(running) + 1
+        assert calls == [5 * 5] + [5 * s for s in running]
+        assert res.nfev == 5 + sum(running)
+        assert 5 <= res.njev <= res.nfev
+
+    def test_stacked_certificates_match_single_point(self, rng, monkeypatch):
+        # the stacked certificate of each start that reaches the
+        # certificate equals the single-point one at its point, and a
+        # stack of random planes gives the single-point values exactly
+        results = []
+        solver = search.least_squares
+
+        def recording(*args):
+            results.append(solver(*args))
+            return results[-1]
+
+        monkeypatch.setattr(search, "least_squares", recording)
+        certified = 0
+        for n, k, degree in ((4, 2, 1), (5, 2, 2), (6, 3, 1)):
+            p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
+            lf = framed(core.random_plane(n, k, rng))
+            _, diags = solve_with_diagnostics(p, lf, 8, seed=n)
+            res = results[-1]
+            for d in diags:
+                if d.status in ("converged", "certificate failed"):
+                    point = core.exp(lf, core.tangent(lf, res.x[d.start].reshape(n - k, k)))
+                    single = search.hypersurface_normality_residual(p, lf.plane, point)
+                    assert d.certificate == single
+                    certified += 1
+                else:
+                    assert d.certificate == math.inf
+            y = np.linalg.qr(rng.standard_normal((3, n, k)))[0]
+            stacked = search._normality_certificates(p, lf.plane, y)
+            for basis, value in zip(y, stacked):
+                plane = core.Plane(n=n, k=k, basis=basis)
+                assert value == search.hypersurface_normality_residual(p, lf.plane, plane)
+        assert certified
 
     def test_matches_scipy_trf_reference(self, monkeypatch):
         # the lockstep solver against scipy's trf run start by start with
@@ -476,6 +553,21 @@ class TestGdcEstimate:
         r1 = search.gdc_estimate(p, trials=3, n_starts=8, seed=5)
         r2 = search.gdc_estimate(p, trials=3, n_starts=8, seed=5)
         assert r1 == r2
+
+    @pytest.mark.parametrize(
+        "n, k, weight_seed, trials, seed, counts, statuses",
+        [
+            (4, 2, 2, 4, 1, (2, 2, 1, 1), ("ok",) * 4),
+            (6, 3, 3, 3, 0, (0, 1, 2), ("no_convergence", "ok", "ok")),
+        ],
+    )
+    def test_pinned_hyperplane_counts(self, n, k, weight_seed, trials, seed, counts, statuses):
+        # counts and statuses on fixed seeds, six starts a trial; G(3,6)
+        # runs the cofactors from shared 2-minors
+        w = np.random.default_rng(weight_seed).standard_normal(math.comb(n, k))
+        report = search.gdc_estimate(search.linear_form(n, k, w), trials, n_starts=6, seed=seed)
+        assert report.counts == counts
+        assert report.statuses == statuses
 
     def test_counts_below_bound(self):
         p = circle_two_point_slice(0.8)
