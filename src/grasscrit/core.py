@@ -575,18 +575,106 @@ def plucker_index_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _laplace_table(n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of one Laplace level: the j-minors of the first j
+    columns from the (j-1)-minors of the first j - 1, expanded along
+    column j - 1.  Entry (t, S) is for slot t of the j-subset S
+    (lexicographic, as in :func:`plucker_index_table`): the row S_t, the
+    lexicographic position of S without S_t among the (j-1)-subsets,
+    and the sign (-1)^(t + j - 1).  Three read-only (j, binomial(n, j))
+    arrays, built once per (n, j); positions are ranks in the
+    combinatorial number system."""
+    subsets = plucker_index_table(n, j)
+    others = np.array([[i for i in range(j) if i != t] for t in range(j)], dtype=np.intp)
+    binom = np.array([[math.comb(a, b) for b in range(j)] for a in range(n)], dtype=np.intp)
+    rest = subsets.T[others]
+    rank = binom[n - 1 - rest, np.arange(j - 1, 0, -1)[:, None]].sum(axis=1)
+    rows = np.ascontiguousarray(subsets.T)
+    drop = math.comb(n, j - 1) - 1 - rank
+    sign = np.repeat(np.where((np.arange(j) + j - 1) % 2, -1.0, 1.0)[:, None], len(subsets), axis=1)
+    for table in (rows, drop, sign):
+        table.setflags(write=False)
+    return rows, drop, sign
+
+
+@functools.cache
+def _reverse_laplace_table(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots (t, S) of :func:`_laplace_table` level j, as flat
+    positions t binomial(n, j) + S, grouped by what they feed: one
+    column per (j-1)-subset D (the n - j + 1 slots whose S without S_t
+    is D) and one row per basis row r (the binomial(n - 1, j - 1) slots
+    with S_t = r), each in increasing position.  Two read-only index
+    arrays, (n - j + 1, binomial(n, j - 1)) and (n, binomial(n - 1, j - 1)),
+    built once per (n, j)."""
+    rows, drop, _ = _laplace_table(n, j)
+    by_lower = np.argsort(drop, axis=None, kind="stable").reshape(-1, n - j + 1).T.copy()
+    by_row = np.argsort(rows, axis=None, kind="stable").reshape(n, -1)
+    for table in (by_lower, by_row):
+        table.setflags(write=False)
+    return by_lower, by_row
+
+
+def _laplace_sweep(b: np.ndarray):
+    """All j-minors of the first j columns of a stack of n x k matrices
+    (..., n, k), for j = 1..k, by one Laplace expansion per column, and
+    the same sweep run backward.
+
+    The 1-minors are column 0; each j-subset's minor is the sum over its
+    slots t of (-1)^(t + j - 1) b[S_t, j - 1] times the (j-1)-minor on S
+    without S_t (:func:`_laplace_table`): one gather, product and sum per
+    level.  The sum runs over the slot axis, slot by slot, so every
+    minor is rounded in the same order whatever the stack.  Exact for
+    k = 1, ad - bc for k = 2, and exact on integer matrices whose
+    partial sums stay below 2^53.
+
+    Returns the k-minors (..., binomial(n, k)) and their pullback: the
+    function that takes the gradient of a scalar function of the minors
+    (..., binomial(n, k)) to its gradient in ``b`` (..., n, k).  It runs
+    the levels backward (reverse-mode accumulation): the adjoint of
+    level j pulls back to column j - 1 through the lower minors and to
+    level j - 1 through the entries, each a gather by
+    :func:`_reverse_laplace_table` and a fixed-order sum; column 0
+    receives the adjoint of level 1.
+    """
+    n, k = b.shape[-2:]
+    minors = b[..., 0].copy()
+    levels = []
+    for j in range(2, k + 1):
+        rows, drop, sign = _laplace_table(n, j)
+        entries = b[..., j - 1].take(rows, axis=-1) * sign
+        lower = minors.take(drop, axis=-1)
+        minors = (entries * lower).sum(axis=-2)
+        levels.append((entries, lower))
+
+    def pullback(adjoint: np.ndarray) -> np.ndarray:
+        grad = np.empty_like(b)
+        lead = adjoint.shape[:-1]
+        for j in range(k, 1, -1):
+            entries, lower = levels[j - 2]
+            by_lower, by_row = _reverse_laplace_table(n, j)
+            weight = adjoint[..., None, :]
+            pull = weight * _laplace_table(n, j)[2] * lower
+            grad[..., j - 1] = pull.reshape(lead + (-1,)).take(by_row, axis=-1).sum(axis=-1)
+            adjoint = (weight * entries).reshape(lead + (-1,)).take(by_lower, axis=-1).sum(axis=-2)
+        grad[..., 0] = adjoint
+        return grad
+
+    return minors, pullback
+
+
 def plucker_minors(plane_or_basis) -> np.ndarray:
     """Raw k x k minors of a basis matrix, lexicographic index order.
 
     Takes a plane or a stack of basis matrices (..., n, k) and returns
-    the minors (..., binomial(n, k)).  For an orthonormal basis the
-    minor vector has unit norm; this function does not normalize, so
-    the chart identity c_{first k rows} = cos(mu_1)...cos(mu_k) of an
-    :func:`exp` image at a coordinate frame is visible directly.
+    the minors (..., binomial(n, k)), the last level of
+    :func:`_laplace_sweep`.  For an orthonormal basis the minor vector
+    has unit norm; this function does not normalize, so the chart
+    identity c_{first k rows} = cos(mu_1)...cos(mu_k) of an :func:`exp`
+    image at a coordinate frame is visible directly.
     """
-    b = plane_or_basis.basis if isinstance(plane_or_basis, Plane) else np.asarray(plane_or_basis)
-    n, k = b.shape[-2:]
-    return np.linalg.det(b[..., plucker_index_table(n, k), :])
+    b = plane_or_basis.basis if isinstance(plane_or_basis, Plane) else plane_or_basis
+    return _laplace_sweep(np.asarray(b, dtype=float))[0]
 
 
 def plucker_coords(e: Plane) -> PluckerPoint:

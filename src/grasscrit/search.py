@@ -23,13 +23,16 @@ gives an empirical lower bound for the generic critical-point count,
 which explicit format-based constants bound from above.
 
 The whole evaluation path takes stacks of tangent matrices: the
-exponential kernel, the Plucker minors, their cofactors and the
-compiled polynomial.  The solver, :func:`least_squares`, runs all
-starts of a query in lockstep, each with its own state, through the
-trust-region-reflective method of Branch, Coleman and Li with Moré's
-Levenberg-Marquardt step (the configuration of scipy's bounded ``trf``
-with exact trust-region solves; the tests run scipy as the reference,
-start by start).  Each round makes one stacked residual call: the
+exponential kernel, the Plucker minors from the core column-by-column
+Laplace sweep, the compiled polynomial, and the polynomial's gradient
+in the basis from the same sweep run backward (no cofactor matrices).
+Every reduction on this path runs in a fixed order, so a row of a
+stacked residual does not depend on the other rows.  The solver,
+:func:`least_squares`, runs all starts of a query in lockstep, each
+with its own state, through the trust-region-reflective method of
+Branch, Coleman and Li with Moré's Levenberg-Marquardt step (the
+configuration of scipy's bounded ``trf`` with exact trust-region
+solves; the tests run scipy as the reference, start by start).  Each round makes one stacked residual call: the
 trial point of every running start together with its k(n - k)
 forward-difference shifts, so the Jacobian of an accepted step is
 already there and that of a rejected one is dropped.  The certificates
@@ -45,8 +48,6 @@ yields a visibly non-algebraic critical-point system.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -161,12 +162,14 @@ class PluckerPolynomial:
         A monomial's derivative in one of its d slots is the product of
         the other d - 1 factors (a leave-one-out product), so zero
         coordinates need no division; repeated slots add up to the
-        power rule.
+        power rule.  The value sums the terms in a fixed order rather
+        than by a BLAS matrix-vector product, whose rounding depends on
+        the number of rows in the stack.
         """
         coords = np.asarray(coords, dtype=float)
-        value = coords[..., self._indices].prod(axis=-1) @ self._coefs
+        value = (coords.take(self._indices, axis=-1).prod(axis=-1) * self._coefs).sum(axis=-1)
         grad = np.zeros_like(coords)
-        leave_one_out = coords[..., self._others].prod(axis=-1)
+        leave_one_out = coords.take(self._others, axis=-1).prod(axis=-1)
         np.add.at(grad, (..., self._indices), self._coefs[:, None] * leave_one_out)
         return value, grad
 
@@ -193,58 +196,14 @@ def linear_form(n: int, k: int, weights) -> PluckerPolynomial:
 # Normal coordinates at the base plane
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _cofactor_table(n: int, k: int) -> np.ndarray:
-    """For each k-subset of rows (lexicographic, as in
-    :func:`core.plucker_index_table`) and each of its k slots, the
-    position of the (k-1)-subset left when that slot's row is dropped:
-    a read-only (binomial(n, k), k) index array built once per (n, k)."""
-    position = {rows: i for i, rows in enumerate(itertools.combinations(range(n), k - 1))}
-    table = np.array(
-        [
-            [position[rows[:i] + rows[i + 1:]] for i in range(k)]
-            for rows in itertools.combinations(range(n), k)
-        ],
-        dtype=np.intp,
-    )
-    table.setflags(write=False)
-    return table
-
-
-def _cofactors(y: np.ndarray) -> np.ndarray:
-    """Cofactor matrices (gradients of det) of the k x k row blocks of a
-    stack of n x k matrices (..., n, k), one per k-subset of rows in
-    :func:`core.plucker_index_table` order: (..., binomial(n, k), k, k).
-
-    Closed form for k <= 2.  For k >= 3, entry (i, j) of a block's
-    cofactor matrix is (-1)^(i + j) times the (k-1)-minor of Y on the
-    block's rows without its i-th and on the columns without the j-th;
-    all binomial(n, k-1) k of these minors come from one batched
-    ``det`` and every block gathers its k^2 of them through
-    :func:`_cofactor_table`.  Nothing is divided, so singular blocks
-    are exact.
-    """
-    n, k = y.shape[-2:]
-    if k <= 2:
-        blocks = y[..., core.plucker_index_table(n, k), :]
-        if k == 1:
-            return np.ones_like(blocks)
-        return blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    rows = core.plucker_index_table(n, k - 1)
-    cols = np.array([[c for c in range(k) if c != j] for j in range(k)], dtype=np.intp)
-    minors = np.linalg.det(y[..., rows[:, None, :, None], cols[None, :, None, :]])
-    sign = np.where(np.add.outer(np.arange(k), np.arange(k)) % 2, -1.0, 1.0)
-    return minors[..., _cofactor_table(n, k), :] * sign
-
-
 def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(minors(y)) and its gradient with respect to y, for a stack of
-    n x k matrices (..., n, k)."""
-    table = core.plucker_index_table(p.n, p.k)
-    value, dq_dc = p.eval_grad(core.plucker_minors(y))
-    grad = np.zeros_like(y)
-    np.add.at(grad, (..., table, slice(None)), dq_dc[..., None, None] * _cofactors(y))
-    return value, grad
+    n x k matrices (..., n, k): the minors from the column sweep
+    :func:`core._laplace_sweep`, and the gradient from the same sweep
+    run backward (its pullback of dp/dc)."""
+    minors, pullback = core._laplace_sweep(y)
+    value, dp_dc = p.eval_grad(minors)
+    return value, pullback(dp_dc)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

@@ -543,6 +543,24 @@ class TestConnectingFactors:
 # Plucker coordinates
 # ---------------------------------------------------------------------------
 
+def exact_determinant(matrix) -> int:
+    """Determinant of an integer matrix in Python integers (Bareiss's
+    fraction-free elimination): an oracle with no rounding at all."""
+    a = [[int(x) for x in row] for row in matrix]
+    size, sign, pivot = len(a), 1, 1
+    for c in range(size - 1):
+        if a[c][c] == 0:
+            swap = next((r for r in range(c + 1, size) if a[r][c] != 0), None)
+            if swap is None:
+                return 0
+            a[c], a[swap], sign = a[swap], a[c], -sign
+        for r in range(c + 1, size):
+            for j in range(c + 1, size):
+                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // pivot
+        pivot = a[c][c]
+    return sign * a[-1][-1]
+
+
 class TestPlucker:
     def test_coordinate_plane(self):
         p = core.plucker_coords(plane_from_columns(e_basis(4, 0), e_basis(4, 1)))
@@ -555,11 +573,25 @@ class TestPlucker:
             p = core.plucker_coords(core.random_plane(6, 2, seed))
             assert abs(np.linalg.norm(p.coords) - 1.0) < 1e-12
 
+    def test_minors_exact_on_integer_bases(self, rng):
+        # every partial sum of the column sweep is an integer below 2^53
+        # here, so the minors equal the exact determinants bit for bit
+        for n, k in ((3, 1), (4, 2), (7, 3), (12, 5)):
+            basis = rng.integers(-9, 10, (n, k))
+            exact = [exact_determinant(basis[list(rows), :]) for rows in core.plucker_index_table(n, k)]
+            assert np.array_equal(core.plucker_minors(basis), np.array(exact, dtype=float))
+
     def test_minors_match_determinant_loop(self, rng):
         for n, k in ((3, 1), (4, 2), (7, 3), (12, 5)):
             basis = core.random_plane(n, k, rng).basis
             loop = [np.linalg.det(basis[list(rows), :]) for rows in core.plucker_index_table(n, k)]
-            assert np.array_equal(core.plucker_minors(basis), np.array(loop))
+            assert np.max(np.abs(core.plucker_minors(basis) - np.array(loop))) <= 1e-14
+
+    def test_exact_determinant_oracle(self):
+        assert exact_determinant([[7]]) == 7
+        assert exact_determinant([[0, 1], [1, 0]]) == -1
+        assert exact_determinant([[0, 2, 1], [3, 0, 0], [1, 1, 1]]) == -3
+        assert exact_determinant([[1, 2], [2, 4]]) == 0
 
     def test_stacked_minors_equal_per_basis(self, rng):
         for n, k in ((4, 2), (12, 5)):

@@ -150,22 +150,26 @@ def laplace_cofactors(x):
     )
 
 
-class TestCofactors:
-    def test_match_minor_expansion(self, rng):
-        # every k-row block of a stack of n x k matrices; the second
-        # matrix repeats a row, so every block holding both copies is
-        # singular, and the third has rank k - 1, so every block is
+class TestBasisGradient:
+    def test_linear_form_matches_cofactor_blocks(self, rng):
+        # the reverse sweep's gradient of sum_S w_S c_S is sum_S w_S times
+        # each block's cofactor matrix, added to the block's rows; the
+        # second matrix repeats a row, so every block holding both copies
+        # is singular, and the third has rank k - 1, so every block is
         for k in (1, 2, 3, 4, 5):
             n = k + 3
             y = rng.standard_normal((3, n, k))
             y[1, 2] = y[1, 0]
             y[2, :, -1] = y[2, :, 0]
             table = core.plucker_index_table(n, k)
-            cof = search._cofactors(y)
-            assert cof.shape == (3, len(table), k, k)
-            for matrix, got in zip(y, cof):
-                for rows, block in zip(table, got):
-                    assert np.allclose(block, laplace_cofactors(matrix[rows]), atol=1e-12)
+            w = rng.standard_normal(len(table))
+            _, grad = search._value_and_basis_grad(search.linear_form(n, k, w), y)
+            assert grad.shape == y.shape
+            for matrix, got in zip(y, grad):
+                expected = np.zeros((n, k))
+                for weight, rows in zip(w, table):
+                    expected[rows] += weight * laplace_cofactors(matrix[rows])
+                assert np.allclose(got, expected, atol=1e-12)
 
 
 class TestLagrangeResidual:
@@ -219,6 +223,18 @@ class TestLagrangeResidual:
             for idx in np.ndindex(2, 3):
                 single = search.lagrange_residual(p, base, core.tangent(base, stack[idx]))
                 assert np.max(np.abs(stacked[idx] - single)) <= 1e-15
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 3)])
+    def test_rows_independent_of_stack_size(self, rng, n, k):
+        # every row of a stacked residual is computed by fixed-order
+        # reductions, so it does not depend on how many rows share the stack
+        base = framed(core.random_plane(n, k, rng))
+        stack = rng.uniform(-0.8, 0.8, (40, n - k, k))
+        size = math.comb(n, k)
+        quadric = random_polynomial(rng, n, k, 2, 3 * size)
+        for p in (search.linear_form(n, k, rng.standard_normal(size)), quadric):
+            full = search.lagrange_residual(p, base, stack)
+            assert np.array_equal(full[:3], search.lagrange_residual(p, base, stack[:3]))
 
     def test_zero_tangent_is_finite(self):
         # the velocity vanishes at A = 0; the unit vector must stay zero
@@ -274,9 +290,9 @@ class TestLagrangeResidual:
             search.lagrange_residual(p, base, core.zero_tangent(other))
 
     def test_gradients_match_finite_differences(self, rng):
-        # degree-2 polynomials on G(2,4) and G(3,6) exercise the closed
-        # form and the cofactors from shared 2-minors
-        for n, k in ((4, 2), (6, 3)):
+        # degree-2 polynomials on G(2,4), G(3,6) and G(4,8) run one to
+        # three levels of the reverse column sweep
+        for n, k in ((4, 2), (6, 3), (8, 4)):
             size = math.comb(n, k)
             w = rng.standard_normal(size)
             terms = []
@@ -375,7 +391,7 @@ class TestFindCriticalPoints:
         assert min(core.grassmann_distance(pt, target) for pt, _ in points) < 1e-9
 
     def test_g37_hyperplane(self):
-        # k = 3 runs the cofactors from shared 2-minors; only about one
+        # k = 3 runs two levels of the column sweep; only about one
         # start in five converges on G(3,7) hyperplanes, here the fifth
         rng = np.random.default_rng(0)
         p = search.linear_form(7, 3, rng.standard_normal(35))
@@ -563,7 +579,7 @@ class TestGdcEstimate:
     )
     def test_pinned_hyperplane_counts(self, n, k, weight_seed, trials, seed, counts, statuses):
         # counts and statuses on fixed seeds, six starts a trial; G(3,6)
-        # runs the cofactors from shared 2-minors
+        # runs two levels of the column sweep and of its reverse
         w = np.random.default_rng(weight_seed).standard_normal(math.comb(n, k))
         report = search.gdc_estimate(search.linear_form(n, k, w), trials, n_starts=6, seed=seed)
         assert report.counts == counts
