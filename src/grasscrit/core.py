@@ -531,7 +531,14 @@ def _log(
     """:func:`log` on stacks, with the arrays of :func:`_connecting_factors`:
     the tangent matrices (..., n-k, k) and their angles theta (..., k).
     Raises :class:`OnCutLocus` if any pair is on the cut locus."""
-    ncols, theta, u_right = _connecting_factors(b, c, targets)
+    return _log_from_factors(*_connecting_factors(b, c, targets), tol_cut)
+
+
+def _log_from_factors(
+    ncols: np.ndarray, theta: np.ndarray, u_right: np.ndarray, tol_cut: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_log` from factors already taken by
+    :func:`_connecting_factors`, for callers that also read the angles."""
     top = float(theta.max())
     if top >= math.pi / 2 - tol_cut:
         raise OnCutLocus(f"largest principal angle {top:.12f} within {tol_cut:.1e} of pi/2")

@@ -259,9 +259,12 @@ def ey_schubert_critical_points(
     kept 0-based index sets; the record keeping the largest k - s
     singular values (indices 0..k-s-1) attains the minimum value.
 
-    Every record is certified from its point and ``l`` alone, all of
-    them in one stacked pass of :func:`_normality_residuals`: each
-    residual equals :func:`normality_residual` at that point.
+    One SVD of B_W^T B_L (:func:`core._connecting_factors`) gives both
+    the principal angles checked for genericity and the connecting
+    matrix, which equals ``core.log(omega.w, l)``.  Every record is
+    certified from its point and ``l`` alone, all of them in one stacked
+    pass of :func:`_normality_residuals`: each residual equals
+    :func:`normality_residual` at that point.
 
     Raises
     ------
@@ -273,9 +276,10 @@ def ey_schubert_critical_points(
     OnCutLocus
         If a point is on the cut locus of ``l``.
     """
-    angles = core.principal_angles(omega.w.plane, l)
-    _genericity_gate(angles, tol_gen)
-    a_l = core.log(omega.w, l).a
+    core._check_same_shape(omega.w.plane, l)
+    factors = core._connecting_factors(omega.w.plane.basis, omega.w.complement, l.basis)
+    _genericity_gate(factors[1], tol_gen)
+    a_l, _ = core._log_from_factors(*factors, core.TOL_CUT)
     selections = lowrank.ey_critical_set(a_l, omega.k - omega.s)
     bases = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
     residuals = _normality_residuals(omega, l, bases)

@@ -86,11 +86,16 @@ _FD_STEP = _EPS**0.5
 _BOX = math.pi / 2
 _INSIDE = float(np.nextafter(_BOX, 0.0))
 
-#: The solver's stopping rules: relative cost and step changes, scaled
+#: The solver's stopping rules: relative cost change (scipy's default,
+#: so a start on a plateau stops), relative step change, scaled
 #: gradient norm and residual evaluations per start.
-_FTOL = _XTOL = 1e-15
+_FTOL = 1e-8
+_XTOL = 1e-15
 _GTOL = 1e-13
 _MAX_NFEV = 100
+
+#: Names of the solver's stop reasons, indexed by scipy's status codes.
+STOP_REASONS = ("max_nfev", "gtol", "ftol", "xtol", "ftol and xtol")
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +478,16 @@ class SolveResult:
     """Final points ``x`` (S, m) and residuals ``fun`` (S, 1 + n k) of
     S starts, each start's residual evaluations ``start_nfev`` (S,), and
     the totals over the starts: ``nfev`` residual evaluations and
-    ``njev`` Jacobian evaluations."""
+    ``njev`` Jacobian evaluations.  ``status`` (S,) holds each start's
+    stop reason in scipy's codes, named by :data:`STOP_REASONS`: 0 the
+    evaluation budget, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol."""
 
     x: np.ndarray
     fun: np.ndarray
     start_nfev: np.ndarray
     nfev: int
     njev: int
+    status: np.ndarray
 
 
 def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> SolveResult:
@@ -491,19 +499,24 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     with ``tr_solver="exact"``, ``x_scale=1``): Moré's trust-region
     Levenberg-Marquardt step in the Coleman-Li scaling of the box
     [-pi/2, pi/2] on every entry, reflected at the box when the step
-    leaves it, with ``xtol = ftol = 1e-15``, ``gtol = 1e-13`` and at
-    most 100 residual evaluations.  Every start keeps its own iterate,
-    radius, Levenberg-Marquardt parameter and evaluation count, and
-    stops on its own.  Each round evaluates the trial points of all
-    running starts, each together with its forward-difference stencil,
-    in one stacked residual call (see :func:`_jacobian`), and takes one
-    batched SVD of the augmented scaled Jacobians of the starts whose
-    step was accepted; the first call does the same for ``x0``.  The
-    stencils at rejected trial points, and at the final point of a
-    start that stops, are computed and discarded: evaluating them
-    speculatively costs one pass per round instead of two.  ``nfev``
-    counts trial points (scipy's meaning) and ``njev`` the Jacobians the
-    solver used.
+    leaves it.  A start stops on scipy's rules: an accepted step that
+    lowers the cost by less than ``ftol = 1e-8`` of it (a plateau; a
+    start converging to a root lowers its cost by orders of magnitude
+    per step), a step below ``xtol = 1e-15`` relative to the iterate, a
+    scaled gradient below ``gtol = 1e-13``, or 100 residual
+    evaluations; ``status`` records which.  Every start keeps its own
+    iterate, radius, Levenberg-Marquardt parameter and evaluation
+    count, and stops on its own.  Each round evaluates the trial points
+    of all running starts, each together with its forward-difference
+    stencil, in one stacked residual call (see :func:`_jacobian`), and
+    takes one batched SVD of the augmented scaled Jacobians of the
+    starts whose step was accepted; the first call does the same for
+    ``x0``.  The stencils at rejected trial points are computed and
+    discarded: evaluating them speculatively costs one pass per round
+    instead of two.  ``nfev`` counts trial points and ``njev`` the
+    Jacobians at accepted points (scipy's meanings); as in scipy, the
+    gradient at an accepted point is checked against gtol also when the
+    step ended the start, and a gtol stop there takes precedence.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
@@ -527,6 +540,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     v_svd = np.empty((n_starts, m, m))
     theta = np.empty(n_starts)
     running = np.ones(n_starts, dtype=bool)
+    status = np.zeros(n_starts, dtype=int)
     fresh = np.arange(n_starts)
     while True:
         if fresh.size:
@@ -541,9 +555,10 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
                 delta[delta == 0] = 1.0
             g_norm = np.max(np.abs(g * v), axis=1)
             stop = g_norm < _GTOL
-            if stop.any():
-                running[fresh[stop]] = False
-                keep = ~stop
+            status[fresh[stop]] = 1
+            running[fresh[stop]] = False
+            keep = running[fresh]
+            if not keep.all():
                 fresh, ff, g, v, dv, jf, g_norm = (
                     a[keep] for a in (fresh, ff, g, v, dv, jf, g_norm)
                 )
@@ -588,10 +603,10 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             0.25 * step_h_norm,
             np.where((ratio > 0.75) & (step_h_norm > 0.95 * radius), 2.0 * radius, radius),
         )
-        stopped = (
-            (actual < _FTOL * cost[idx]) & (ratio > 0.25)
-            | (_norm(step) < _XTOL * (_XTOL + _norm(xs)))
-        ) & finite
+        ftol = (actual < _FTOL * cost[idx]) & (ratio > 0.25) & finite
+        xtol = (_norm(step) < _XTOL * (_XTOL + _norm(xs))) & finite
+        stopped = ftol | xtol
+        status[idx[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
         update = finite & ~stopped
         alpha[idx[update]] *= radius[update] / new_radius[update]
         delta[idx[update]] = new_radius[update]
@@ -600,22 +615,25 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         taken = idx[accepted]
         x[taken], f[taken], cost[taken] = x_new[accepted], f_new[accepted], cost_new[accepted]
         jac[taken] = jac_new[accepted]
-        done = stopped | (nfev[idx] == _MAX_NFEV)
-        running[idx[done]] = False
-        fresh = idx[accepted & ~done]
-    return SolveResult(x=x, fun=f, start_nfev=nfev, nfev=int(nfev.sum()), njev=njev)
+        running[idx[stopped | (nfev[idx] == _MAX_NFEV)]] = False
+        fresh = taken
+    return SolveResult(
+        x=x, fun=f, start_nfev=nfev, nfev=int(nfev.sum()), njev=njev, status=status
+    )
 
 
 @dataclass(frozen=True)
 class StartDiagnostic:
     """Outcome of one solver start: ``status`` is "converged", "no
-    convergence", "past cut locus" or "certificate failed"."""
+    convergence", "past cut locus" or "certificate failed", and ``stop``
+    the solver's stop reason, one of :data:`STOP_REASONS`."""
 
     start: int
     status: str
     residual: float
     certificate: float
     nfev: int
+    stop: str
 
 
 def find_critical_points(
@@ -692,7 +710,12 @@ def find_critical_points(
             status = "converged" if certs[start] < cert_tol else "certificate failed"
         diagnostics.append(
             StartDiagnostic(
-                start, status, residuals[start], float(certs[start]), int(res.start_nfev[start])
+                start,
+                status,
+                residuals[start],
+                float(certs[start]),
+                int(res.start_nfev[start]),
+                STOP_REASONS[res.status[start]],
             )
         )
         if status == "converged":

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from grasscrit import cli, core, serialize
+from grasscrit import cli, core, search, serialize
 
 from conftest import framed
 
@@ -415,3 +415,20 @@ class TestSerialization:
     def test_schema_errors(self):
         with pytest.raises(Exception):
             serialize.plane_from_json({"n": 4, "k": 2})
+
+    def test_polynomial_roundtrip(self):
+        # a G(2,4) quadric through its canonical JSON text and back gives
+        # the same terms and the same gdc_estimate report
+        rng = np.random.default_rng(4)
+        terms = {}
+        for i, j in rng.integers(0, 6, (8, 2)):
+            e = [0] * 6
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = float(rng.standard_normal())
+        p = search.PluckerPolynomial(n=4, k=2, terms=tuple(terms.items()))
+        text = serialize.canonical_dumps(serialize.polynomial_to_json(p))
+        q = serialize.polynomial_from_json(json.loads(text))
+        assert (q.n, q.k, q.terms) == (p.n, p.k, p.terms)
+        report = search.gdc_estimate(p, trials=2, n_starts=4, seed=3).to_dict()
+        assert search.gdc_estimate(q, trials=2, n_starts=4, seed=3).to_dict() == report

@@ -32,6 +32,14 @@ def circle_two_point_slice(phi=0.7):
     return search.PluckerPolynomial(n=2, k=1, terms=terms)
 
 
+def empty_conic():
+    """x^2 + 2 y^2 + 3 z^2 on G(1,3): positive definite, so the conic has
+    no real points and the Lagrange residual no zero."""
+    return search.PluckerPolynomial(
+        n=3, k=1, terms=(((2, 0, 0), 1.0), ((0, 2, 0), 2.0), ((0, 0, 2), 3.0))
+    )
+
+
 def g24_hyperplane(seed=21):
     w = np.random.default_rng(seed).standard_normal(6)
     return search.linear_form(4, 2, w)
@@ -316,7 +324,7 @@ class TestLagrangeResidual:
 def scipy_trf_reference(p, l, x0):
     """Reference solver: each start alone through
     ``scipy.optimize.least_squares`` (trf) with the lockstep solver's
-    settings and Jacobian."""
+    settings, read from the solver module, and its Jacobian."""
     shape = (p.n - p.k, p.k)
 
     def residual(x):
@@ -328,7 +336,8 @@ def scipy_trf_reference(p, l, x0):
     out = [
         scipy_least_squares(
             residual, x, jac=jacobian, bounds=(-math.pi / 2, math.pi / 2),
-            xtol=1e-15, ftol=1e-15, gtol=1e-13, max_nfev=100,
+            xtol=search._XTOL, ftol=search._FTOL, gtol=search._GTOL,
+            max_nfev=search._MAX_NFEV,
         )
         for x in x0
     ]
@@ -338,6 +347,7 @@ def scipy_trf_reference(p, l, x0):
         start_nfev=np.array([r.nfev for r in out]),
         nfev=sum(r.nfev for r in out),
         njev=sum(r.njev for r in out),
+        status=np.array([r.status for r in out]),
     )
 
 
@@ -414,6 +424,45 @@ class TestFindCriticalPoints:
             assert 1 <= d.nfev <= 100
             if d.status == "converged":
                 assert d.residual < search.SOLVER_TOL and d.certificate < search.CERT_TOL
+
+    def test_stalled_starts_retire_early(self):
+        # on a conic without real points every start ends on a plateau
+        # of the residual norm, where the relative cost test stops it
+        # before the evaluation budget; with that test near rounding
+        # (ftol = 1e-15) five of these eight starts use all 100
+        p = empty_conic()
+        lf = framed(core.random_plane(3, 1, 0))
+        with pytest.raises(NoConvergence) as exc:
+            search.find_critical_points(p, lf, n_starts=8, seed=0)
+        diags = exc.value.diagnostics
+        assert len(diags) == 8
+        for d in diags:
+            assert d.status == "no convergence"
+            assert d.stop in ("ftol", "xtol", "ftol and xtol")
+            assert d.nfev < search._MAX_NFEV
+
+    def test_status_names_each_stop(self, monkeypatch):
+        # status holds scipy's codes, and the diagnostics name them
+        p = g24_hyperplane()
+        lf = framed(core.random_plane(4, 2, 50))
+        results = []
+        solver = search.least_squares
+
+        def recording(*args):
+            results.append(solver(*args))
+            return results[-1]
+
+        monkeypatch.setattr(search, "least_squares", recording)
+        _, diags = search.find_critical_points(
+            p, lf, n_starts=14, seed=77, return_diagnostics=True
+        )
+        res = results[0]
+        assert res.status.shape == (14,)
+        assert set(res.status.tolist()) <= set(range(len(search.STOP_REASONS)))
+        assert [d.stop for d in diags] == [search.STOP_REASONS[s] for s in res.status]
+        for d, nfev in zip(diags, res.start_nfev):
+            if d.stop == "max_nfev":
+                assert nfev == search._MAX_NFEV
 
     def test_solver_called_through_module_attribute(self, monkeypatch):
         # the traced benchmark wraps search.least_squares by name to time
