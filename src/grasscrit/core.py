@@ -13,18 +13,27 @@ two tangent vectors is the plain Frobenius product of their matrices.
 Conventions used throughout (and by every caller of this module):
 
 * SVD routines return singular values in nonincreasing order; principal
-  angles are reported nondecreasing.  The conversion happens in exactly
-  one place (:func:`principal_decomposition`).
-* Angle values use a hybrid cosine/sine evaluation so that angles near 0
-  are as accurate as angles near pi/2; a plain arccos of the cosine SVD
-  has a noise floor of about sqrt(machine eps) near zero angles, which
-  would dominate round-trip checks.
+  angles are reported nondecreasing, the order of the cosines from the
+  SVD of B_1^T B_2 (the sines alone are reversed in
+  :func:`_hybrid_angles`).  A caller that indexes the singular values
+  of a connecting matrix nonincreasing reverses the factors itself.
+* Two angle formulas, each accurate at both ends (a plain arccos of the
+  cosine SVD has a noise floor of about sqrt(machine eps) near zero
+  angles, which would dominate round-trip checks).
+  :func:`_hybrid_angles` serves bare pairs of planes
+  (:func:`principal_angles`, :func:`grassmann_distance`): two singular
+  value calls, cosines and sines, no vectors.
+  :func:`_connecting_factors` serves every construction that also needs
+  the principal vectors (the logarithm, the Schubert answers, the
+  cut-locus orbit): one SVD with vectors, whose sines are the column
+  norms of C^T B_2 Q and whose angles are atan2(sin, cos).
 * Frame completion and orthonormalization fix signs deterministically,
   so identical inputs give bit-identical outputs for a given build.
-* :func:`_hybrid_angles` (angles), :func:`_geodesic_end` (the
-  exponential), :func:`_frame_complements` (frame completion),
-  :func:`_connecting_factors` and :func:`_log` are the only copies of
-  their formulas; all take stacks ``(..., rows, cols)`` whose leading
+* :func:`_hybrid_angles` (angles of bare pairs),
+  :func:`_geodesic_end` (the exponential), :func:`_frame_complements`
+  (frame completion), :func:`_connecting_factors` (angles with
+  principal vectors) and :func:`_log` are the only copies of their
+  formulas; all take stacks ``(..., rows, cols)`` whose leading
   axes broadcast, and a single plane runs the same operations.
 * exp_L(A) has the basis B cos(sqrt M) + C A sinc(sqrt M), M = A^T A,
   which is (B V cos(mu) + C U sin(mu)) V^T for A = U diag(mu) V^T:
@@ -187,26 +196,6 @@ class TangentMatrix:
 
 
 @dataclass(frozen=True)
-class PrincipalDecomposition:
-    """Paired principal vectors and nondecreasing principal angles.
-
-    ``p_vectors[:, i]`` lies in the first plane, ``q_vectors[:, i]`` in
-    the second, and the pairs realize the i-th principal angle.  With
-    repeated angles the vectors are unique only up to a common rotation
-    of the tied block; compare spans or angles, never raw columns.
-    """
-
-    angles: np.ndarray
-    p_vectors: np.ndarray
-    q_vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", _frozen(np.asarray(self.angles, dtype=float)))
-        object.__setattr__(self, "p_vectors", _frozen(self.p_vectors))
-        object.__setattr__(self, "q_vectors", _frozen(self.q_vectors))
-
-
-@dataclass(frozen=True)
 class PluckerPoint:
     """Normalized Plucker coordinate vector of a plane.
 
@@ -331,22 +320,6 @@ def _hybrid_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(b2 - b1 @ m, compute_uv=False)[..., ::-1]
     s = np.clip(s, 0.0, 1.0)
     return np.where(c * c >= 0.5, np.arcsin(s), np.arccos(c))
-
-
-def principal_decomposition(e1: Plane, e2: Plane) -> PrincipalDecomposition:
-    """Principal angles and paired principal vectors between two planes.
-
-    The SVD of ``e1.basis^T e2.basis`` has nonincreasing singular values
-    (the cosines), so the angles come out nondecreasing and aligned with
-    the returned vector columns.
-    """
-    _check_same_shape(e1, e2)
-    u, _, vt = np.linalg.svd(e1.basis.T @ e2.basis)
-    return PrincipalDecomposition(
-        angles=_hybrid_angles(e1.basis, e2.basis),
-        p_vectors=e1.basis @ u,
-        q_vectors=e2.basis @ vt.T,
-    )
 
 
 def principal_angles(e1: Plane, e2: Plane) -> np.ndarray:
@@ -511,34 +484,13 @@ def connecting_factors(
     return _connecting_factors(at.plane.basis, at.complement, target.basis, snap_tol)
 
 
-def connecting_tangent(
-    at: FramedPlane, target: Plane, snap_tol: float | None = None
-) -> TangentMatrix:
-    """Tangent matrix of a minimizing geodesic from ``at`` to ``target``.
-
-    Total construction: it also works on the cut locus, where it returns
-    one of the minimizing geodesics (the one induced by the principal
-    vector gauge of the SVD).  Singular values of the result equal the
-    principal angles; its Frobenius norm equals the distance.
-    """
-    ncols, theta, u_right = connecting_factors(at, target, snap_tol=snap_tol)
-    return tangent(at, (ncols * theta) @ u_right.T)
-
-
 def _log(
     b: np.ndarray, c: np.ndarray, targets: np.ndarray, tol_cut: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`log` on stacks, with the arrays of :func:`_connecting_factors`:
     the tangent matrices (..., n-k, k) and their angles theta (..., k).
     Raises :class:`OnCutLocus` if any pair is on the cut locus."""
-    return _log_from_factors(*_connecting_factors(b, c, targets), tol_cut)
-
-
-def _log_from_factors(
-    ncols: np.ndarray, theta: np.ndarray, u_right: np.ndarray, tol_cut: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_log` from factors already taken by
-    :func:`_connecting_factors`, for callers that also read the angles."""
+    ncols, theta, u_right = _connecting_factors(b, c, targets)
     top = float(theta.max())
     if top >= math.pi / 2 - tol_cut:
         raise OnCutLocus(f"largest principal angle {top:.12f} within {tol_cut:.1e} of pi/2")

@@ -130,16 +130,16 @@ def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
     return blocks
 
 
-def geodesic_preimages(
-    l: FramedPlane, s: Plane, w_sample, tol: float = core.TOL_CUT
-) -> TangentMatrix:
+def geodesic_preimages(l: FramedPlane, s: Plane, w_sample) -> TangentMatrix:
     """Minimizing-geodesic velocities from ``l`` hitting a cut point ``s``.
 
     For each orthogonal ``W`` of ``w_sample`` (shape (m, j, j), or a
     sequence of j x j matrices) the stack holds the connecting matrix
     ``A_W``; all share the singular values of the base preimage and map
     to ``s`` under the exponential.  ``W = identity`` reproduces the base
-    preimage itself.
+    preimage itself.  One :func:`core.connecting_factors` call gives the
+    factors and the stratum j, the number of angles it snaps to pi/2
+    (those within ``core.TOL_CUT`` of it).
 
     Raises
     ------
@@ -149,34 +149,34 @@ def geodesic_preimages(
     DimensionMismatch
         If the sample is empty, misshapen or not orthogonal.
     """
-    report = cut_stratum(l.plane, s, tol=tol)
-    if report.j == 0:
+    ncols, theta, u_right = core.connecting_factors(l, s, snap_tol=core.TOL_CUT)
+    j = int(np.count_nonzero(theta == math.pi / 2))  # the snapped right angles
+    if j == 0:
         raise NotOnCut("target is off the cut locus; log gives the unique preimage")
-    ncols, theta, u_right = core.connecting_factors(l, s, snap_tol=tol)
-    blocks = _orbit_blocks(w_sample, l.k, report.j)
+    blocks = _orbit_blocks(w_sample, l.k, j)
     return core.tangent(l, ncols @ (theta[:, None] * blocks) @ u_right.T)
 
 
-def subdiff_generators(
-    l: Plane, s: FramedPlane, w_sample, tol: float = core.TOL_CUT
-) -> SubdiffGeneratorSet:
+def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSet:
     """Sampled subdifferential generators of the distance from ``l`` at ``s``.
 
     Builds one connecting matrix B0 from ``s`` back to ``l``, sweeps its
     orthogonal gauge orbit with the transposed elements of ``w_sample``,
-    and normalizes by the distance; every generator has unit norm.
+    and normalizes by the distance; every generator has unit norm.  The
+    stratum j is read from the same factors, as in
+    :func:`geodesic_preimages`.
     """
-    report = cut_stratum(l, s.plane, tol=tol)
-    if report.j == 0:
+    ncols, theta, u_right = core.connecting_factors(s, l, snap_tol=core.TOL_CUT)
+    j = int(np.count_nonzero(theta == math.pi / 2))  # the snapped right angles
+    if j == 0:
         raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
-    ncols, theta, u_right = core.connecting_factors(s, l, snap_tol=tol)
     delta = float(np.linalg.norm(theta))
-    blocks = _orbit_blocks(w_sample, s.k, report.j).swapaxes(-1, -2)
+    blocks = _orbit_blocks(w_sample, s.k, j).swapaxes(-1, -2)
     gens = core.tangent(s, -(ncols @ (theta[:, None] * blocks) @ u_right.T) / delta)
     # Standard nonincreasing triple for the stored base preimage.
     rev = slice(None, None, -1)
     b0 = SvdTriple(u=ncols[:, rev], sigma=theta[rev], v=u_right[:, rev])
-    return SubdiffGeneratorSet(base=s, delta=delta, b0_svd=b0, j=report.j, generators=gens)
+    return SubdiffGeneratorSet(base=s, delta=delta, b0_svd=b0, j=j, generators=gens)
 
 
 def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray:

@@ -182,12 +182,24 @@ def ey_critical_set(a, r: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
             "singular values coincide or vanish within tolerance "
             f"{TOL_SV:.1e}; perturb the input to classify critical points"
         )
-    out = []
-    for combo in itertools.combinations(range(m), r):
-        mask = np.zeros(m)
-        mask[list(combo)] = 1.0
-        out.append((combo, t.u @ np.diag(t.sigma * mask) @ t.v.T))
-    return out
+    combos, _, truncations = _selections(t.u, t.sigma, t.v, r)
+    return list(zip(combos, truncations))
+
+
+def _selections(u, sigma, v, r: int):
+    """Every selection of r of the m triplets of ``u @ diag(sigma) @ v.T``.
+
+    Returns the binomial(m, r) index sets in lexicographic order, the
+    kept singular values (binomial(m, r), m), zero at the dropped
+    positions, and the truncations ``u @ diag(kept) @ v.T`` as one
+    stack (binomial(m, r), rows, cols).  Positions index the columns as
+    given; for nonincreasing ``sigma`` the set ``(0, ..., r-1)`` keeps
+    the r largest.
+    """
+    m = sigma.shape[-1]
+    combos = list(itertools.combinations(range(m), r))
+    kept = sigma * np.array([[i in combo for i in range(m)] for combo in combos])
+    return combos, kept, (u * kept[:, None, :]) @ v.T
 
 
 def perturb_degenerate(a, seed=0, scale: float = 1e-8) -> np.ndarray:

@@ -22,8 +22,15 @@ spanning (W + E) / E in the normal coordinates of E's frame, the
 tangent space is the set of maps E -> R^n / E sending E meet W into
 (W + E) / E: the tangent matrices A with (I - R R^T) A Y = 0
 (:func:`chart_tangent_basis`, one orthonormal stack of shape
-(smooth_dim, n-k, k)).  Its dimension is checked against the flag count
-(:func:`flag_formula_tangent_dim`).
+(smooth_dim, n-k, k)), of dimension (k-s)(n-k) + s(k-s) =
+:attr:`SchubertVariety.smooth_dim`.
+
+All three answers for a plane L come from one decomposition of the pair
+(W, L): the connecting factors N, theta, P of
+:func:`core.connecting_factors`, with N diag(theta) P^T the connecting
+matrix of L at W.  The same angles theta pass the genericity gate of
+:func:`ey_schubert_critical_points`, :func:`global_min` and
+:func:`global_max`, so the three accept and reject the same planes.
 
 The selection critical points are certified in one stacked pass: the
 smooth-stratum test, the tangent spaces, the logarithms toward L and
@@ -110,14 +117,14 @@ class CriticalPointRecord:
     normality_residual: float
 
 
-def schubert_stratum(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> SchubertStratum:
+def schubert_stratum(omega: SchubertVariety, e: Plane) -> SchubertStratum:
     """Locate a plane relative to the variety's stratification.
 
-    Counts principal angles with the reference plane below ``tol``; the
-    count is the dimension of the intersection.
+    Counts principal angles with the reference plane below ``TOL_GEN``;
+    the count is the dimension of the intersection.
     """
     core._check_same_shape(omega.w.plane, e)
-    return _stratum(omega, int(np.sum(core.principal_angles(e, omega.w.plane) < tol)))
+    return _stratum(omega, int(np.sum(core.principal_angles(e, omega.w.plane) < TOL_GEN)))
 
 
 def _stratum(omega: SchubertVariety, s_tilde: int) -> SchubertStratum:
@@ -131,23 +138,21 @@ def _stratum(omega: SchubertVariety, s_tilde: int) -> SchubertStratum:
     )
 
 
-def _genericity_gate(angles: np.ndarray, tol_gen: float) -> None:
+def _genericity_gate(angles: np.ndarray) -> None:
     if angles.size == 0:
         return
-    if float(angles[0]) <= tol_gen:
-        raise NonGenericL(f"smallest angle {angles[0]:.3e} within {tol_gen:.1e} of 0")
-    if float(angles[-1]) >= math.pi / 2 - tol_gen:
+    if float(angles[0]) <= TOL_GEN:
+        raise NonGenericL(f"smallest angle {angles[0]:.3e} within {TOL_GEN:.1e} of 0")
+    if float(angles[-1]) >= math.pi / 2 - TOL_GEN:
         raise NonGenericL(
-            f"largest angle {angles[-1]:.12f} within {tol_gen:.1e} of pi/2"
+            f"largest angle {angles[-1]:.12f} within {TOL_GEN:.1e} of pi/2"
         )
     gaps = np.diff(angles)
-    if gaps.size and float(np.min(gaps)) <= tol_gen:
-        raise NonGenericL(f"angle gap {np.min(gaps):.3e} within {tol_gen:.1e}")
+    if gaps.size and float(np.min(gaps)) <= TOL_GEN:
+        raise NonGenericL(f"angle gap {np.min(gaps):.3e} within {TOL_GEN:.1e}")
 
 
-def _tangent_spaces(
-    omega: SchubertVariety, bases: np.ndarray, tol: float = TOL_GEN
-) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangent spaces of the variety at a stack of smooth points.
 
     Takes point bases (..., n, k) and returns their frame complements
@@ -155,7 +160,7 @@ def _tangent_spaces(
     bases (..., smooth_dim, n-k, k) of :func:`chart_tangent_basis`, from
     one stacked SVD and QR.  The singular values of C_E^T B_W are the
     sines of the principal angles between E and W, so the same SVD
-    gives the intersection dimension: the angles below ``tol``, plus
+    gives the intersection dimension: the angles below ``TOL_GEN``, plus
     the k - (n-k) angles that vanish when n - k < k.
 
     Raises
@@ -166,7 +171,7 @@ def _tangent_spaces(
     b_w = omega.w.plane.basis
     comp = core._frame_complements(bases)
     left, sines, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
-    dims = omega.k - sines.shape[-1] + np.sum(sines < math.sin(tol), axis=-1)
+    dims = omega.k - sines.shape[-1] + np.sum(sines < math.sin(TOL_GEN), axis=-1)
     bad = np.flatnonzero(dims != omega.s)
     if bad.size:
         stratum = _stratum(omega, int(dims.flat[bad[0]]))
@@ -187,9 +192,7 @@ def _tangent_spaces(
     return comp, stack
 
 
-def chart_tangent_basis(
-    omega: SchubertVariety, e: Plane, tol: float = TOL_GEN
-) -> TangentMatrix:
+def chart_tangent_basis(omega: SchubertVariety, e: Plane) -> TangentMatrix:
     """Orthonormal basis of the variety's tangent space at a smooth point,
     as one stack of shape (smooth_dim, n-k, k).
 
@@ -215,7 +218,7 @@ def chart_tangent_basis(
         If ``e`` is not on the smooth stratum.
     """
     core._check_same_shape(omega.w.plane, e)
-    comp, stack = _tangent_spaces(omega, e.basis[None], tol=tol)
+    comp, stack = _tangent_spaces(omega, e.basis[None])
     return core.tangent(FramedPlane(plane=e, frame=np.hstack([e.basis, comp[0]])), stack[0])
 
 
@@ -245,23 +248,21 @@ def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
     return float(_normality_residuals(omega, l, e.basis[None])[0])
 
 
-def ey_schubert_critical_points(
-    omega: SchubertVariety, l: Plane, tol_gen: float = TOL_GEN
-) -> list[CriticalPointRecord]:
+def ey_schubert_critical_points(omega: SchubertVariety, l: Plane) -> list[CriticalPointRecord]:
     """Critical points of the distance from ``l`` via singular-triplet selection.
 
-    Truncates the connecting matrix of ``l`` at the reference plane to
-    each rank-(k-s) selection of its singular triplets
-    (:func:`lowrank.ey_critical_set`) and maps the truncations back
-    through one stacked exponential; each value is the Frobenius
-    distance from the connecting matrix to its truncation.  Exactly
-    binomial(k, s) records are returned, in lexicographic order of the
-    kept 0-based index sets; the record keeping the largest k - s
-    singular values (indices 0..k-s-1) attains the minimum value.
+    Truncates the connecting matrix N diag(theta) P^T of ``l`` at the
+    reference plane to each rank-(k-s) selection of its singular
+    triplets (:func:`lowrank._selections`, on the factors in
+    nonincreasing order) and maps the truncations back through one
+    stacked exponential; each value is the norm of the dropped angles.
+    Exactly binomial(k, s) records are returned, in lexicographic order
+    of the kept 0-based index sets; the record keeping the largest k - s
+    singular values (indices 0..k-s-1) attains the minimum value and is
+    :func:`global_min`.
 
-    One SVD of B_W^T B_L (:func:`core._connecting_factors`) gives both
-    the principal angles checked for genericity and the connecting
-    matrix, which equals ``core.log(omega.w, l)``.  Every record is
+    One SVD of B_W^T B_L (:func:`core.connecting_factors`) gives the
+    angles checked for genericity and the triplets.  Every record is
     certified from its point and ``l`` alone, all of them in one stacked
     pass of :func:`_normality_residuals`: each residual equals
     :func:`normality_residual` at that point.
@@ -270,60 +271,63 @@ def ey_schubert_critical_points(
     ------
     NonGenericL
         If angles to the reference plane are zero, right, or repeated
-        within ``tol_gen``.
+        within ``TOL_GEN``.
     NotSmoothPoint
         If a point is off the smooth stratum.
     OnCutLocus
         If a point is on the cut locus of ``l``.
     """
-    core._check_same_shape(omega.w.plane, l)
-    factors = core._connecting_factors(omega.w.plane.basis, omega.w.complement, l.basis)
-    _genericity_gate(factors[1], tol_gen)
-    a_l, _ = core._log_from_factors(*factors, core.TOL_CUT)
-    selections = lowrank.ey_critical_set(a_l, omega.k - omega.s)
-    bases = core._geodesic_end(omega.w, np.array([a for _, a in selections]))
+    ncols, theta, p = core.connecting_factors(omega.w, l)
+    _genericity_gate(theta)
+    rev = slice(None, None, -1)
+    combos, kept, truncations = lowrank._selections(
+        ncols[:, rev], theta[rev], p[:, rev], omega.k - omega.s
+    )
+    bases = core._geodesic_end(omega.w, truncations)
     residuals = _normality_residuals(omega, l, bases)
+    values = np.linalg.norm(theta[rev] - kept, axis=-1)
     return [
         CriticalPointRecord(
             point=Plane(n=omega.n, k=omega.k, basis=basis),
             index_set=combo,
-            value=float(np.linalg.norm(a_l - a_trunc)),
+            value=float(value),
             normality_residual=float(residual),
         )
-        for (combo, a_trunc), basis, residual in zip(selections, bases, residuals)
+        for combo, basis, value, residual in zip(combos, bases, values, residuals)
     ]
 
 
-def global_min(
-    omega: SchubertVariety, l: Plane, tol_gen: float = TOL_GEN
-) -> tuple[float, Plane]:
+def global_min(omega: SchubertVariety, l: Plane) -> tuple[float, Plane]:
     """Unique nearest point of the variety to a generic plane.
 
-    The value is the l2 norm of the s smallest principal angles between
-    ``l`` and the reference plane; the minimizer combines the first s
-    principal directions of the reference plane with the last k - s
-    principal directions of ``l``.  A plane already on the variety is
-    its own minimizer at value 0.
+    The leading selection of :func:`ey_schubert_critical_points`: the
+    value is the l2 norm of the s smallest principal angles between
+    ``l`` and the reference plane, and the minimizer is the exponential
+    of the connecting matrix with those angles dropped.  It keeps the
+    first s principal directions of the reference plane and takes the
+    last k - s principal directions of ``l``.  A plane already on the
+    variety is its own minimizer at value 0.
+
+    Raises
+    ------
+    NonGenericL
+        If the angles of a plane off the variety fail the genericity gate.
     """
-    core._check_same_shape(omega.w.plane, l)
-    pd = core.principal_decomposition(l, omega.w.plane)
-    angles = pd.angles
+    ncols, theta, p = core.connecting_factors(omega.w, l)
     s = omega.s
-    if int(np.sum(angles < tol_gen)) >= s:
+    if int(np.sum(theta < TOL_GEN)) >= s:
         return 0.0, l
-    _genericity_gate(angles, tol_gen)
-    value = float(np.linalg.norm(angles[:s]))
-    basis = np.hstack([pd.q_vectors[:, :s], pd.p_vectors[:, s:]])
-    return value, Plane(n=omega.n, k=omega.k, basis=basis)
+    _genericity_gate(theta)
+    kept = np.concatenate([np.zeros(s), theta[s:]])
+    basis = core._geodesic_end(omega.w, (ncols * kept) @ p.T)
+    return float(np.linalg.norm(theta[:s])), Plane(n=omega.n, k=omega.k, basis=basis)
 
 
-def global_max(
-    omega: SchubertVariety, l: Plane, b_seed, tol_gen: float = TOL_GEN
-) -> tuple[float, Plane]:
+def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
     """One global farthest point of the variety from a generic plane.
 
     Maximizers form a Grassmannian of (k-s)-planes inside the subspace
-    orthogonal to both ``l`` and the principal directions of the
+    orthogonal to both ``l`` and the principal directions B_W P of the
     reference plane realizing its s largest angles; ``b_seed`` selects
     one member.  Every choice attains the same value
     sqrt(sum of the s largest squared angles + (k-s)(pi/2)^2) and lies
@@ -336,15 +340,13 @@ def global_max(
     DegenerateAuxSpace
         If the auxiliary space does not have dimension n - k - s.
     """
-    core._check_same_shape(omega.w.plane, l)
-    pd = core.principal_decomposition(l, omega.w.plane)
-    angles = pd.angles
-    _genericity_gate(angles, tol_gen)
+    _, theta, p = core.connecting_factors(omega.w, l)
+    _genericity_gate(theta)
     k, s, n = omega.k, omega.s, omega.n
     value = float(
-        math.sqrt(float(np.sum(angles[k - s:] ** 2)) + (k - s) * (math.pi / 2) ** 2)
+        math.sqrt(float(np.sum(theta[k - s:] ** 2)) + (k - s) * (math.pi / 2) ** 2)
     )
-    q_top = pd.q_vectors[:, k - s:]
+    q_top = omega.w.plane.basis @ p[:, k - s:]
     # Auxiliary space: orthogonal to l and to the chosen directions of w.
     constraints = np.vstack([l.basis.T, q_top.T])
     u_, sing, vt_ = np.linalg.svd(constraints)
@@ -393,21 +395,3 @@ def sample_variety_distances(
     a *= scale[:, None, None]
     bases = core._geodesic_end(omega.w, a)
     return np.linalg.norm(core._hybrid_angles(l.basis, bases), axis=-1)
-
-
-def flag_formula_tangent_dim(omega: SchubertVariety, e: Plane, tol: float = TOL_GEN) -> int:
-    """Dimension of {maps e -> R^n / e sending e meet w into (w + e) / e}.
-
-    Counts, from dimensions alone, the space that
-    :func:`chart_tangent_basis` spans: the maps from ``e`` to its normal
-    space R^n / e that send the intersection of ``e`` with the
-    reference plane w into (w + e) / e, whose dimension is
-    k - dim(e meet w).  At a smooth point the intersection has
-    dimension s, so the count (k-s)(n-k) + s (k - s) equals
-    :attr:`SchubertVariety.smooth_dim` and the length of that basis.
-    """
-    stratum = schubert_stratum(omega, e, tol=tol)
-    if stratum.kind != "smooth":
-        raise NotSmoothPoint(f"point is {stratum.kind}")
-    n, k, s = omega.n, omega.k, omega.s
-    return (k - s) * (n - k) + s * (k - stratum.intersection_dim)

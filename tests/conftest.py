@@ -9,6 +9,24 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Live counts of the np.linalg.svd and np.linalg.qr calls made
+    during the test."""
+    counts = {"svd": 0, "qr": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
 def random_pair(n, k, seed):
     """Two independent random planes on the same Grassmannian."""
     ss = np.random.SeedSequence(seed).spawn(2)

@@ -33,7 +33,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "10"
+        assert report["schema_version"] == "11"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):

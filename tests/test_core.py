@@ -107,17 +107,24 @@ class TestPrincipalAngles:
         assert np.allclose(core.principal_angles(e.plane, img), [0.3, 0.7], atol=1e-12)
 
     def test_decomposition_invariants(self):
+        # the principal vectors of the connecting factors: B P in e1 and
+        # B P cos(theta) + C N sin(theta) in e2
         e1, e2 = random_pair(6, 3, 7)
-        pd = core.principal_decomposition(e1, e2)
-        assert np.all(np.diff(pd.angles) >= -1e-15)
-        assert np.all(pd.angles >= 0) and np.all(pd.angles <= math.pi / 2 + 1e-15)
-        gram = pd.p_vectors.T @ pd.q_vectors
-        assert np.allclose(gram, np.diag(np.cos(pd.angles)), atol=1e-10)
+        f = framed(e1)
+        ncols, theta, p = core.connecting_factors(f, e2)
+        assert np.all(np.diff(theta) >= -1e-15)
+        assert np.all(theta >= 0) and np.all(theta <= math.pi / 2 + 1e-15)
+        p_vectors = e1.basis @ p
+        q_vectors = p_vectors * np.cos(theta) + f.complement @ ncols * np.sin(theta)
+        assert np.allclose(q_vectors.T @ q_vectors, np.eye(3), atol=1e-12)
+        assert np.allclose(q_vectors @ q_vectors.T, e2.projector, atol=1e-12)
+        gram = p_vectors.T @ q_vectors
+        assert np.allclose(gram, np.diag(np.cos(theta)), atol=1e-10)
         # principal 2-planes are pairwise orthogonal
         for i in range(3):
             for j in range(i + 1, 3):
-                pi = np.column_stack([pd.p_vectors[:, i], pd.q_vectors[:, i]])
-                pj = np.column_stack([pd.p_vectors[:, j], pd.q_vectors[:, j]])
+                pi = np.column_stack([p_vectors[:, i], q_vectors[:, i]])
+                pj = np.column_stack([p_vectors[:, j], q_vectors[:, j]])
                 assert float(np.max(np.abs(pi.T @ pj))) < 1e-10
 
     def test_rotation_invariance(self):
@@ -454,17 +461,19 @@ class TestExpLog:
 def principal_vector_factors(at, target, snap_tol=None):
     """The construction of (N, theta, U) from paired principal vectors:
     n_i = (q_i - cos(theta_i) p_i) / sin(theta_i) in complement
-    coordinates, zero for theta_i <= 1e-14, with the hybrid angles."""
-    pd = core.principal_decomposition(at.plane, target)
-    theta = pd.angles.copy()
+    coordinates, zero for theta_i <= 1e-14, with the hybrid angles and
+    the principal vectors p_i, q_i from one numpy SVD of B^T B_t."""
+    u, _, vt = np.linalg.svd(at.plane.basis.T @ target.basis)
+    p_vectors, q_vectors = at.plane.basis @ u, target.basis @ vt.T
+    theta = core.principal_angles(at.plane, target)
     if snap_tol is not None:
         theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
     ncols = np.zeros((at.n - at.k, at.k))
     for i in range(at.k):
         if theta[i] > 1e-14:
-            ni = (pd.q_vectors[:, i] - math.cos(theta[i]) * pd.p_vectors[:, i]) / math.sin(theta[i])
+            ni = (q_vectors[:, i] - math.cos(theta[i]) * p_vectors[:, i]) / math.sin(theta[i])
             ncols[:, i] = at.complement.T @ ni
-    return ncols, theta, at.plane.basis.T @ pd.p_vectors
+    return ncols, theta, u
 
 
 class TestConnectingFactors:

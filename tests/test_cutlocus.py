@@ -66,8 +66,8 @@ class TestPreimages:
         lf = framed(core.random_plane(4, 2, 1))
         s = cut_point(lf, [0.4, math.pi / 2], seed=2)
         pre = cutlocus.geodesic_preimages(lf, s, [np.eye(1)])
-        base = core.connecting_tangent(lf, s, snap_tol=core.TOL_CUT)
-        assert np.allclose(pre.a[0], base.a, atol=1e-12)
+        base, _ = per_w_reference(lf, s, [np.eye(1)], transpose=False)
+        assert np.allclose(pre.a[0], base[0], atol=1e-12)
 
     def test_circle_antipode_two_semicircles(self):
         lf = framed(core.make_plane([[1.0], [0.0]]))
@@ -228,6 +228,20 @@ class TestSubdiffGenerators:
         s = cut_point(lf, [0.2, 0.9], seed=1)
         with pytest.raises(NotOnCut):
             cutlocus.subdiff_generators(l, framed(s), [np.eye(1)])
+
+    def test_one_svd_gives_orbit_and_stratum(self, linalg_calls):
+        # j is the number of right angles snapped by the one
+        # connecting_factors call that also gives the orbit
+        l = core.random_plane(7, 3, 27)
+        lf, s = framed(l), cut_point(framed(l), [0.5, math.pi / 2, math.pi / 2], seed=28)
+        sf, w_sample = framed(s), cutlocus.sample_orthogonal_group(2, n_grid=4)
+        before = linalg_calls["svd"]
+        gens = cutlocus.subdiff_generators(l, sf, w_sample)
+        assert linalg_calls["svd"] - before == 1
+        before = linalg_calls["svd"]
+        cutlocus.geodesic_preimages(lf, s, w_sample)
+        assert linalg_calls["svd"] - before == 1
+        assert gens.j == cutlocus.cut_stratum(l, s).j == 2
 
 
 class TestAffineDimension:

@@ -54,8 +54,9 @@ def outer_list_reference(omega, e):
 def pushforward_reference(omega, e):
     """Reference tangent span: central differences of exp at w, read through
     log in the frame at ``e``, over a basis of the fixed-rank tangent space
-    at the connecting matrix.  Returns orthonormal rows."""
-    a = core.connecting_tangent(omega.w, e).a
+    at the connecting matrix (the logarithm: e is off the cut locus of
+    w).  Returns orthonormal rows."""
+    a = core.log(omega.w, e).a
     region = RankRegion(r=omega.k - omega.s, m=omega.n - omega.k, n=omega.k)
     e_frame = core.complete_frame(e)
     h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(a)))
@@ -142,8 +143,7 @@ class TestChartTangentBasis:
                 angles = [0.0] * s + list(rng.uniform(0.2, 1.3, k - s))
                 e = plane_with_angles(omega, angles, seed=rng)
                 basis = schubert.chart_tangent_basis(omega, e)
-                dim = schubert.flag_formula_tangent_dim(omega, e)
-                assert basis.a.shape == (dim, n - k, k) and dim == omega.smooth_dim
+                assert basis.a.shape == (omega.smooth_dim, n - k, k)
                 cosines = np.linalg.svd(
                     flat_rows(basis) @ pushforward_reference(omega, e).T, compute_uv=False
                 )
@@ -172,11 +172,6 @@ class TestChartTangentBasis:
                 coeffs = [float(np.sum(v * b)) for b in outer_list_reference(omega, e)]
                 want = math.sqrt(sum(c * c for c in coeffs))
                 assert abs(schubert.normality_residual(omega, l, e) - want) <= 1e-15
-
-    def test_flag_formula_matches_smooth_dim(self):
-        omega = variety(5, 2, 1, seed=13)
-        e = plane_with_angles(omega, [0.0, 0.9], seed=14)
-        assert schubert.flag_formula_tangent_dim(omega, e) == omega.smooth_dim == 4
 
 
 class TestSelectionCriticalPoints:
@@ -395,24 +390,14 @@ class TestStackedCertificate:
         with pytest.raises(OnCutLocus):
             schubert.normality_residual(omega, l, maximizer)
 
-    def test_linear_algebra_calls_do_not_grow_with_records(self, monkeypatch):
+    def test_linear_algebra_calls_do_not_grow_with_records(self, linalg_calls):
         # the certificate is one stacked pass: G(4,9) has 4 records at
         # s = 1 and 6 at s = 2, and both take the same SVD and QR calls;
         # the tangent spaces read the smooth-stratum test from the sines
-        # of their own SVD, and the genericity gate reads the angles from
-        # the SVD that gives the connecting matrix, so no angle evaluation
-        # adds two more SVDs in either place
-        counts = {"svd": 0, "qr": 0}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        # of their own SVD, and the genericity gate and the truncations
+        # read the angles and triplets of the one SVD that gives the
+        # connecting factors, so the critical set adds no SVD of its own
+        counts = linalg_calls
         calls = {}
         for s in (1, 2):
             omega = variety(9, 4, s, seed=440)
@@ -421,7 +406,54 @@ class TestStackedCertificate:
             records = schubert.ey_schubert_critical_points(omega, l)
             calls[s] = (len(records), {m: counts[m] - before[m] for m in counts})
         assert calls[1][0] == 4 and calls[2][0] == 6
-        assert calls[1][1] == calls[2][1] == {"svd": 4, "qr": 2}
+        assert calls[1][1] == calls[2][1] == {"svd": 3, "qr": 2}
+
+
+class TestOneDecomposition:
+    """The three answers for a plane l come from one decomposition of (w, l)."""
+
+    @pytest.mark.parametrize("n, k, s", STACK_SHAPES)
+    def test_global_min_is_leading_record(self, n, k, s):
+        for seed in range(3):
+            omega = variety(n, k, s, seed=450 + seed)
+            l = core.random_plane(n, k, 460 + seed)
+            lead = schubert.ey_schubert_critical_points(omega, l)[0]
+            assert lead.index_set == tuple(range(k - s))
+            value, minimizer = schubert.global_min(omega, l)
+            assert abs(value - lead.value) <= 1e-15
+            assert core.grassmann_distance(minimizer, lead.point) <= 1e-12
+
+    def test_svd_calls_per_answer(self, linalg_calls):
+        # global_min: the connecting factors; global_max: those and the
+        # SVD of the auxiliary constraints
+        omega = variety(9, 4, 2, seed=470)
+        l = core.random_plane(9, 4, 471)
+        calls = []
+        for answer in (
+            lambda: schubert.global_min(omega, l),
+            lambda: schubert.global_max(omega, l, b_seed=0),
+        ):
+            before = linalg_calls["svd"]
+            answer()
+            calls.append(linalg_calls["svd"] - before)
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize(
+        "angles",
+        [[0.4, 0.4, 0.9], [1e-10, 0.5, 0.9], [0.3, 0.8, math.pi / 2 - 1e-10]],
+        ids=["repeated", "near-zero", "near-right"],
+    )
+    def test_nongeneric_rejected_by_all_three(self, angles):
+        # s = 2, so one vanishing angle leaves l off the variety
+        omega = variety(7, 3, 2, seed=480)
+        l = plane_with_angles(omega, angles, seed=481)
+        for answer in (
+            schubert.ey_schubert_critical_points,
+            schubert.global_min,
+            lambda omega, l: schubert.global_max(omega, l, b_seed=0),
+        ):
+            with pytest.raises(NonGenericL):
+                answer(omega, l)
 
 
 class TestStrataMonotonicity:
