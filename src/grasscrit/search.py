@@ -32,14 +32,15 @@ stacked residual does not depend on the other rows.  The solver,
 with its own state, through the trust-region-reflective method of
 Branch, Coleman and Li with Moré's Levenberg-Marquardt step (the
 configuration of scipy's bounded ``trf`` with exact trust-region
-solves; the tests run scipy as the reference, start by start).  Each round makes one stacked residual call: the
-trial point of every running start together with its k(n - k)
-forward-difference shifts, so the Jacobian of an accepted step is
-already there and that of a rejected one is dropped.  The certificates
-of all candidate starts of a query are one stacked pass too.  The
-module needs numpy alone; the solver is called through the module
-attribute, which the traced benchmark wraps by name to time each
-query.
+solves; the tests run scipy as the reference, start by start).  Each
+round makes one stacked residual call: the trial point of every
+running start together with its k(n - k) forward-difference shifts, so
+the Jacobian of an accepted step is already there and that of a
+rejected one is dropped; the quadratic model and the reflective choice
+at the box are stacked too, and so are the certificates of a query,
+whose bases are the found planes.  The module needs numpy alone; the
+solver is called through the module attribute, which the traced
+benchmark wraps by name to time each query.
 
 The module also evaluates the closed-form sphere-product distance on
 the oriented double cover of G(2, 4), where a family of linear slices
@@ -49,7 +50,7 @@ yields a visibly non-algebraic critical-point system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -112,7 +113,10 @@ class PluckerPolynomial:
     its d coordinate indices (powers repeated), one row of a T x d
     index matrix, beside the indices of the other d - 1 factors of each
     slot (T x d x (d - 1)), a coefficient vector and the coefficient
-    scale, so evaluation never forms a terms x coordinates matrix.
+    scale, so evaluation never forms a terms x coordinates matrix.  It
+    raises :class:`DimensionError` unless 1 <= k <= n - k, and
+    :class:`SchemaError` for malformed terms or coefficients that are
+    not finite or all zero.
     """
 
     n: int
@@ -120,6 +124,8 @@ class PluckerPolynomial:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
+        if not (1 <= self.k <= self.n - self.k):
+            raise DimensionError(f"need 1 <= k <= n - k, got k={self.k}, n={self.n}")
         n_coords = math.comb(self.n, self.k)
         if not self.terms:
             raise SchemaError("polynomial has no terms")
@@ -139,6 +145,10 @@ class PluckerPolynomial:
         if d == 0:
             raise SchemaError("polynomial must have positive degree")
         coefs = np.array([c for _, c in terms])
+        if not np.all(np.isfinite(coefs)):
+            raise SchemaError("polynomial has a non-finite coefficient")
+        if not np.any(coefs):
+            raise SchemaError("polynomial has only zero coefficients")
         coord = np.broadcast_to(np.arange(n_coords), exponents.shape)
         indices = np.repeat(coord.ravel(), exponents.ravel()).reshape(-1, d)
         others = np.array([[i for i in range(d) if i != j] for j in range(d)], dtype=np.intp)
@@ -323,12 +333,6 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[:, :, None])[:, :, 0]
 
 
-def _quadratic(j_h: np.ndarray, g_h: np.ndarray, s: np.ndarray, diag_h: np.ndarray) -> np.ndarray:
-    """The model 0.5 s^T (J^T J + diag) s + g^T s of each start."""
-    js = _matvec(j_h, s)
-    return 0.5 * (_dot(js, js) + _dot(s * diag_h, s)) + _dot(s, g_h)
-
-
 def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     """Moré's trust-region step of each start from one SVD of its
     augmented scaled Jacobian (U, sv, V^T), with ``uf`` = U^T f.
@@ -384,93 +388,90 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     return step, alpha
 
 
-def _to_bound(x: np.ndarray, s: np.ndarray):
-    """Largest t >= 0 with x + t s in the box, and the entries that hit
-    it there (+1 or -1 by the sign of s, else 0)."""
-    moving = s != 0
-    steps = np.full_like(x, np.inf)
-    steps[moving] = np.maximum((-_BOX - x)[moving] / s[moving], (_BOX - x)[moving] / s[moving])
-    t = np.min(steps)
-    return t, np.equal(steps, t) * np.sign(s).astype(int)
-
-
-def _quadratic_1d(j_h, g_h, s, diag_h, s0=None):
-    """Coefficients of t -> model(s0 + t s): (a, b) from s0 = 0, else
-    (a, b, c)."""
-    v = j_h.dot(s)
-    a = 0.5 * (np.dot(v, v) + np.dot(s * diag_h, s))
-    b = np.dot(g_h, s)
+def _model_1d(j_h, g_h, diag_h, s, s0=None):
+    """Coefficients of t -> model(s0 + t s) of each start, the model
+    0.5 z^T (J^T J + diag) z + g^T z on rows (R, m): (a, b) from s0 = 0,
+    else (a, b, c).  The model's value at s itself is a + b."""
+    v = _matvec(j_h, s)
+    a = 0.5 * (_dot(v, v) + _dot(s * diag_h, s))
+    b = _dot(g_h, s)
     if s0 is None:
         return a, b
-    u = j_h.dot(s0)
-    b += np.dot(u, v)
-    c = 0.5 * np.dot(u, u) + np.dot(g_h, s0)
-    b += np.dot(s0 * diag_h, s)
-    c += 0.5 * np.dot(s0 * diag_h, s0)
+    u = _matvec(j_h, s0)
+    b = b + _dot(u, v)
+    c = 0.5 * _dot(u, u) + _dot(g_h, s0)
+    b = b + _dot(s0 * diag_h, s)
+    c = c + 0.5 * _dot(s0 * diag_h, s0)
     return a, b, c
 
 
+def _to_bound(x: np.ndarray, s: np.ndarray):
+    """Largest t >= 0 with x + t s in the box, row by row (R, m), and
+    the entries that hit it there (+1 or -1 by the sign of s, else 0)."""
+    moving = s != 0
+    s_safe = np.where(moving, s, 1.0)
+    steps = np.where(moving, np.maximum((-_BOX - x) / s_safe, (_BOX - x) / s_safe), np.inf)
+    t = np.min(steps, axis=1)
+    return t, np.equal(steps, t[:, None]) * np.sign(s).astype(int)
+
+
 def _minimize_1d(a, b, lb, ub, c=0.0):
-    """Minimum point and value of a t^2 + b t + c on [lb, ub]."""
-    t = [lb, ub]
-    if a != 0:
-        extremum = -0.5 * b / a
-        if lb < extremum < ub:
-            t.append(extremum)
-    t = np.asarray(t)
+    """Minimum point and value of a t^2 + b t + c on [lb, ub], entry by
+    entry of (R,) arrays: the first smallest of lb, ub and an inner vertex."""
+    vertex = -0.5 * b / np.where(a != 0, a, 1.0)
+    inside = (a != 0) & (lb < vertex) & (vertex < ub)
+    # a vertex outside the interval is replaced by ub, which ties with ub
+    t = np.stack([lb, ub, np.where(inside, vertex, ub)])
     y = t * (a * t + b) + c
-    i = np.argmin(y)
-    return t[i], y[i]
+    i = np.argmin(y, axis=0)[None]
+    return np.take_along_axis(t, i, 0)[0], np.take_along_axis(y, i, 0)[0]
 
 
 def _reflective_step(x, j_h, diag_h, g_h, p, p_h, d, delta, theta):
-    """One start's step when its trust-region step ``p`` leaves the box.
+    """Steps of the R starts (rows) whose trust-region step ``p`` leaves
+    the box, all in one pass.
 
-    The trust-region-reflective choice of Branch, Coleman and Li: the
-    best, on the quadratic model, of the step cut at the box and
-    stepped back by ``theta``, its reflection at the box, and the
-    scaled steepest-descent step.  Returns the step, its scaled form
-    and its predicted reduction.
+    The trust-region-reflective choice of Branch, Coleman and Li: for
+    each start the best, on the quadratic model, of the step cut at the
+    box and stepped back by ``theta``, its reflection at the box, and
+    the scaled steepest-descent step.  Returns the steps, their scaled
+    form and their predicted reductions.
     """
     p_stride, hits = _to_bound(x, p)
     r_h = np.where(hits != 0, -p_h, p_h)
-    r = d * r_h
-    p = p * p_stride
-    p_h = p_h * p_stride
+    p, p_h = p * p_stride[:, None], p_h * p_stride[:, None]
     # the reflected direction leaves the trust region or the box first
-    aa, bb = np.dot(r_h, r_h), np.dot(p_h, r_h)
-    cc = np.dot(p_h, p_h) - delta**2
-    q = -(bb + math.copysign(np.sqrt(bb * bb - aa * cc), bb))
-    to_tr = max(q / aa, cc / q)
-    to_bound, _ = _to_bound(x + p, r)
-    r_stride = min(to_bound, to_tr)
-    if r_stride > 0:
-        r_lo = (1 - theta) * p_stride / r_stride
-        r_hi = theta * to_bound if r_stride == to_bound else to_tr
-    else:
-        r_lo, r_hi = 0, -1
-    if r_lo <= r_hi:
-        a, b, c = _quadratic_1d(j_h, g_h, r_h, diag_h, s0=p_h)
-        r_stride, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
-        r_h = r_h * r_stride + p_h
-        r = r_h * d
-    else:
-        r_value = math.inf
-    p = p * theta
-    p_h = p_h * theta
-    p_value = _quadratic(j_h[None], g_h[None], p_h[None], diag_h[None])[0]
+    aa, bb = _dot(r_h, r_h), _dot(p_h, r_h)
+    cc = _dot(p_h, p_h) - delta**2
+    q = -(bb + np.copysign(np.sqrt(bb * bb - aa * cc), bb))
+    to_tr = np.maximum(q / aa, cc / q)
+    to_bound, _ = _to_bound(x + p, d * r_h)
+    r_stride = np.minimum(to_bound, to_tr)
+    positive = r_stride > 0
+    r_lo = np.where(positive, (1 - theta) * p_stride / np.where(positive, r_stride, 1.0), 0.0)
+    r_hi = np.where(positive, np.where(r_stride == to_bound, theta * to_bound, to_tr), -1.0)
+    a, b, c = _model_1d(j_h, g_h, diag_h, r_h, s0=p_h)
+    r_stride, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
+    r_value = np.where(r_lo <= r_hi, r_value, math.inf)
+    r_h = r_h * r_stride[:, None] + p_h
+    r = r_h * d
+    p, p_h = p * theta[:, None], p_h * theta[:, None]
+    a, b = _model_1d(j_h, g_h, diag_h, p_h)
+    p_value = a + b
     ag_h = -g_h
     ag = d * ag_h
-    to_tr = delta / np.linalg.norm(ag_h)
+    to_tr = delta / _norm(ag_h)
     to_bound, _ = _to_bound(x, ag)
-    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
-    a, b = _quadratic_1d(j_h, g_h, ag_h, diag_h)
-    ag_stride, ag_value = _minimize_1d(a, b, 0, ag_stride)
-    if p_value < r_value and p_value < ag_value:
-        return p, p_h, -p_value
-    if r_value < p_value and r_value < ag_value:
-        return r, r_h, -r_value
-    return ag * ag_stride, ag_h * ag_stride, -ag_value
+    ag_stride = np.where(to_bound < to_tr, theta * to_bound, to_tr)
+    a, b = _model_1d(j_h, g_h, diag_h, ag_h)
+    ag_stride, ag_value = _minimize_1d(a, b, np.zeros_like(ag_stride), ag_stride)
+    take_p = (p_value < r_value) & (p_value < ag_value)
+    take_r = (r_value < p_value) & (r_value < ag_value)
+    value = np.where(take_p, p_value, np.where(take_r, r_value, ag_value))
+    take_p, take_r = take_p[:, None], take_r[:, None]
+    step = np.where(take_p, p, np.where(take_r, r, ag * ag_stride[:, None]))
+    step_h = np.where(take_p, p_h, np.where(take_r, r_h, ag_h * ag_stride[:, None]))
+    return step, step_h, -value
 
 
 @dataclass(frozen=True)
@@ -510,10 +511,11 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     of all running starts, each together with its forward-difference
     stencil, in one stacked residual call (see :func:`_jacobian`), and
     takes one batched SVD of the augmented scaled Jacobians of the
-    starts whose step was accepted; the first call does the same for
-    ``x0``.  The stencils at rejected trial points are computed and
-    discarded: evaluating them speculatively costs one pass per round
-    instead of two.  ``nfev`` counts trial points and ``njev`` the
+    starts whose step was accepted (the first call does the same for
+    ``x0``) and one :func:`_reflective_step` call for all starts whose
+    step leaves the box.  The stencils at rejected trial points are
+    computed and discarded: evaluating them speculatively costs one
+    pass per round instead of two.  ``nfev`` counts trial points and ``njev`` the
     Jacobians at accepted points (scipy's meanings); as in scipy, the
     gradient at an accepted point is checked against gtol also when the
     step ended the start, and a gtol stop there takes precedence.
@@ -531,12 +533,8 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     delta = None
     alpha = np.zeros(n_starts)
     # each start's scaled problem, refreshed after each accepted step
-    d = np.empty((n_starts, m))
-    diag_h = np.empty((n_starts, m))
-    g_h = np.empty((n_starts, m))
+    d, diag_h, g_h, uf, sv = np.empty((5, n_starts, m))
     j_h = np.empty((n_starts, n_res, m))
-    uf = np.empty((n_starts, m))
-    sv = np.empty((n_starts, m))
     v_svd = np.empty((n_starts, m, m))
     theta = np.empty(n_starts)
     running = np.ones(n_starts, dtype=bool)
@@ -580,12 +578,15 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             uf[idx], sv[idx], v_svd[idx], delta[idx], alpha[idx], n_res
         )
         step = d[idx] * step_h
-        predicted = -_quadratic(j_h[idx], g_h[idx], step_h, diag_h[idx])
+        a, b = _model_1d(j_h[idx], g_h[idx], diag_h[idx], step_h)
+        predicted = -(a + b)
         xs = x[idx]
-        for i in np.flatnonzero(np.any(np.abs(xs + step) > _BOX, axis=1)):
-            s = idx[i]
-            step[i], step_h[i], predicted[i] = _reflective_step(
-                xs[i], j_h[s], diag_h[s], g_h[s], step[i], step_h[i], d[s], delta[s], theta[s]
+        out = np.flatnonzero(np.any(np.abs(xs + step) > _BOX, axis=1))
+        if out.size:
+            s = idx[out]
+            step[out], step_h[out], predicted[out] = _reflective_step(
+                xs[out], j_h[s], diag_h[s], g_h[s], step[out], step_h[out], d[s], delta[s],
+                theta[s],
             )
         # strictly inside the box: no double lies between -_BOX and _INSIDE
         x_new = np.clip(xs + step, -_INSIDE, _INSIDE)
@@ -642,7 +643,6 @@ def find_critical_points(
     n_starts: int,
     seed,
     tol: float = SOLVER_TOL,
-    cert_tol: float = CERT_TOL,
     return_diagnostics: bool = False,
 ):
     """Critical points of the distance from ``l`` restricted to {p = 0}.
@@ -656,10 +656,11 @@ def find_critical_points(
     below ``tol``, the largest singular value of A is below
     pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
     and E = exp_l(A) is off the cut locus) and the chart-free normality
-    certificate is below ``cert_tol``.  The certificates of all starts
-    that pass the first two tests are one stacked pass, each equal to
-    :func:`hypersurface_normality_residual` at its point, and
-    :func:`core.exp` runs only on the survivors.  Survivors are
+    certificate is below :data:`CERT_TOL`.  The certificates of all
+    starts that pass the first two tests are one stacked pass, each
+    equal to :func:`hypersurface_normality_residual` at its point, and
+    each survivor's plane is its basis from that pass, the basis
+    :func:`core.exp` gives.  Survivors are
     deduplicated by Grassmann distance, which is sound because off-cut
     critical points are isolated, and sorted by their distance value
     ||A||.
@@ -683,8 +684,6 @@ def find_critical_points(
         raise NonGenericL("polynomial vanishes at the base plane")
     n, k = p.n, p.k
     rng = np.random.default_rng(seed)
-    found: list[tuple[Plane, float]] = []
-    diagnostics: list[StartDiagnostic] = []
     x0 = np.empty((n_starts, (n - k) * k))
     for start in range(n_starts):
         u0 = core._signed_qr(rng.standard_normal((n - k, k)))
@@ -693,34 +692,35 @@ def find_critical_points(
         x0[start] = ((u0 * mu0) @ v0.T).ravel()
     res = least_squares(p, l, x0)
     a = res.x.reshape(n_starts, n - k, k)
-    residuals = [float(np.linalg.norm(f)) for f in res.fun]
-    statuses = [
-        "no convergence" if r >= tol
-        else "past cut locus" if float(np.linalg.norm(ai, 2)) >= math.pi / 2 - core.TOL_CUT
-        else None
-        for r, ai in zip(residuals, a)
-    ]
-    candidates = [start for start, status in enumerate(statuses) if status is None]
+    residuals = _norm(res.fun)
+    unsolved = residuals >= tol
+    past_cut = ~unsolved & (np.linalg.norm(a, 2, axis=(1, 2)) >= math.pi / 2 - core.TOL_CUT)
+    candidates = np.flatnonzero(~unsolved & ~past_cut)
     certs = np.full(n_starts, math.inf)
-    if candidates:
+    found: list[tuple[Plane, float]] = []
+    if candidates.size:
         y = core._geodesic_end(l, a[candidates])
         certs[candidates] = _normality_certificates(p, l.plane, y)
-    for start, status in enumerate(statuses):
-        if status is None:
-            status = "converged" if certs[start] < cert_tol else "certificate failed"
-        diagnostics.append(
-            StartDiagnostic(
-                start,
-                status,
-                residuals[start],
-                float(certs[start]),
-                int(res.start_nfev[start]),
-                STOP_REASONS[res.status[start]],
-            )
+        values = _norm(res.x)
+        found = [
+            (Plane(n=n, k=k, basis=y[row]), float(values[start]))
+            for row, start in enumerate(candidates)
+            if certs[start] < CERT_TOL
+        ]
+    diagnostics = [
+        StartDiagnostic(
+            start,
+            "no convergence" if unsolved[start]
+            else "past cut locus" if past_cut[start]
+            else "converged" if certs[start] < CERT_TOL
+            else "certificate failed",
+            float(residuals[start]),
+            float(certs[start]),
+            int(res.start_nfev[start]),
+            STOP_REASONS[res.status[start]],
         )
-        if status == "converged":
-            point = core.exp(l, core.tangent(l, a[start]))
-            found.append((point, float(np.linalg.norm(a[start]))))
+        for start in range(n_starts)
+    ]
     deduped: list[tuple[Plane, float]] = []
     for point, value in sorted(found, key=lambda t: t[1]):
         if all(core.grassmann_distance(point, q) > DEDUP_DISTANCE for q, _ in deduped):
@@ -751,15 +751,7 @@ class GdcReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "counts": list(self.counts),
-            "statuses": list(self.statuses),
-            "max_count": self.max_count,
-            "seed": self.seed,
-            "n_starts": self.n_starts,
-            "tol": self.tol,
-        }
+        return dict(asdict(self), counts=list(self.counts), statuses=list(self.statuses))
 
 
 def gdc_estimate(
@@ -828,18 +820,7 @@ class BoundReport:
     log10_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "c_param": self.c_param,
-            "c1_int": self.c1_int,
-            "c2": self.c2,
-            "c1": self.c1,
-            "log10_c1": self.log10_c1,
-            "bound": self.bound,
-            "log10_bound": self.log10_bound,
-        }
+        return asdict(self)
 
 
 def _log10_int(value: int) -> float:

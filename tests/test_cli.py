@@ -350,6 +350,37 @@ def test_malformed_field_is_parse_error(capsys, case):
     assert json.loads(out)["error"]["code"] == "ParseError"
 
 
+def _bad_polynomials():
+    def hyper(n=3, k=1, coefs=(1.0, 2.0)):  # three coordinates, as on G(1,3) and G(2,3)
+        terms = [{"idx": [int(i == j) for j in range(3)], "coef": c} for i, c in enumerate(coefs)]
+        return {"n": n, "k": k, "terms": terms}
+
+    valid, parse = cli.EXIT_VALIDATION, cli.EXIT_PARSE
+    return {
+        "n-negative": (hyper(n=-3), valid, "DimensionError"),
+        "k-above-half": (hyper(n=3, k=2), valid, "DimensionError"),
+        "coef-nan": (hyper(coefs=(math.nan, 1.0)), parse, "ParseError"),
+        "coef-infinity": (hyper(coefs=(math.inf, 1.0)), parse, "ParseError"),
+        "coefs-all-zero": (hyper(coefs=(0.0, 0.0)), parse, "ParseError"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_polynomials()))
+def test_bad_polynomial_is_typed_error(capsys, case):
+    # JSON accepts NaN and Infinity; such a hypersurface, an all-zero one
+    # and one off the standing range 1 <= k <= n - k are rejected before
+    # any trial runs
+    doc, exit_code, error = _bad_polynomials()[case]
+    argv = ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "0"]
+    code = cli.main([*argv, "--json", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == error
+    assert "Traceback" not in captured.err
+
+
 class TestDeterminism:
     def _slice_doc(self):
         phi = 0.8

@@ -60,6 +60,18 @@ class TestPolynomial:
         with pytest.raises(SchemaError):
             search.PluckerPolynomial(n=2, k=1, terms=(((1,), 1.0),))
 
+    @pytest.mark.parametrize("n, k", [(-3, 1), (3, 0), (3, 2), (4, 3)])
+    def test_shape_outside_standing_range_rejected(self, n, k):
+        # checked before binomial(n, k), which rejects negative n untyped
+        with pytest.raises(DimensionError):
+            search.PluckerPolynomial(n=n, k=k, terms=(((1, 0), 1.0),))
+
+    @pytest.mark.parametrize("coefs", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -0.0)])
+    def test_non_finite_or_zero_coefficients_rejected(self, coefs):
+        terms = (((1, 0, 0), coefs[0]), ((0, 1, 0), coefs[1]))
+        with pytest.raises(SchemaError):
+            search.PluckerPolynomial(n=3, k=1, terms=terms)
+
     def test_eval_grad_consistent(self, rng):
         p = g24_hyperplane()
         c = rng.standard_normal(6)
@@ -163,9 +175,10 @@ class TestBasisGradient:
         # the reverse sweep's gradient of sum_S w_S c_S is sum_S w_S times
         # each block's cofactor matrix, added to the block's rows; the
         # second matrix repeats a row, so every block holding both copies
-        # is singular, and the third has rank k - 1, so every block is
+        # is singular, and the third has rank k - 1, so every block is;
+        # n stays in the standing range k <= n - k
         for k in (1, 2, 3, 4, 5):
-            n = k + 3
+            n = max(k + 3, 2 * k)
             y = rng.standard_normal((3, n, k))
             y[1, 2] = y[1, 0]
             y[2, :, -1] = y[2, :, 0]
@@ -588,6 +601,33 @@ class TestFindCriticalPoints:
                 assert abs(value - ref_value) <= 1e-10
                 assert core.grassmann_distance(pt, ref) <= 1e-10
         assert reflective
+
+    def test_lockstep_matches_each_start_alone(self, monkeypatch):
+        # every start of a lockstep solve ends exactly where it ends when
+        # solved alone, also through the stacked reflective pass; starts
+        # near the box make many steps leave it
+        reflected = []
+        step = search._reflective_step
+
+        def counting(x, *args):
+            reflected.append(len(x))
+            return step(x, *args)
+
+        monkeypatch.setattr(search, "_reflective_step", counting)
+        rng = np.random.default_rng(11)
+        for n, k in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 3)):
+            for degree in (1, 2):
+                p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
+                lf = framed(core.random_plane(n, k, rng))
+                x0 = rng.uniform(-1.4, 1.4, (8, k * (n - k)))
+                res = search.least_squares(p, lf, x0)
+                for i, x in enumerate(x0):
+                    alone = search.least_squares(p, lf, x[None])
+                    assert np.array_equal(alone.x[0], res.x[i])
+                    assert np.array_equal(alone.fun[0], res.fun[i])
+                    assert alone.status[0] == res.status[i]
+                    assert alone.start_nfev[0] == res.start_nfev[i]
+        assert max(reflected) > 1 and sum(reflected) > 100
 
     @pytest.mark.parametrize("n_starts", [0, -2])
     def test_nonpositive_starts_rejected(self, n_starts):
