@@ -351,8 +351,10 @@ def main(argv=None) -> int:
     try:
         for name in ("tol_cut", "tol", "tol_rank"):
             value = getattr(args, name, None)
-            if value is not None and not value > 0:
-                raise GrasscritError(f"--{name.replace('_', '-')} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise GrasscritError(
+                    f"--{name.replace('_', '-')} must be finite and positive, got {value}"
+                )
         if getattr(args, "seed", 0) < 0:
             raise GrasscritError(f"--seed must be nonnegative, got {args.seed}")
         payload = handler(args)

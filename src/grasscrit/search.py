@@ -32,13 +32,16 @@ stacked residual does not depend on the other rows.  The solver,
 with its own state, through the trust-region-reflective method of
 Branch, Coleman and Li with Moré's Levenberg-Marquardt step (the
 configuration of scipy's bounded ``trf`` with exact trust-region
-solves; the tests run scipy as the reference, start by start).  Each
-round makes one stacked residual call: the trial point of every
-running start together with its k(n - k) forward-difference shifts, so
-the Jacobian of an accepted step is already there and that of a
-rejected one is dropped; the quadratic model and the reflective choice
-at the box are stacked too, and so are the certificates of a query,
-whose bases are the found planes.  The module needs numpy alone; the
+solves; the tests run scipy as the reference, start by start).  Its
+state holds one row per running start: a start that stops is written
+to the result once and its row dropped, so a round touches only the
+starts it advances.  Each round makes one stacked residual call: the
+trial point of every running start together with its k(n - k)
+forward-difference shifts, so the Jacobian of an accepted step is
+already there and that of a rejected one is dropped; the quadratic
+model and the reflective choice at the box are stacked too, and so are
+the starts' orthonormal factors and the certificates of a query, whose
+bases are the found planes.  The module needs numpy alone; the
 solver is called through the module attribute, which the traced
 benchmark wraps by name to time each query.
 
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,7 +197,10 @@ class PluckerPolynomial:
 
 
 def linear_form(n: int, k: int, weights) -> PluckerPolynomial:
-    """Degree-1 hypersurface: a hyperplane section in Plucker coordinates."""
+    """Degree-1 hypersurface: a hyperplane section in Plucker coordinates.
+    Raises :class:`DimensionError` unless 1 <= k <= n - k."""
+    if not (1 <= k <= n - k):
+        raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
     w = np.asarray(weights, dtype=float)
     n_coords = math.comb(n, k)
     if w.shape != (n_coords,):
@@ -252,11 +259,17 @@ def lagrange_residual(
         a = a.a
     y, ydot = core._geodesic_end(l, a, velocity=True)
     value, grad = _value_and_basis_grad(p, y)
-    velocity = _unit(ydot)
-    normal = _unit(grad - y @ (y.swapaxes(-1, -2) @ grad))
+    *stack, n, k = y.shape
+    # the velocity and the horizontal gradient, normalized in one pass
+    pair = np.empty((2, *stack, n, k))
+    pair[0] = ydot
+    np.subtract(grad, y @ (y.swapaxes(-1, -2) @ grad), out=pair[1])
+    velocity, normal = _unit(pair)
     tangential = velocity - np.sum(velocity * normal, axis=(-2, -1), keepdims=True) * normal
-    head = np.asarray(value)[..., None] / p.coefficient_scale()
-    return np.concatenate([head, tangential.reshape(y.shape[:-2] + (-1,))], axis=-1)
+    out = np.empty((*stack, 1 + n * k))
+    out[..., 0] = value / p.coefficient_scale()
+    out[..., 1:] = tangential.reshape(*stack, n * k)
+    return out
 
 
 def _normality_certificates(p: PluckerPolynomial, l: Plane, y: np.ndarray) -> np.ndarray:
@@ -297,6 +310,15 @@ def hypersurface_normality_residual(p: PluckerPolynomial, l: Plane, point: Plane
 # Solver
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _shift_pattern(m: int) -> np.ndarray:
+    """Read-only (m + 1, m) pattern of the forward-difference stencil: a
+    zero row (the point itself), then the unit vectors e_j."""
+    pattern = np.eye(m + 1, m, -1)
+    pattern.flags.writeable = False
+    return pattern
+
+
 def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals f (S, 1 + n k) of :func:`lagrange_residual` at the S
     flattened tangent matrices ``x`` (S, m) and their forward-difference
@@ -311,7 +333,7 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.n
     n_starts, m = x.shape
     h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where(np.abs(x + h) > _BOX, -h, h)
-    stencil = x[:, None, :] + h[:, None, :] * np.eye(m + 1, m, -1)
+    stencil = x[:, None, :] + h[:, None, :] * _shift_pattern(m)
     r = lagrange_residual(p, l, stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k))
     r = r.reshape(n_starts, m + 1, -1)
     f = r[:, 0]
@@ -342,49 +364,56 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     Levenberg-Marquardt parameter alpha solves ||p(alpha)|| = delta to
     1 % by at most 10 safeguarded Newton iterations on
     phi(alpha) = ||p(alpha)|| - delta, warm-started from ``alpha``, and
-    the step is scaled onto the boundary.  Starts still iterating are
-    masked; each sees scipy's scalar iteration.  Returns the steps (S, m)
-    and the new parameters (S,).
+    the step is scaled onto the boundary.  The iteration keeps only the
+    starts still iterating; each sees scipy's scalar iteration.  Returns
+    the steps (S, m) and the new parameters (S,).
     """
     suf = sv * uf
     full_rank = sv[:, -1] > _EPS * n_res * sv[:, 0]
     step = -_matvec(v, np.divide(uf, sv, out=np.zeros_like(uf), where=full_rank[:, None]))
     gauss_newton = full_rank & (_norm(step) <= delta)
     alpha = np.where(gauss_newton, 0.0, alpha)
-    rest = np.flatnonzero(~gauss_newton)
-    if not rest.size:
+    if gauss_newton.all():
         return step, alpha
+    # a slice, not a gather, when every start takes the Levenberg-Marquardt step
+    rest = slice(None) if not gauss_newton.any() else np.flatnonzero(~gauss_newton)
+    suf, sv, radius, full_rank, v = suf[rest], sv[rest], delta[rest], full_rank[rest], v[rest]
+    sv2 = sv**2
 
-    suf, sv, radius, full_rank = suf[rest], sv[rest], delta[rest], full_rank[rest]
-
-    def phi_and_derivative(a, i):
-        denom = sv[i] ** 2 + a[:, None]
-        p_norm = _norm(suf[i] / denom)
-        return p_norm - radius[i], -np.sum(suf[i] ** 2 / denom**3, axis=1) / p_norm
+    def phi_and_derivative(a, sv2, suf, radius):
+        denom = sv2 + a[:, None]
+        p_norm = _norm(suf / denom)
+        return p_norm - radius, -(suf**2 / denom**3).sum(axis=1) / p_norm
 
     upper = _norm(suf) / radius
     lower = np.zeros_like(upper)
-    fr = np.flatnonzero(full_rank)
-    if fr.size:
-        phi, phi_prime = phi_and_derivative(np.zeros(fr.size), fr)
+    n_full = np.count_nonzero(full_rank)
+    if n_full:
+        fr = slice(None) if n_full == full_rank.size else full_rank
+        phi, phi_prime = phi_and_derivative(np.zeros(n_full), sv2[fr], suf[fr], radius[fr])
         lower[fr] = -phi / phi_prime
     a = alpha[rest]
     a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
-    running = np.arange(rest.size)
+    # the rows still iterating, at positions ``pos`` of ``a``
+    pos, ai, lo, up, s2, s, r = np.arange(a.size), a, lower, upper, sv2, suf, radius
     for _ in range(10):
-        ai, lo, up, radius_i = a[running], lower[running], upper[running], radius[running]
         ai = np.where((ai < lo) | (ai > up), np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
-        phi, phi_prime = phi_and_derivative(ai, running)
-        upper[running] = np.where(phi < 0, ai, up)
+        phi, phi_prime = phi_and_derivative(ai, s2, s, r)
+        up = np.where(phi < 0, ai, up)
         ratio = phi / phi_prime
-        lower[running] = np.maximum(lo, ai - ratio)
-        a[running] = ai - (phi + radius_i) * ratio / radius_i
-        running = running[~(np.abs(phi) < 0.01 * radius_i)]
-        if not running.size:
+        lo = np.maximum(lo, ai - ratio)
+        ai = ai - (phi + r) * ratio / r
+        a[pos] = ai
+        iterating = ~(np.abs(phi) < 0.01 * r)
+        if not iterating.any():
             break
-    p = -_matvec(v[rest], suf / (sv**2 + a[:, None]))
-    step[rest] = p * (radius / _norm(p))[:, None]
-    alpha[rest] = a
+        if not iterating.all():
+            pos, ai, lo, up, s2, s, r = (z[iterating] for z in (pos, ai, lo, up, s2, s, r))
+    p = -_matvec(v, suf / (sv2 + a[:, None]))
+    p = p * (radius / _norm(p))[:, None]
+    if isinstance(rest, slice):
+        return p, a
+    step[rest], alpha[rest] = p, a
     return step, alpha
 
 
@@ -507,18 +536,23 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     scaled gradient below ``gtol = 1e-13``, or 100 residual
     evaluations; ``status`` records which.  Every start keeps its own
     iterate, radius, Levenberg-Marquardt parameter and evaluation
-    count, and stops on its own.  Each round evaluates the trial points
-    of all running starts, each together with its forward-difference
-    stencil, in one stacked residual call (see :func:`_jacobian`), and
-    takes one batched SVD of the augmented scaled Jacobians of the
-    starts whose step was accepted (the first call does the same for
-    ``x0``) and one :func:`_reflective_step` call for all starts whose
-    step leaves the box.  The stencils at rejected trial points are
-    computed and discarded: evaluating them speculatively costs one
-    pass per round instead of two.  ``nfev`` counts trial points and ``njev`` the
+    count, and stops on its own.  The state arrays hold one row per
+    running start, in start order; when starts stop, their x, residual
+    and evaluation count are written to the result once and their rows
+    dropped in one compaction, so no round gathers or scatters through
+    start indices.  Each round evaluates the trial points of all running
+    starts, each together with its forward-difference stencil, in one
+    stacked residual call (see :func:`_jacobian`), and takes one batched
+    SVD of the augmented scaled Jacobians of the starts whose step was
+    accepted (the first call does the same for ``x0``) and one
+    :func:`_reflective_step` call for all starts whose step leaves the
+    box.  The stencils at rejected trial points are computed and
+    discarded: evaluating them speculatively costs one pass per round
+    instead of two.  ``nfev`` counts trial points and ``njev`` the
     Jacobians at accepted points (scipy's meanings); as in scipy, the
     gradient at an accepted point is checked against gtol also when the
-    step ended the start, and a gtol stop there takes precedence.
+    step ended the start (its row is dropped after that check), and a
+    gtol stop there takes precedence.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
@@ -527,6 +561,13 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     n_starts, m = x.shape
     f, jac = _jacobian(p, l, x)
     n_res = f.shape[1]
+    # each start's end state, written once when it stops
+    status = np.zeros(n_starts, dtype=int)
+    end_x, end_f = np.empty_like(x), np.empty((n_starts, n_res))
+    end_nfev = np.empty(n_starts, dtype=int)
+    # the state of the running starts, one row each in start order:
+    # ``ids`` names the start of each row
+    ids = np.arange(n_starts)
     cost = 0.5 * _dot(f, f)
     nfev = np.ones(n_starts, dtype=int)
     njev = 0
@@ -537,13 +578,17 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     j_h = np.empty((n_starts, n_res, m))
     v_svd = np.empty((n_starts, m, m))
     theta = np.empty(n_starts)
-    running = np.ones(n_starts, dtype=bool)
-    status = np.zeros(n_starts, dtype=int)
-    fresh = np.arange(n_starts)
+    eye = np.eye(m)
+    # rows whose step was accepted (or, at first, every row), and rows
+    # whose start stopped
+    fresh = np.ones(n_starts, dtype=bool)
+    done = np.zeros(n_starts, dtype=bool)
     while True:
-        if fresh.size:
-            xf, ff, jf = x[fresh], f[fresh], jac[fresh]
-            njev += fresh.size
+        n_fresh = int(np.count_nonzero(fresh))
+        if n_fresh:
+            rows = slice(None) if n_fresh == ids.size else np.flatnonzero(fresh)
+            xf, ff, jf = x[rows], f[rows], jac[rows]
+            njev += n_fresh
             g = (ff[:, None, :] @ jf)[:, 0]
             # Coleman-Li scaling: distance to the bound a descent step moves toward
             dv = np.sign(g)
@@ -551,75 +596,82 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             if delta is None:  # the first round, where every start is fresh
                 delta = _norm(x / np.sqrt(v))
                 delta[delta == 0] = 1.0
-            g_norm = np.max(np.abs(g * v), axis=1)
-            stop = g_norm < _GTOL
-            status[fresh[stop]] = 1
-            running[fresh[stop]] = False
-            keep = running[fresh]
+            g_norm = np.abs(g * v).max(axis=1)
+            gtol = g_norm < _GTOL
+            if gtol.any():
+                status[ids[rows][gtol]] = 1
+                done[rows] |= gtol
+            keep = ~done[rows]
             if not keep.all():
-                fresh, ff, g, v, dv, jf, g_norm = (
-                    a[keep] for a in (fresh, ff, g, v, dv, jf, g_norm)
-                )
+                rows = np.flatnonzero(fresh & ~done)
+                ff, g, v, dv, jf, g_norm = (a[keep] for a in (ff, g, v, dv, jf, g_norm))
             scale = np.sqrt(v)
             scaled_jac = jf * scale[:, None, :]
             diag = g * dv
-            u, sv[fresh], vt = np.linalg.svd(
-                np.concatenate([scaled_jac, np.sqrt(diag)[:, :, None] * np.eye(m)], axis=1),
+            u, sv[rows], vt = np.linalg.svd(
+                np.concatenate([scaled_jac, np.sqrt(diag)[:, :, None] * eye], axis=1),
                 full_matrices=False,
             )
-            d[fresh], diag_h[fresh], g_h[fresh], j_h[fresh] = scale, diag, scale * g, scaled_jac
-            v_svd[fresh] = vt.swapaxes(1, 2)
-            uf[fresh] = (ff[:, None, :] @ u[:, :n_res])[:, 0]
-            theta[fresh] = np.maximum(0.995, 1 - g_norm)
-        idx = np.flatnonzero(running)
-        if not idx.size:
-            break
-        step_h, alpha[idx] = _trust_region_steps(
-            uf[idx], sv[idx], v_svd[idx], delta[idx], alpha[idx], n_res
-        )
-        step = d[idx] * step_h
-        a, b = _model_1d(j_h[idx], g_h[idx], diag_h[idx], step_h)
+            d[rows], diag_h[rows], g_h[rows], j_h[rows] = scale, diag, scale * g, scaled_jac
+            v_svd[rows] = vt.swapaxes(1, 2)
+            uf[rows] = (ff[:, None, :] @ u[:, :n_res])[:, 0]
+            theta[rows] = np.maximum(0.995, 1 - g_norm)
+        if done.any():
+            # retire the stopped starts: record them, then drop their rows
+            gone = ids[done]
+            end_x[gone], end_f[gone], end_nfev[gone] = x[done], f[done], nfev[done]
+            keep = ~done
+            ids, x, f, jac, cost, nfev, alpha, delta, d, diag_h, g_h, uf, sv, j_h, v_svd, theta = (
+                a[keep] for a in (
+                    ids, x, f, jac, cost, nfev, alpha, delta, d, diag_h, g_h, uf, sv, j_h, v_svd,
+                    theta,
+                )
+            )
+            if not ids.size:
+                break
+        step_h, alpha = _trust_region_steps(uf, sv, v_svd, delta, alpha, n_res)
+        step = d * step_h
+        a, b = _model_1d(j_h, g_h, diag_h, step_h)
         predicted = -(a + b)
-        xs = x[idx]
-        out = np.flatnonzero(np.any(np.abs(xs + step) > _BOX, axis=1))
+        out = (np.abs(x + step) > _BOX).any(axis=1).nonzero()[0]
         if out.size:
-            s = idx[out]
             step[out], step_h[out], predicted[out] = _reflective_step(
-                xs[out], j_h[s], diag_h[s], g_h[s], step[out], step_h[out], d[s], delta[s],
-                theta[s],
+                x[out], j_h[out], diag_h[out], g_h[out], step[out], step_h[out], d[out],
+                delta[out], theta[out],
             )
         # strictly inside the box: no double lies between -_BOX and _INSIDE
-        x_new = np.clip(xs + step, -_INSIDE, _INSIDE)
+        x_new = (x + step).clip(-_INSIDE, _INSIDE)
         f_new, jac_new = _jacobian(p, l, x_new)
-        nfev[idx] += 1
+        nfev += 1
         step_h_norm = _norm(step_h)
-        finite = np.all(np.isfinite(f_new), axis=1)
+        finite = np.isfinite(f_new).all(axis=1)
         cost_new = 0.5 * _dot(f_new, f_new)
-        actual = cost[idx] - cost_new
+        actual = cost - cost_new
         ratio = np.where((predicted == 0) & (actual == 0), 1.0, 0.0)
         np.divide(actual, predicted, out=ratio, where=predicted > 0)
-        radius = delta[idx]
         new_radius = np.where(
             ratio < 0.25,
             0.25 * step_h_norm,
-            np.where((ratio > 0.75) & (step_h_norm > 0.95 * radius), 2.0 * radius, radius),
+            np.where((ratio > 0.75) & (step_h_norm > 0.95 * delta), 2.0 * delta, delta),
         )
-        ftol = (actual < _FTOL * cost[idx]) & (ratio > 0.25) & finite
-        xtol = (_norm(step) < _XTOL * (_XTOL + _norm(xs))) & finite
+        ftol = (actual < _FTOL * cost) & (ratio > 0.25) & finite
+        xtol = (_norm(step) < _XTOL * (_XTOL + _norm(x))) & finite
         stopped = ftol | xtol
-        status[idx[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
+        if stopped.any():
+            status[ids[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
         update = finite & ~stopped
-        alpha[idx[update]] *= radius[update] / new_radius[update]
-        delta[idx[update]] = new_radius[update]
-        delta[idx[~finite]] = 0.25 * step_h_norm[~finite]
-        accepted = finite & (actual > 0)
-        taken = idx[accepted]
-        x[taken], f[taken], cost[taken] = x_new[accepted], f_new[accepted], cost_new[accepted]
-        jac[taken] = jac_new[accepted]
-        running[idx[stopped | (nfev[idx] == _MAX_NFEV)]] = False
-        fresh = taken
+        alpha = alpha * np.divide(delta, new_radius, out=np.ones_like(delta), where=update)
+        delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_h_norm))
+        fresh = finite & (actual > 0)
+        if fresh.all():
+            x, f, cost, jac = x_new, f_new, cost_new, jac_new
+        elif fresh.any():
+            x[fresh], f[fresh], cost[fresh] = x_new[fresh], f_new[fresh], cost_new[fresh]
+            jac[fresh] = jac_new[fresh]
+        done = stopped | (nfev == _MAX_NFEV)
     return SolveResult(
-        x=x, fun=f, start_nfev=nfev, nfev=int(nfev.sum()), njev=njev, status=status
+        x=end_x, fun=end_f, start_nfev=end_nfev, nfev=int(end_nfev.sum()), njev=njev,
+        status=status,
     )
 
 
@@ -684,12 +736,13 @@ def find_critical_points(
         raise NonGenericL("polynomial vanishes at the base plane")
     n, k = p.n, p.k
     rng = np.random.default_rng(seed)
-    x0 = np.empty((n_starts, (n - k) * k))
+    u0, v0, mu0 = np.empty((n_starts, n - k, k)), np.empty((n_starts, k, k)), np.empty((n_starts, k))
     for start in range(n_starts):
-        u0 = core._signed_qr(rng.standard_normal((n - k, k)))
-        v0 = core._signed_qr(rng.standard_normal((k, k)))
-        mu0 = rng.uniform(0.1, math.pi / 2 - 0.1, k)
-        x0[start] = ((u0 * mu0) @ v0.T).ravel()
+        u0[start] = rng.standard_normal((n - k, k))
+        v0[start] = rng.standard_normal((k, k))
+        mu0[start] = rng.uniform(0.1, math.pi / 2 - 0.1, k)
+    u0, v0 = core._signed_qr(u0), core._signed_qr(v0)
+    x0 = ((u0 * mu0[:, None, :]) @ v0.swapaxes(1, 2)).reshape(n_starts, -1)
     res = least_squares(p, l, x0)
     a = res.x.reshape(n_starts, n - k, k)
     residuals = _norm(res.fun)
@@ -855,8 +908,8 @@ def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
         raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
     if d < 1:
         raise DimensionError(f"degree must be >= 1, got {d}")
-    if not (c_param > 0):
-        raise DimensionError(f"c_param must be positive, got {c_param}")
+    if not 0 < c_param < math.inf:
+        raise DimensionError(f"c_param must be finite and positive, got {c_param}")
     c2 = k * (n + 5)
     c1_tilde = (
         2 ** (8 * k * k - 2 * k)

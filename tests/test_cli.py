@@ -381,6 +381,48 @@ def test_bad_polynomial_is_typed_error(capsys, case):
     assert "Traceback" not in captured.err
 
 
+def _infinite_positive_options():
+    l = plane_json(core.random_plane(4, 2, 5))
+    s = plane_json(core.random_plane(4, 2, 6))
+    pair = json.dumps({"l": l, "s": s})
+    hyper = json.dumps({"n": 3, "k": 1, "terms": [
+        {"idx": [2, 0, 0], "coef": 1.0}, {"idx": [0, 2, 0], "coef": -2.0},
+        {"idx": [0, 0, 2], "coef": 0.5},
+    ]})
+    return {
+        "gdc-sample-tol": (
+            ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "0", "--tol", "inf",
+             "--json", hyper],
+            "GrasscritError",
+        ),
+        "log-tol-cut": (
+            ["log", "--tol-cut", "inf", "--json", json.dumps({"plane": l, "target": s})],
+            "GrasscritError",
+        ),
+        "cut-stratum-tol-cut": (["cut-stratum", "--tol-cut", "inf", "--json", pair], "GrasscritError"),
+        "subdiff-dim-tol-rank": (["subdiff-dim", "--tol-rank", "inf", "--json", pair], "GrasscritError"),
+        "subdiff-zero-test-tol": (
+            ["subdiff-zero-test", "--tol", "inf", "--json", pair], "GrasscritError"
+        ),
+        "bound-c": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "inf"], "DimensionError"),
+        "bound-c-nan": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "nan"], "DimensionError"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_infinite_positive_options()))
+def test_infinite_positive_option_is_validation_error(capsys, case):
+    # an infinite tolerance would let every finite residual through, and
+    # an infinite bound factor gives a report of "inf" values
+    argv, error = _infinite_positive_options()[case]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == error
+    assert "finite and positive" in payload["error"]["message"]
+
+
 class TestDeterminism:
     def _slice_doc(self):
         phi = 0.8

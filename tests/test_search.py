@@ -66,6 +66,12 @@ class TestPolynomial:
         with pytest.raises(DimensionError):
             search.PluckerPolynomial(n=n, k=k, terms=(((1, 0), 1.0),))
 
+    @pytest.mark.parametrize("n, k", [(-3, 1), (3, 0), (3, 2), (4, 3)])
+    def test_linear_form_outside_standing_range_rejected(self, n, k):
+        # checked before binomial(n, k), as for PluckerPolynomial
+        with pytest.raises(DimensionError):
+            search.linear_form(n, k, [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("coefs", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -0.0)])
     def test_non_finite_or_zero_coefficients_rejected(self, coefs):
         terms = (((1, 0, 0), coefs[0]), ((0, 1, 0), coefs[1]))
@@ -605,7 +611,11 @@ class TestFindCriticalPoints:
     def test_lockstep_matches_each_start_alone(self, monkeypatch):
         # every start of a lockstep solve ends exactly where it ends when
         # solved alone, also through the stacked reflective pass; starts
-        # near the box make many steps leave it
+        # near the box make many steps leave it.  The solver keeps state
+        # for the running starts only, so a stopped start's row is
+        # dropped mid-run; under a small evaluation budget the starts
+        # that stopped on another rule are dropped before the rest stop
+        # on the budget
         reflected = []
         step = search._reflective_step
 
@@ -614,20 +624,54 @@ class TestFindCriticalPoints:
             return step(x, *args)
 
         monkeypatch.setattr(search, "_reflective_step", counting)
-        rng = np.random.default_rng(11)
-        for n, k in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 3)):
-            for degree in (1, 2):
-                p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
-                lf = framed(core.random_plane(n, k, rng))
-                x0 = rng.uniform(-1.4, 1.4, (8, k * (n - k)))
-                res = search.least_squares(p, lf, x0)
-                for i, x in enumerate(x0):
-                    alone = search.least_squares(p, lf, x[None])
-                    assert np.array_equal(alone.x[0], res.x[i])
-                    assert np.array_equal(alone.fun[0], res.fun[i])
-                    assert alone.status[0] == res.status[i]
-                    assert alone.start_nfev[0] == res.start_nfev[i]
+        mixed_stops = 0
+        for budget in (search._MAX_NFEV, 10):
+            monkeypatch.setattr(search, "_MAX_NFEV", budget)
+            rng = np.random.default_rng(11)
+            for n, k in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 3)):
+                for degree in (1, 2):
+                    p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
+                    lf = framed(core.random_plane(n, k, rng))
+                    x0 = rng.uniform(-1.4, 1.4, (8, k * (n - k)))
+                    res = search.least_squares(p, lf, x0)
+                    for i, x in enumerate(x0):
+                        alone = search.least_squares(p, lf, x[None])
+                        assert np.array_equal(alone.x[0], res.x[i])
+                        assert np.array_equal(alone.fun[0], res.fun[i])
+                        assert alone.status[0] == res.status[i]
+                        assert alone.start_nfev[0] == res.start_nfev[i]
+                    assert np.all(res.start_nfev <= budget)
+                    mixed_stops += 0 < np.count_nonzero(res.status == 0) < len(x0)
         assert max(reflected) > 1 and sum(reflected) > 100
+        assert mixed_stops
+
+    def test_stacked_start_draws_match_per_start_loop(self, monkeypatch):
+        # the starts are drawn in the order of a per-start loop and
+        # orthonormalized in two stacked QR calls; every start equals the
+        # loop's bit for bit
+        class Captured(Exception):
+            pass
+
+        def capture(p, l, x0):
+            raise Captured(np.array(x0))
+
+        monkeypatch.setattr(search, "least_squares", capture)
+        rng = np.random.default_rng(17)
+        for n, k in ((3, 1), (4, 2), (5, 2), (7, 3), (8, 4), (12, 5)):
+            for n_starts in (1, 3, 7):
+                p = search.linear_form(n, k, rng.standard_normal(math.comb(n, k)))
+                lf = framed(core.random_plane(n, k, rng))
+                seed = int(rng.integers(1 << 30))
+                with pytest.raises(Captured) as info:
+                    search.find_critical_points(p, lf, n_starts, seed)
+                draws = np.random.default_rng(seed)
+                loop = np.empty((n_starts, (n - k) * k))
+                for start in range(n_starts):
+                    u0 = core._signed_qr(draws.standard_normal((n - k, k)))
+                    v0 = core._signed_qr(draws.standard_normal((k, k)))
+                    mu0 = draws.uniform(0.1, math.pi / 2 - 0.1, k)
+                    loop[start] = ((u0 * mu0) @ v0.T).ravel()
+                assert np.array_equal(info.value.args[0], loop)
 
     @pytest.mark.parametrize("n_starts", [0, -2])
     def test_nonpositive_starts_rejected(self, n_starts):
