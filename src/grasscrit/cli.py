@@ -8,6 +8,9 @@ produce byte-identical reports for identical inputs, seed and version.
 Exit codes: 0 success, 2 validation error (domain preconditions), 3
 parse error (bad command line or malformed/unschematic JSON), 4 solver
 error.  Errors are reported as ``{"code", "message", "path"}``.
+
+Each handler imports the library modules it runs, so a cold process
+compiles and runs only those.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import core, cutlocus, lowrank, schubert, search, serialize
-from .errors import DimensionError, GrasscritError, NoConvergence, SchemaError
+from . import serialize
+from .errors import DimensionError, DomainError, GrasscritError, NoConvergence, SchemaError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("distance", "Grassmann distance between two planes")
     add("exp", "Riemannian exponential of a tangent matrix")
     p = add("log", "Riemannian logarithm toward a target plane")
-    p.add_argument("--tol-cut", type=float, default=core.TOL_CUT)
+    p.add_argument("--tol-cut", type=float)
     p = add("geodesic", "point along a geodesic")
     p.add_argument("--t", type=float, required=True)
     add("plucker", "normalized Plucker coordinates of a plane")
     p = add("cut-stratum", "cut locus stratum of a plane relative to a base")
-    p.add_argument("--tol-cut", type=float, default=core.TOL_CUT)
+    p.add_argument("--tol-cut", type=float)
     p = add("subdiff-dim", "affine dimension of the sampled subdifferential")
-    p.add_argument("--grid", type=int, default=cutlocus.O2_GRID)
+    p.add_argument("--grid", type=int)
     p.add_argument("--tol-rank", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p = add("subdiff-zero-test", "zero-in-projected-subdifferential test")
@@ -70,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--starts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=search.SOLVER_TOL)
+    p.add_argument("--tol", type=float)
     p = add("bound", "explicit complexity bound constants", needs_doc=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -108,23 +111,35 @@ def _plane(doc, key):
     return serialize.plane_from_json(serialize._require(doc, key, "input"), path=key)
 
 
+def _given(**options) -> dict:
+    """The options given on the command line, as keyword arguments: an
+    option left out keeps the library function's own default."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
 
 def _cmd_angles(args):
+    from . import core
+
     doc = _load_doc(args)
     e1, e2 = _plane(doc, "e1"), _plane(doc, "e2")
     return {"angles": core.principal_angles(e1, e2).tolist()}
 
 
 def _cmd_distance(args):
+    from . import core
+
     doc = _load_doc(args)
     e1, e2 = _plane(doc, "e1"), _plane(doc, "e2")
     return {"delta": core.grassmann_distance(e1, e2)}
 
 
 def _framed_with_tangent(doc):
+    from . import core
+
     plane = _plane(doc, "plane")
     frame = core.complete_frame(plane)
     a = serialize.matrix_from_json(
@@ -134,56 +149,72 @@ def _framed_with_tangent(doc):
 
 
 def _cmd_exp(args):
+    from . import core
+
     doc = _load_doc(args)
     frame, tan = _framed_with_tangent(doc)
     return {"plane": serialize.plane_to_json(core.exp(frame, tan))}
 
 
 def _cmd_log(args):
+    from . import core
+
     doc = _load_doc(args)
     plane = _plane(doc, "plane")
     target = _plane(doc, "target")
     frame = core.complete_frame(plane)
-    tan = core.log(frame, target, tol_cut=args.tol_cut)
+    tan = core.log(frame, target, **_given(tol_cut=args.tol_cut))
     return {"tangent": serialize.matrix_to_json(tan.a), "delta": tan.norm}
 
 
 def _cmd_geodesic(args):
+    from . import core
+
     doc = _load_doc(args)
     frame, tan = _framed_with_tangent(doc)
     return {"plane": serialize.plane_to_json(core.geodesic_point(frame, tan, args.t))}
 
 
 def _cmd_plucker(args):
+    from . import core
+
     doc = _load_doc(args)
     plane = _plane(doc, "plane")
     return {"coords": core.plucker_coords(plane).coords.tolist()}
 
 
 def _cmd_cut_stratum(args):
+    from . import cutlocus
+
     doc = _load_doc(args)
     l, e = _plane(doc, "l"), _plane(doc, "e")
-    report = cutlocus.cut_stratum(l, e, tol=args.tol_cut)
+    report = cutlocus.cut_stratum(l, e, **_given(tol=args.tol_cut))
     return {"j": report.j, "angles": report.angles.tolist(), "tol": report.tol}
 
 
 def _cut_point(doc):
     """Base plane, framed cut point and its stratum j, at least 1
     (``subdiff_generators`` rejects points off the cut locus)."""
+    from . import core, cutlocus
+
     l, s = _plane(doc, "l"), _plane(doc, "s")
     return l, core.complete_frame(s), max(cutlocus.cut_stratum(l, s).j, 1)
 
 
 def _cmd_subdiff_dim(args):
+    from . import cutlocus
+
     doc = _load_doc(args)
     l, s_frame, j = _cut_point(doc)
-    w_list = cutlocus.sample_orthogonal_group(j, seed=args.seed, n_grid=args.grid)
+    w_list = cutlocus.sample_orthogonal_group(j, seed=args.seed, **_given(n_grid=args.grid))
     gens = cutlocus.subdiff_generators(l, s_frame, w_list)
     dim = cutlocus.subdiff_affine_dimension(gens, tol_rank=args.tol_rank)
     return {"j": gens.j, "dimension": dim}
 
 
 def _cmd_subdiff_zero_test(args):
+    from . import core, cutlocus
+
     doc = _load_doc(args)
     l, s_frame, j = _cut_point(doc)
     gens = cutlocus.subdiff_generators(l, s_frame, np.eye(j)[None])
@@ -210,6 +241,8 @@ def _cmd_subdiff_zero_test(args):
 
 
 def _cmd_ey(args):
+    from . import lowrank
+
     doc = _load_doc(args)
     a = serialize.matrix_from_json(doc, path="matrix")
     points = lowrank.ey_critical_set(a, args.rank)
@@ -226,6 +259,8 @@ def _cmd_ey(args):
 
 
 def _schubert_inputs(doc):
+    from . import core, schubert
+
     w = _plane(doc, "w")
     l = _plane(doc, "l")
     s = serialize._integer(serialize._require(doc, "s", "input"), "input.s")
@@ -234,6 +269,8 @@ def _schubert_inputs(doc):
 
 
 def _cmd_schubert_critical(args):
+    from . import schubert
+
     doc = _load_doc(args)
     omega, l = _schubert_inputs(doc)
     records = schubert.ey_schubert_critical_points(omega, l)
@@ -251,6 +288,8 @@ def _cmd_schubert_critical(args):
 
 
 def _cmd_schubert_min(args):
+    from . import cutlocus, schubert
+
     doc = _load_doc(args)
     omega, l = _schubert_inputs(doc)
     value, minimizer = schubert.global_min(omega, l)
@@ -262,6 +301,8 @@ def _cmd_schubert_min(args):
 
 
 def _cmd_schubert_max(args):
+    from . import cutlocus, schubert
+
     doc = _load_doc(args)
     omega, l = _schubert_inputs(doc)
     value, maximizer = schubert.global_max(omega, l, b_seed=args.seed)
@@ -274,6 +315,8 @@ def _cmd_schubert_max(args):
 
 
 def _cmd_gdc_sample(args):
+    from . import search
+
     doc = _load_doc(args)
     poly = serialize.polynomial_from_json(doc)
     report = search.gdc_estimate(
@@ -281,25 +324,29 @@ def _cmd_gdc_sample(args):
         trials=args.trials,
         n_starts=args.starts,
         seed=args.seed,
-        tol=args.tol,
+        **_given(tol=args.tol),
     )
     return report.to_dict()
 
 
 def _cmd_bound(args):
-    report = search.pfaffian_bound(args.k, args.n, args.d, c_param=args.c)
+    from . import bounds
+
+    report = bounds.pfaffian_bound(args.k, args.n, args.d, c_param=args.c)
     return report.to_dict()
 
 
 def _cmd_g24_demo(args):
+    from . import bounds
+
     betas = args.beta if args.beta else [0.5, 1.0, 2.0]
-    scan = search.g24_residual_scan(betas, n_grid=args.grid)
+    scan = bounds.g24_residual_scan(betas, n_grid=args.grid)
     spots = []
     for x, y, beta in (
         ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2.0),
         ((0.3, math.sqrt(1 - 0.09), 0.0), (-0.2, 0.0, math.sqrt(1 - 0.04)), 0.7),
     ):
-        lhs, rhs = search.g24_det_identity_check(np.array(x), np.array(y), beta)
+        lhs, rhs = bounds.g24_det_identity_check(np.array(x), np.array(y), beta)
         spots.append({"x": list(x), "y": list(y), "beta": beta, "lhs": lhs, "rhs": rhs})
     return {"scan": scan, "identity_spot_checks": spots}
 
@@ -352,11 +399,11 @@ def main(argv=None) -> int:
         for name in ("tol_cut", "tol", "tol_rank"):
             value = getattr(args, name, None)
             if value is not None and not 0 < value < math.inf:
-                raise GrasscritError(
+                raise DomainError(
                     f"--{name.replace('_', '-')} must be finite and positive, got {value}"
                 )
         if getattr(args, "seed", 0) < 0:
-            raise GrasscritError(f"--seed must be nonnegative, got {args.seed}")
+            raise DomainError(f"--seed must be nonnegative, got {args.seed}")
         payload = handler(args)
     except (_CliParseError, SchemaError) as exc:
         _emit(_error_payload("ParseError", str(exc), src), getattr(args, "out", None))

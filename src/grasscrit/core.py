@@ -60,6 +60,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     FrameMismatch,
     GrasscritError,
     OnCutLocus,
@@ -431,12 +432,24 @@ def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
     """Point at parameter ``t`` of the geodesic with initial velocity ``a``.
 
     Takes a single tangent matrix; a stack raises :class:`DimensionError`.
+    A non-finite ``t``, or one that makes the entries of (t A)^T (t A)
+    in the exponential kernel overflow, raises :class:`DomainError`.
     """
     if a.a.ndim != 2:
         raise DimensionError(
             f"geodesic_point takes a single tangent matrix, got shape {a.a.shape}"
         )
-    return exp(at, tangent(at, float(t) * a.a))
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"geodesic parameter t must be finite, got {t}")
+    # each entry of (t A)^T (t A) sums n - k products of entries of t A;
+    # Python floats overflow to inf here without a numpy warning
+    peak = abs(t) * float(np.max(np.abs(a.a), initial=0.0))
+    if not math.isfinite((at.n - at.k) * peak * peak):
+        raise DomainError(
+            f"geodesic parameter t = {t} overflows the exponential of t times the tangent"
+        )
+    return exp(at, tangent(at, t * a.a))
 
 
 def _connecting_factors(

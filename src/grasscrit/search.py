@@ -1,5 +1,5 @@
-"""Critical points of the distance to algebraic hypersurfaces, distance
-complexity estimation, and explicit complexity bounds.
+"""Critical points of the distance to algebraic hypersurfaces and
+distance complexity estimation.
 
 A hypersurface is a homogeneous polynomial in the Plucker coordinates.
 Off the cut locus of the base plane L, every plane is E = exp_L(A) for a
@@ -20,7 +20,8 @@ a solution counts only when A lies inside the cut locus and the
 chart-free certificate (geodesic direction normal to the hypersurface)
 also passes.  Counting the surviving points over random base planes
 gives an empirical lower bound for the generic critical-point count,
-which explicit format-based constants bound from above.
+which the explicit format-based constants of :mod:`grasscrit.bounds`
+bound from above.
 
 The whole evaluation path takes stacks of tangent matrices: the
 exponential kernel, the Plucker minors from the core column-by-column
@@ -44,17 +45,12 @@ the starts' orthonormal factors and the certificates of a query, whose
 bases are the found planes.  The module needs numpy alone; the
 solver is called through the module attribute, which the traced
 benchmark wraps by name to time each query.
-
-The module also evaluates the closed-form sphere-product distance on
-the oriented double cover of G(2, 4), where a family of linear slices
-yields a visibly non-algebraic critical-point system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -63,11 +59,9 @@ from . import core
 from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
     DimensionError,
-    DomainError,
     FrameMismatch,
     NoConvergence,
     NonGenericL,
-    NotUnit,
     SchemaError,
 )
 
@@ -845,218 +839,3 @@ def gdc_estimate(
         n_starts=n_starts,
         tol=tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# Explicit complexity bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluation of the explicit degree-power complexity bound.
-
-    ``c1_int`` is the exact integer value of the leading constant at
-    unit undetermined factor; ``c_param`` scales it.  ``bound`` is
-    c_param * c1_int * d**c2, reported as a float when representable
-    and always in log10 form.
-    """
-
-    k: int
-    n: int
-    d: int
-    c_param: float
-    c1_int: int
-    c2: int
-    c1: float
-    log10_c1: float
-    bound: float
-    log10_bound: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _log10_int(value: int) -> float:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return float(Decimal(value).log10())
-
-
-def _scaled_float(big: int, scale: float, log10_total: float) -> float:
-    """scale * big as a float; falls back to the log form out of range."""
-    if log10_total >= 308.0:
-        return math.inf
-    try:
-        return scale * float(big)
-    except OverflowError:
-        return 10.0 ** log10_total
-
-
-def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
-    """Explicit upper bound constants for hypersurface distance complexity.
-
-    The exponent is ``c2 = k (n + 5)`` exactly; the leading constant is
-    ``c1 = 2 k * c * 2^(8 k^2 - 2 k)
-    * (binomial(n k, k(k+1)+1) + (k+1)^2)^(k (n + 1))
-    * (2 k^2 (n + 1))^(k (n + 5))``
-    with the undetermined factor ``c`` exposed as ``c_param`` (default
-    1, always reported).  Everything is evaluated in exact integer
-    arithmetic; magnitudes too large for floats are reported through
-    their base-10 logarithm.
-    """
-    if not (1 <= k <= n - k):
-        raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
-    if d < 1:
-        raise DimensionError(f"degree must be >= 1, got {d}")
-    if not 0 < c_param < math.inf:
-        raise DimensionError(f"c_param must be finite and positive, got {c_param}")
-    c2 = k * (n + 5)
-    c1_tilde = (
-        2 ** (8 * k * k - 2 * k)
-        * (math.comb(n * k, k * (k + 1) + 1) + (k + 1) ** 2) ** (k * (n + 1))
-        * (2 * k * k * (n + 1)) ** c2
-    )
-    c1_int = 2 * k * c1_tilde
-    log10_c1 = math.log10(c_param) + _log10_int(c1_int)
-    log10_bound = log10_c1 + c2 * math.log10(d)
-    c1 = _scaled_float(c1_int, c_param, log10_c1)
-    bound = _scaled_float(c1_int * d**c2, c_param, log10_bound)
-    return BoundReport(
-        k=k,
-        n=n,
-        d=d,
-        c_param=c_param,
-        c1_int=c1_int,
-        c2=c2,
-        c1=c1,
-        log10_c1=log10_c1,
-        bound=bound,
-        log10_bound=log10_bound,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oriented G(2,4) sphere-product model
-# ---------------------------------------------------------------------------
-
-def _check_unit(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise DimensionError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
-        raise NotUnit(f"{name} has norm {np.linalg.norm(v)!r}, expected 1 within 1e-10")
-    return v
-
-
-def g24_distance(x, y, z, w) -> float:
-    """Distance on the oriented double cover of G(2, 4).
-
-    The cover embeds as the product of two unit 2-spheres; the distance
-    between (x, y) and (z, w) is the l2 norm of the two spherical
-    angles.
-    """
-    x, y, z, w = (_check_unit(v, name) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
-    ax = math.acos(min(1.0, max(-1.0, float(x @ z))))
-    ay = math.acos(min(1.0, max(-1.0, float(y @ w))))
-    return math.sqrt(ax * ax + ay * ay)
-
-
-def g24_alpha(w: float) -> float:
-    """arccos(w) / sqrt(1 - w^2) on (-1, 1); strictly positive there."""
-    if abs(w) >= 1.0:
-        raise DomainError(f"alpha undefined at |w| >= 1, got {w}")
-    return math.acos(w) / math.sqrt(1.0 - w * w)
-
-
-def g24_critical_residual(y1: float, beta: float) -> float:
-    """Off-cut criticality residual of the slice family at parameter beta.
-
-    Zeros of ``alpha(y1) + beta alpha(beta y1)`` (with the sphere and
-    slice constraints) are the off-cut critical points of the distance
-    to the slice.  Since alpha is positive on (-1, 1), the residual is
-    positive for beta > 0; the scan report documents this grid evidence
-    without asserting nonexistence.
-    """
-    if abs(y1) >= 1.0 or abs(beta * y1) >= 1.0:
-        raise DomainError(f"need |y1| < 1 and |beta*y1| < 1, got y1={y1}, beta={beta}")
-    return g24_alpha(y1) + beta * g24_alpha(beta * y1)
-
-
-def g24_det_identity_check(x, y, beta: float) -> tuple[float, float]:
-    """Both sides of the closed-form factorization of the criticality minor.
-
-    The left side is the determinant of M^T M for the 6 x 4 gradient
-    matrix of the slice system; the right side is the product
-    (x2^2 + x3^2)(y2^2 + y3^2)(alpha(y1) + beta alpha(x1))^2.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (3,) or y.shape != (3,):
-        raise DimensionError("x and y must be 3-vectors")
-    if abs(float(x[0])) >= 1.0 or abs(float(y[0])) >= 1.0:
-        raise DomainError("need |x1| < 1 and |y1| < 1")
-    ax, ay = g24_alpha(float(x[0])), g24_alpha(float(y[0]))
-    m = np.array(
-        [
-            [x[0], 0.0, ax, 1.0],
-            [x[1], 0.0, 0.0, 0.0],
-            [x[2], 0.0, 0.0, 0.0],
-            [0.0, y[0], ay, -beta],
-            [0.0, y[1], 0.0, 0.0],
-            [0.0, y[2], 0.0, 0.0],
-        ]
-    )
-    lhs = float(np.linalg.det(m.T @ m))
-    rhs = float(
-        (x[1] ** 2 + x[2] ** 2) * (y[1] ** 2 + y[2] ** 2) * (ay + beta * ax) ** 2
-    )
-    return lhs, rhs
-
-
-def g24_residual_scan(
-    betas, n_grid: int = 2001, y1_lo: float = -0.999, y1_hi: float = 0.999
-) -> dict:
-    """Deterministic sign scan of the criticality residual over a grid.
-
-    For each beta reports the residual extrema, the number of sign
-    changes (roots bracketed by the grid) and whether the residual is
-    positive throughout.  The scan documents evidence; it does not
-    decide solvability.
-
-    Raises
-    ------
-    DimensionError
-        If ``n_grid`` is below 2.
-    DomainError
-        If a beta is not finite, or no grid point y1 has |beta y1| < 1.
-    """
-    n_grid = int(n_grid)
-    if n_grid < 2:
-        raise DimensionError(f"n_grid must be at least 2, got {n_grid}")
-    out = {"y1_lo": y1_lo, "y1_hi": y1_hi, "n_grid": n_grid, "betas": []}
-    ys = np.linspace(y1_lo, y1_hi, n_grid)
-    for beta in betas:
-        beta = float(beta)
-        if not math.isfinite(beta):
-            raise DomainError(f"beta must be finite, got {beta}")
-        vals = []
-        for y1 in ys:
-            if abs(beta * y1) >= 1.0:
-                continue
-            vals.append(g24_critical_residual(float(y1), beta))
-        if not vals:
-            raise DomainError(f"no grid point y1 has |beta*y1| < 1 for beta={beta!r}")
-        vals = np.array(vals)
-        signs = np.sign(vals)
-        changes = int(np.sum(signs[1:] * signs[:-1] < 0))
-        out["betas"].append(
-            {
-                "beta": beta,
-                "grid_points": int(vals.size),
-                "min_residual": float(np.min(vals)),
-                "max_residual": float(np.max(vals)),
-                "sign_changes": changes,
-                "all_positive": bool(np.all(vals > 0.0)),
-            }
-        )
-    return out

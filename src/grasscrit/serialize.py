@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Plane, make_plane
 from .errors import SchemaError
-from .search import PluckerPolynomial
+
+if TYPE_CHECKING:  # imported where used, so a command loads only what it runs
+    from .core import Plane
+    from .search import PluckerPolynomial
 
 SCHEMA_VERSION = "11"
 
@@ -119,6 +122,8 @@ def plane_to_json(plane: Plane) -> dict:
 
 
 def plane_from_json(obj, path: str = "plane") -> Plane:
+    from .core import make_plane
+
     return make_plane(_shaped_matrix(obj, path, "n", "k", "basis"))
 
 
@@ -163,4 +168,6 @@ def polynomial_from_json(obj, path: str = "hypersurface") -> PluckerPolynomial:
         idx = _list(_require(term, "idx", where), f"{where}.idx")
         coef = _number(_require(term, "coef", where), f"{where}.coef")
         terms.append((tuple(_integer(e, f"{where}.idx[{j}]") for j, e in enumerate(idx)), coef))
+    from .search import PluckerPolynomial
+
     return PluckerPolynomial(n=n, k=k, terms=tuple(terms))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from grasscrit import cli, core, cutlocus, lowrank, schubert, search, serialize
+from grasscrit import bounds, cli, core, cutlocus, lowrank, schubert, serialize
 
 from conftest import framed
 
@@ -210,10 +210,10 @@ def test_criterion_09_cut_locus_distance():
 
 
 def test_criterion_10_pfaffian_constants():
-    assert search.pfaffian_bound(2, 4, 1).c2 == 18
-    assert search.pfaffian_bound(3, 8, 1).c2 == 39
+    assert bounds.pfaffian_bound(2, 4, 1).c2 == 18
+    assert bounds.pfaffian_bound(3, 8, 1).c2 == 39
     for k, n in ((2, 4), (3, 8)):
-        rep = search.pfaffian_bound(k, n, 1)
+        rep = bounds.pfaffian_bound(k, n, 1)
         # independent big-integer reimplementation of the printed product
         c2 = k * (n + 5)
         c1_ref = (
@@ -237,11 +237,11 @@ def test_criterion_11_g24_identity_and_scan():
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
         beta = rng.uniform(0.2, 3.0)
-        lhs, rhs = search.g24_det_identity_check(x, y, beta)
+        lhs, rhs = bounds.g24_det_identity_check(x, y, beta)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     assert worst < 1e-10
-    scan1 = search.g24_residual_scan([0.5, 1.0, 2.0], n_grid=1001)
-    scan2 = search.g24_residual_scan([0.5, 1.0, 2.0], n_grid=1001)
+    scan1 = bounds.g24_residual_scan([0.5, 1.0, 2.0], n_grid=1001)
+    scan2 = bounds.g24_residual_scan([0.5, 1.0, 2.0], n_grid=1001)
     assert serialize.canonical_dumps(scan1) == serialize.canonical_dumps(scan2)
     _report(11, f"100 random triples: worst relative determinant gap {worst:.2e} < 1e-10; "
                 "scan report deterministic")

@@ -69,6 +69,23 @@ class TestBasicCommands:
         d = core.grassmann_distance(e1, mid)
         assert abs(d - 0.5 * core.grassmann_distance(e1, e2)) < 1e-9
 
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan", "1e308"])
+    def test_geodesic_rejects_non_finite_or_overflowing_t(self, capsys, g25_pair, t):
+        # a non-finite t, or one whose exponential overflows, is a typed
+        # validation error with no numpy warning (the suite turns
+        # warnings into errors); "--t=-inf" keeps argparse from reading
+        # "-inf" as an option
+        e1, e2 = g25_pair
+        tan = core.log(framed(e1), e2)
+        doc = json.dumps({"plane": plane_json(e1), "tangent": serialize.matrix_to_json(tan.a)})
+        code = cli.main(["geodesic", f"--t={t}", "--json", doc])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        payload = json.loads(captured.out)
+        assert set(payload) == {"error"}
+        assert payload["error"]["code"] == "DomainError"
+        assert captured.err == ""
+
     def test_plucker_and_cut_stratum(self, capsys, g25_pair):
         e1, e2 = g25_pair
         code, out = run(capsys, "plucker", "--json", json.dumps({"plane": plane_json(e1)}))
@@ -393,19 +410,19 @@ def _infinite_positive_options():
         "gdc-sample-tol": (
             ["gdc-sample", "--trials", "1", "--starts", "2", "--seed", "0", "--tol", "inf",
              "--json", hyper],
-            "GrasscritError",
+            "DomainError",
         ),
         "log-tol-cut": (
             ["log", "--tol-cut", "inf", "--json", json.dumps({"plane": l, "target": s})],
-            "GrasscritError",
+            "DomainError",
         ),
-        "cut-stratum-tol-cut": (["cut-stratum", "--tol-cut", "inf", "--json", pair], "GrasscritError"),
-        "subdiff-dim-tol-rank": (["subdiff-dim", "--tol-rank", "inf", "--json", pair], "GrasscritError"),
+        "cut-stratum-tol-cut": (["cut-stratum", "--tol-cut", "inf", "--json", pair], "DomainError"),
+        "subdiff-dim-tol-rank": (["subdiff-dim", "--tol-rank", "inf", "--json", pair], "DomainError"),
         "subdiff-zero-test-tol": (
-            ["subdiff-zero-test", "--tol", "inf", "--json", pair], "GrasscritError"
+            ["subdiff-zero-test", "--tol", "inf", "--json", pair], "DomainError"
         ),
-        "bound-c": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "inf"], "DimensionError"),
-        "bound-c-nan": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "nan"], "DimensionError"),
+        "bound-c": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "inf"], "DomainError"),
+        "bound-c-nan": (["bound", "--k", "2", "--n", "4", "--d", "3", "--c", "nan"], "DomainError"),
     }
 
 

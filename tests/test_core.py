@@ -6,6 +6,7 @@ import pytest
 from grasscrit import core
 from grasscrit.errors import (
     DimensionError,
+    DomainError,
     FrameMismatch,
     OnCutLocus,
     RankDeficient,
@@ -259,6 +260,20 @@ class TestMetric:
             core.exp(f, stack)
         with pytest.raises(DimensionError, match=r"^geodesic_point takes .*shape \(3, 3, 2\)$"):
             core.geodesic_point(f, stack, 0.5)
+
+    def test_geodesic_point_rejects_non_finite_or_overflowing_t(self, rng):
+        f = framed(core.random_plane(5, 2, 4))
+        v = core.tangent(f, rng.standard_normal((3, 2)))
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="must be finite"):
+                core.geodesic_point(f, v, t)
+        # t A is finite, but (t A)^T (t A) in the exponential kernel is not
+        for t in (1e308, -1e160):
+            with pytest.raises(DomainError, match="overflows"):
+                core.geodesic_point(f, v, t)
+        # a zero tangent stays at the base plane for any finite t
+        zero = core.tangent(f, np.zeros((3, 2)))
+        assert core.grassmann_distance(core.geodesic_point(f, zero, 1e308), f.plane) < 1e-12
 
 
 class TestTangentStack:

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 from scipy.optimize._numdiff import approx_derivative
 
-from grasscrit import core, search
+from grasscrit import bounds, core, search
 from grasscrit.errors import (
     DimensionError,
     DomainError,
@@ -721,83 +721,83 @@ class TestGdcEstimate:
     def test_counts_below_bound(self):
         p = circle_two_point_slice(0.8)
         report = search.gdc_estimate(p, trials=2, n_starts=8, seed=11)
-        bound = search.pfaffian_bound(1, 2, p.degree)
+        bound = bounds.pfaffian_bound(1, 2, p.degree)
         assert report.max_count <= bound.bound
 
 
 class TestPfaffianBound:
     def test_exponent_examples(self):
-        assert search.pfaffian_bound(2, 4, 1).c2 == 18
-        assert search.pfaffian_bound(3, 8, 1).c2 == 39
+        assert bounds.pfaffian_bound(2, 4, 1).c2 == 18
+        assert bounds.pfaffian_bound(3, 8, 1).c2 == 39
 
     def test_leading_constant_printed_product(self):
-        rep = search.pfaffian_bound(2, 4, 1)
+        rep = bounds.pfaffian_bound(2, 4, 1)
         expected = 2 * 2 * 2**28 * (math.comb(8, 7) + 9) ** 10 * 40**18
         assert rep.c1_int == expected
 
     def test_monotone_in_degree_and_scale(self):
-        b1 = search.pfaffian_bound(2, 4, 2)
-        b2 = search.pfaffian_bound(2, 4, 3)
+        b1 = bounds.pfaffian_bound(2, 4, 2)
+        b2 = bounds.pfaffian_bound(2, 4, 3)
         assert b2.log10_bound > b1.log10_bound
-        b3 = search.pfaffian_bound(2, 4, 2, c_param=2.0)
+        b3 = bounds.pfaffian_bound(2, 4, 2, c_param=2.0)
         assert b3.log10_bound > b1.log10_bound
 
     def test_huge_values_reported_via_log(self):
-        rep = search.pfaffian_bound(3, 8, 10)
+        rep = bounds.pfaffian_bound(3, 8, 10)
         assert math.isinf(rep.bound)
         assert rep.log10_bound > 300
         assert rep.c1_int > 0
 
     def test_tiny_scale_on_huge_constant(self):
         # the integer alone does not fit a float; the scaled value does
-        rep = search.pfaffian_bound(3, 8, 1, c_param=1e-250)
+        rep = bounds.pfaffian_bound(3, 8, 1, c_param=1e-250)
         assert math.isfinite(rep.c1) and rep.c1 > 0
         assert abs(rep.log10_c1 - math.log10(rep.c1)) < 1e-9
 
     def test_domain_gates(self):
         with pytest.raises(DimensionError):
-            search.pfaffian_bound(3, 4, 1)
+            bounds.pfaffian_bound(3, 4, 1)
         with pytest.raises(DimensionError):
-            search.pfaffian_bound(2, 4, 0)
-        with pytest.raises(DimensionError):
-            search.pfaffian_bound(2, 4, 1, c_param=0.0)
+            bounds.pfaffian_bound(2, 4, 0)
+        with pytest.raises(DomainError):
+            bounds.pfaffian_bound(2, 4, 1, c_param=0.0)
 
 
 class TestSphereProductModel:
     def test_distance_identical_pairs(self):
         x = np.array([1.0, 0.0, 0.0])
-        assert search.g24_distance(x, x, x, x) == 0.0
+        assert bounds.g24_distance(x, x, x, x) == 0.0
 
     def test_distance_orthogonal_second_factor(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
         w = np.array([0.0, 0.0, 1.0])
-        assert abs(search.g24_distance(x, y, x, w) - math.pi / 2) < 1e-15
+        assert abs(bounds.g24_distance(x, y, x, w) - math.pi / 2) < 1e-15
 
     def test_distance_antipodal(self):
         x = np.array([0.0, 1.0, 0.0])
         y = np.array([0.0, 0.0, 1.0])
-        assert abs(search.g24_distance(x, y, -x, -y) - math.pi * math.sqrt(2)) < 1e-14
+        assert abs(bounds.g24_distance(x, y, -x, -y) - math.pi * math.sqrt(2)) < 1e-14
 
     def test_distance_rejects_non_unit(self):
         x = np.array([1.0, 0.0, 0.0])
         with pytest.raises(NotUnit):
-            search.g24_distance(2 * x, x, x, x)
+            bounds.g24_distance(2 * x, x, x, x)
 
     def test_residual_at_zero(self):
-        assert abs(search.g24_critical_residual(0.0, 1.0) - math.pi) < 1e-15
+        assert abs(bounds.g24_critical_residual(0.0, 1.0) - math.pi) < 1e-15
 
     def test_residual_limit_toward_one(self):
         # alpha tends to 1 as its argument tends to 1, so the residual
         # tends to 2 at beta = 1
-        assert abs(search.g24_critical_residual(1.0 - 1e-6, 1.0) - 2.0) < 1e-3
+        assert abs(bounds.g24_critical_residual(1.0 - 1e-6, 1.0) - 2.0) < 1e-3
 
     def test_residual_domain(self):
         with pytest.raises(DomainError):
-            search.g24_critical_residual(0.9, 2.0)
+            bounds.g24_critical_residual(0.9, 2.0)
 
     def test_det_identity_spot(self):
-        lhs, rhs = search.g24_det_identity_check(
+        lhs, rhs = bounds.g24_det_identity_check(
             np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), 2.0
         )
         expected = (1.5 * math.pi) ** 2
@@ -811,7 +811,7 @@ class TestSphereProductModel:
             y = rng.standard_normal(3)
             y /= np.linalg.norm(y)
             beta = rng.uniform(0.2, 3.0)
-            lhs, rhs = search.g24_det_identity_check(x, y, beta)
+            lhs, rhs = bounds.g24_det_identity_check(x, y, beta)
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
             assert rel < 1e-10
 
@@ -820,11 +820,11 @@ class TestSphereProductModel:
         t = 1e-5
         x = np.array([math.sqrt(1 - t * t), t, 0.0])
         y = np.array([0.0, 0.6, 0.8])
-        lhs, rhs = search.g24_det_identity_check(x, y, 1.3)
+        lhs, rhs = bounds.g24_det_identity_check(x, y, 1.3)
         assert abs(lhs) < 1e-6 and abs(rhs) < 1e-6
 
     def test_scan_reports_positivity(self):
-        scan = search.g24_residual_scan([0.5, 1.0, 2.0], n_grid=501)
+        scan = bounds.g24_residual_scan([0.5, 1.0, 2.0], n_grid=501)
         assert len(scan["betas"]) == 3
         for entry in scan["betas"]:
             assert entry["all_positive"]
