@@ -7,8 +7,11 @@ through their base-10 logarithm.
 
 The rest of the module evaluates the closed-form sphere-product
 distance on the oriented double cover of G(2, 4), where a family of
-linear slices yields a visibly non-algebraic critical-point system.
-Neither part runs the critical-point solver of :mod:`grasscrit.search`.
+linear slices yields a visibly non-algebraic critical-point system,
+on Python floats and :mod:`math`; the determinant side of its identity
+check is exact in rationals.  Neither part imports numpy or runs the
+critical-point solver of :mod:`grasscrit.search`, so the ``bound`` and
+``g24-demo`` commands start without numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
-
-import numpy as np
+from fractions import Fraction
+from numbers import Real
 
 from .errors import DimensionError, DomainError, NotUnit
 
@@ -121,13 +124,27 @@ def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
 # Oriented G(2,4) sphere-product model
 # ---------------------------------------------------------------------------
 
-def _check_unit(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise DimensionError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
-        raise NotUnit(f"{name} has norm {np.linalg.norm(v)!r}, expected 1 within 1e-10")
+def _vector3(vec, name: str) -> tuple[float, float, float]:
+    """``vec`` as three floats, or a DimensionError for any other shape."""
+    try:
+        v = tuple(vec)
+    except TypeError:  # a scalar
+        v = ()
+    if len(v) != 3 or not all(isinstance(c, Real) for c in v):
+        raise DimensionError(f"{name} must be a 3-vector of reals, got {vec!r}")
+    return tuple(float(c) for c in v)
+
+
+def _check_unit(vec, name: str) -> tuple[float, float, float]:
+    v = _vector3(vec, name)
+    norm = math.sqrt(_dot(v, v))
+    if abs(norm - 1.0) > 1e-10:
+        raise NotUnit(f"{name} has norm {norm!r}, expected 1 within 1e-10")
     return v
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def g24_distance(x, y, z, w) -> float:
@@ -138,8 +155,8 @@ def g24_distance(x, y, z, w) -> float:
     angles.
     """
     x, y, z, w = (_check_unit(v, name) for v, name in ((x, "x"), (y, "y"), (z, "z"), (w, "w")))
-    ax = math.acos(min(1.0, max(-1.0, float(x @ z))))
-    ay = math.acos(min(1.0, max(-1.0, float(y @ w))))
+    ax = math.acos(min(1.0, max(-1.0, _dot(x, z))))
+    ay = math.acos(min(1.0, max(-1.0, _dot(y, w))))
     return math.sqrt(ax * ax + ay * ay)
 
 
@@ -168,31 +185,54 @@ def g24_det_identity_check(x, y, beta: float) -> tuple[float, float]:
     """Both sides of the closed-form factorization of the criticality minor.
 
     The left side is the determinant of M^T M for the 6 x 4 gradient
-    matrix of the slice system; the right side is the product
+    matrix of the slice system, taken exactly in rational arithmetic on
+    the float entries of M and rounded once, so it is the same on every
+    platform; the right side is the product
     (x2^2 + x3^2)(y2^2 + y3^2)(alpha(y1) + beta alpha(x1))^2.
+
+    Raises
+    ------
+    DimensionError
+        If x or y is not a 3-vector of reals.
+    DomainError
+        If |x1| >= 1 or |y1| >= 1, or an input is not finite.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (3,) or y.shape != (3,):
-        raise DimensionError("x and y must be 3-vectors")
-    if abs(float(x[0])) >= 1.0 or abs(float(y[0])) >= 1.0:
+    x, y, beta = _vector3(x, "x"), _vector3(y, "y"), float(beta)
+    if abs(x[0]) >= 1.0 or abs(y[0]) >= 1.0:
         raise DomainError("need |x1| < 1 and |y1| < 1")
-    ax, ay = g24_alpha(float(x[0])), g24_alpha(float(y[0]))
-    m = np.array(
-        [
-            [x[0], 0.0, ax, 1.0],
-            [x[1], 0.0, 0.0, 0.0],
-            [x[2], 0.0, 0.0, 0.0],
-            [0.0, y[0], ay, -beta],
-            [0.0, y[1], 0.0, 0.0],
-            [0.0, y[2], 0.0, 0.0],
-        ]
-    )
-    lhs = float(np.linalg.det(m.T @ m))
-    rhs = float(
-        (x[1] ** 2 + x[2] ** 2) * (y[1] ** 2 + y[2] ** 2) * (ay + beta * ax) ** 2
-    )
+    if not all(map(math.isfinite, (*x, *y, beta))):
+        raise DomainError(f"x, y and beta must be finite, got {x}, {y}, {beta}")
+    ax, ay = g24_alpha(x[0]), g24_alpha(y[0])
+    m = [
+        (x[0], 0.0, ax, 1.0),
+        (x[1], 0.0, 0.0, 0.0),
+        (x[2], 0.0, 0.0, 0.0),
+        (0.0, y[0], ay, -beta),
+        (0.0, y[1], 0.0, 0.0),
+        (0.0, y[2], 0.0, 0.0),
+    ]
+    m = [[Fraction(v) for v in row] for row in m]
+    gram = [[sum(row[i] * row[j] for row in m) for j in range(4)] for i in range(4)]
+    lhs = float(_exact_det(gram))
+    rhs = (x[1] ** 2 + x[2] ** 2) * (y[1] ** 2 + y[2] ** 2) * (ay + beta * ax) ** 2
     return lhs, rhs
+
+
+def _exact_det(a: list[list[Fraction]]) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * _exact_det([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` >= 2 evenly spaced points from ``lo`` to ``hi``, by the
+    formula of ``np.linspace``, so the grid is the same point for point."""
+    step = (hi - lo) / (num - 1)
+    return [i * step + lo for i in range(num - 1)] + [hi]
 
 
 def g24_residual_scan(
@@ -216,29 +256,23 @@ def g24_residual_scan(
     if n_grid < 2:
         raise DimensionError(f"n_grid must be at least 2, got {n_grid}")
     out = {"y1_lo": y1_lo, "y1_hi": y1_hi, "n_grid": n_grid, "betas": []}
-    ys = np.linspace(y1_lo, y1_hi, n_grid)
+    ys = _linspace(y1_lo, y1_hi, n_grid)
     for beta in betas:
         beta = float(beta)
         if not math.isfinite(beta):
             raise DomainError(f"beta must be finite, got {beta}")
-        vals = []
-        for y1 in ys:
-            if abs(beta * y1) >= 1.0:
-                continue
-            vals.append(g24_critical_residual(float(y1), beta))
+        vals = [g24_critical_residual(y1, beta) for y1 in ys if abs(beta * y1) < 1.0]
         if not vals:
             raise DomainError(f"no grid point y1 has |beta*y1| < 1 for beta={beta!r}")
-        vals = np.array(vals)
-        signs = np.sign(vals)
-        changes = int(np.sum(signs[1:] * signs[:-1] < 0))
+        changes = sum(a < 0.0 < b or b < 0.0 < a for a, b in zip(vals, vals[1:]))
         out["betas"].append(
             {
                 "beta": beta,
-                "grid_points": int(vals.size),
-                "min_residual": float(np.min(vals)),
-                "max_residual": float(np.max(vals)),
+                "grid_points": len(vals),
+                "min_residual": min(vals),
+                "max_residual": max(vals),
                 "sign_changes": changes,
-                "all_positive": bool(np.all(vals > 0.0)),
+                "all_positive": all(v > 0.0 for v in vals),
             }
         )
     return out

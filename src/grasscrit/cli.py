@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 validation error (domain preconditions), 3
 parse error (bad command line or malformed/unschematic JSON), 4 solver
 error.  Errors are reported as ``{"code", "message", "path"}``.
 
-Each handler imports the library modules it runs, so a cold process
-compiles and runs only those.
+Each handler imports the library modules it runs, numpy included, so a
+cold process compiles and runs only those: ``bound`` and ``g24-demo``
+load no numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import serialize
 from .errors import DimensionError, DomainError, GrasscritError, NoConvergence, SchemaError
@@ -213,6 +212,8 @@ def _cmd_subdiff_dim(args):
 
 
 def _cmd_subdiff_zero_test(args):
+    import numpy as np
+
     from . import core, cutlocus
 
     doc = _load_doc(args)
@@ -241,6 +242,8 @@ def _cmd_subdiff_zero_test(args):
 
 
 def _cmd_ey(args):
+    import numpy as np
+
     from . import lowrank
 
     doc = _load_doc(args)
@@ -346,7 +349,7 @@ def _cmd_g24_demo(args):
         ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), 2.0),
         ((0.3, math.sqrt(1 - 0.09), 0.0), (-0.2, 0.0, math.sqrt(1 - 0.04)), 0.7),
     ):
-        lhs, rhs = bounds.g24_det_identity_check(np.array(x), np.array(y), beta)
+        lhs, rhs = bounds.g24_det_identity_check(x, y, beta)
         spots.append({"x": list(x), "y": list(y), "beta": beta, "lhs": lhs, "rhs": rhs})
     return {"scan": scan, "identity_spot_checks": spots}
 

@@ -280,10 +280,6 @@ def tangent(at: FramedPlane, a) -> TangentMatrix:
     return TangentMatrix(a=np.asarray(a, dtype=float), frame=at)
 
 
-def zero_tangent(at: FramedPlane) -> TangentMatrix:
-    return tangent(at, np.zeros((at.n - at.k, at.k)))
-
-
 def random_plane(n: int, k: int, seed) -> Plane:
     """Seeded random plane: orthonormalized standard normal n x k matrix.
 
@@ -292,12 +288,6 @@ def random_plane(n: int, k: int, seed) -> Plane:
     """
     rng = np.random.default_rng(seed)
     return make_plane(rng.standard_normal((n, k)))
-
-
-def random_orthogonal(dim: int, seed) -> np.ndarray:
-    """Seeded random orthogonal matrix (QR of a Gaussian, signed)."""
-    rng = np.random.default_rng(seed)
-    return _signed_qr(rng.standard_normal((dim, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +317,6 @@ def principal_angles(e1: Plane, e2: Plane) -> np.ndarray:
     """Nondecreasing principal angles between two k-planes."""
     _check_same_shape(e1, e2)
     return _hybrid_angles(e1.basis, e2.basis)
-
-
-def principal_angles_rect(e: Plane, f: Plane) -> np.ndarray:
-    """Principal angles between planes of different dimensions.
-
-    ``f`` may have smaller dimension than ``e``; the result has
-    ``f.k`` nondecreasing entries.  With ``ft`` a subspace of ``f`` the
-    angles interlace: theta_i(e, f) <= theta_i(e, ft)
-    <= theta_{i + f.k - ft.k}(e, f).
-    """
-    if e.n != f.n:
-        raise DimensionError(f"ambient dimensions differ: {e.n} != {f.n}")
-    if f.k > e.k:
-        raise DimensionError(f"second plane dimension {f.k} exceeds first {e.k}")
-    return _hybrid_angles(e.basis, f.basis)
 
 
 def grassmann_distance(e1: Plane, e2: Plane) -> float:

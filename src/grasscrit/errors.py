@@ -51,10 +51,6 @@ class DegenerateSpectrum(GrasscritError):
     """Singular values coincide (or vanish) within tolerance."""
 
 
-class RankCollapse(GrasscritError):
-    """Matrix has smaller numerical rank than required."""
-
-
 # ---------------------------------------------------------------------------
 # Cut locus / subdifferential errors
 # ---------------------------------------------------------------------------

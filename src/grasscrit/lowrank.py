@@ -1,30 +1,20 @@
-"""Rank-constrained matrix sets and best low-rank approximation.
+"""Best low-rank approximation and its critical set.
 
 The distance function from a fixed matrix to the manifold of rank-r
 matrices (Frobenius metric) has exactly binomial(m, r) constrained
 critical points when the singular values are distinct and positive:
 one for each selection of r singular triplets.  The selection keeping
-the r largest singular values is the global minimizer.  This module
-computes the full critical set, certifies criticality through the
-tangent/normal split of the fixed-rank manifold, and classifies
-matrices against the region of singular values bounded by pi/2.
+the r largest singular values is the global minimizer.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrum,
-    DimensionError,
-    IndexOutOfRange,
-    RankCollapse,
-)
+from .errors import DegenerateSpectrum, DimensionError, IndexOutOfRange
 
 #: Relative tolerance deciding when two singular values coincide.  Far
 #: above double-precision SVD backward error at the matrix sizes this
@@ -54,45 +44,6 @@ class SvdTriple:
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ np.diag(self.sigma) @ self.v.T
-
-
-@dataclass(frozen=True)
-class RankRegion:
-    """The set of m x n matrices with rank at most r."""
-
-    r: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not (0 <= self.r <= min(self.m, self.n)):
-            raise DimensionError(f"need 0 <= r <= min(m, n), got r={self.r}")
-
-    def contains(self, a, tol: float = TOL_SV) -> bool:
-        s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-        scale = max(float(s[0]), 1e-300)
-        return int(np.sum(s > tol * scale)) <= self.r
-
-    def tangent_basis_at(self, a) -> list[np.ndarray]:
-        """Orthonormal basis of the tangent space of the rank-r manifold.
-
-        Requires numerical rank exactly r.  The basis consists of the
-        Frobenius-orthonormal matrices u_i v_j^T with at least one index
-        in the top-r block; its size is r (m + n - r).
-        """
-        a = np.asarray(a, dtype=float)
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-        scale = max(float(s[0]), 1e-300) if s.size else 1e-300
-        rank = int(np.sum(s > TOL_SV * scale))
-        if rank != self.r:
-            raise RankCollapse(f"numerical rank {rank} != r={self.r}")
-        v = vt.T
-        basis = []
-        for i in range(self.m):
-            for j in range(self.n):
-                if i < self.r or j < self.r:
-                    basis.append(np.outer(u[:, i], v[:, j]))
-        return basis
 
 
 def svd(a) -> SvdTriple:
@@ -132,32 +83,6 @@ def spectrum_is_degenerate(sigma, tol_sv: float = TOL_SV) -> bool:
     return bool(np.any(np.diff(s) >= -tol_sv * scale))
 
 
-def truncate(a, index_set) -> np.ndarray:
-    """Keep the singular triplets selected by ``index_set``, zero the rest.
-
-    Indices are 0-based positions into the nonincreasing singular value
-    sequence; ``{0, ..., r-1}`` keeps the r largest.  The squared
-    Frobenius distance to the input is the sum of the squared dropped
-    singular values.
-    """
-    a = np.asarray(a, dtype=float)
-    t = svd(a)
-    m = t.sigma.size
-    idx = sorted(set(int(i) for i in index_set))
-    if any(i < 0 or i >= m for i in idx):
-        raise IndexOutOfRange(f"indices {idx} outside range(0, {m})")
-    if spectrum_is_degenerate(t.sigma):
-        warnings.warn(
-            "singular values coincide within tolerance; the critical-point "
-            "classification does not apply to this matrix",
-            UserWarning,
-            stacklevel=2,
-        )
-    mask = np.zeros(m)
-    mask[idx] = 1.0
-    return t.u @ np.diag(t.sigma * mask) @ t.v.T
-
-
 def ey_critical_set(a, r: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All critical points of the distance from ``a`` to the rank-r manifold.
 
@@ -169,8 +94,7 @@ def ey_critical_set(a, r: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     ------
     DegenerateSpectrum
         If the singular values are not distinct and positive within
-        relative tolerance; see :func:`perturb_degenerate` for the
-        jitter helper.
+        relative tolerance.
     """
     a = np.asarray(a, dtype=float)
     t = svd(a)
@@ -200,60 +124,3 @@ def _selections(u, sigma, v, r: int):
     combos = list(itertools.combinations(range(m), r))
     kept = sigma * np.array([[i in combo for i in range(m)] for combo in combos])
     return combos, kept, (u * kept[:, None, :]) @ v.T
-
-
-def perturb_degenerate(a, seed=0, scale: float = 1e-8) -> np.ndarray:
-    """Add Frobenius-norm-relative Gaussian jitter to split tied singular
-    values.  This changes the instance; the returned matrix is a nearby
-    problem, not the original one."""
-    a = np.asarray(a, dtype=float)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(a.shape)
-    return a + scale * float(np.linalg.norm(a)) * g / float(np.linalg.norm(g))
-
-
-def ey_normality_residual(a, a_trunc, expected_rank: int | None = None) -> float:
-    """Certify criticality of a truncation through the tangent split.
-
-    For ``a_trunc = U1 S1 V1^T`` of rank r, the residual is
-    ``max(||U1^T (a - a_trunc)||_F, ||(a - a_trunc) V1||_F)``; it
-    vanishes exactly when the difference is normal to the rank-r
-    manifold at ``a_trunc``.
-
-    Raises
-    ------
-    RankCollapse
-        If ``a_trunc`` has smaller numerical rank than ``expected_rank``.
-    """
-    a = np.asarray(a, dtype=float)
-    a_trunc = np.asarray(a_trunc, dtype=float)
-    t = svd(a_trunc)
-    scale = max(float(t.sigma[0]), 1e-300) if t.sigma.size else 1e-300
-    rank = int(np.sum(t.sigma > TOL_SV * scale))
-    if expected_rank is not None and rank < expected_rank:
-        raise RankCollapse(f"numerical rank {rank} < expected {expected_rank}")
-    if rank == 0:
-        raise RankCollapse("truncation is numerically zero")
-    u1 = t.u[:, :rank]
-    v1 = t.v[:, :rank]
-    resid = a - a_trunc
-    return max(
-        float(np.linalg.norm(u1.T @ resid)),
-        float(np.linalg.norm(resid @ v1)),
-    )
-
-
-def in_R_half_pi(a, tol: float = 1e-9) -> str:
-    """Classify a matrix against the region of singular values <= pi/2.
-
-    Returns ``"interior"``, ``"boundary"`` or ``"outside"`` according to
-    the largest singular value versus pi/2 with absolute tolerance
-    ``tol``.
-    """
-    a = np.asarray(a, dtype=float)
-    smax = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    if smax < math.pi / 2 - tol:
-        return "interior"
-    if smax > math.pi / 2 + tol:
-        return "outside"
-    return "boundary"

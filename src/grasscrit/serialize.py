@@ -11,7 +11,9 @@ Documents:
 All floating point output is decimal with 17 significant digits, which
 round-trips IEEE doubles exactly; dictionaries are emitted with sorted
 keys so identical values produce byte-identical documents.  Non-finite
-floats serialize as the strings "inf", "-inf" and "nan".
+floats serialize as the strings "inf", "-inf" and "nan".  Numpy scalars
+and arrays are written as their ``tolist()``; the module imports numpy
+only in the readers and writers of matrices.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import SchemaError
 
 if TYPE_CHECKING:  # imported where used, so a command loads only what it runs
+    import numpy as np
+
     from .core import Plane
     from .search import PluckerPolynomial
 
@@ -59,12 +61,10 @@ def _write(obj, out: list[str]) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(_format_float(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -83,6 +83,8 @@ def _write(obj, out: list[str]) -> None:
                 out.append(",")
             _write(item, out)
         out.append("]")
+    elif hasattr(obj, "tolist"):  # a numpy scalar or array, as Python values
+        _write(obj.tolist(), out)
     else:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
@@ -128,6 +130,8 @@ def plane_from_json(obj, path: str = "plane") -> Plane:
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     return {"rows": a.shape[0], "cols": a.shape[1], "a": a.tolist()}
 
@@ -139,6 +143,8 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
 def _shaped_matrix(obj, path: str, rows_key: str, cols_key: str, data_key: str) -> np.ndarray:
     """The numeric matrix ``obj[data_key]``, checked against the integer
     shape fields ``obj[rows_key]`` and ``obj[cols_key]``."""
+    import numpy as np
+
     rows = _integer(_require(obj, rows_key, path), f"{path}.{rows_key}")
     cols = _integer(_require(obj, cols_key, path), f"{path}.{cols_key}")
     try:
@@ -148,14 +154,6 @@ def _shaped_matrix(obj, path: str, rows_key: str, cols_key: str, data_key: str) 
     if a.shape != (rows, cols):
         raise SchemaError(f"{path}.{data_key} shape {a.shape} != ({rows}, {cols})")
     return a
-
-
-def polynomial_to_json(p: PluckerPolynomial) -> dict:
-    return {
-        "n": p.n,
-        "k": p.k,
-        "terms": [{"idx": list(exps), "coef": coef} for exps, coef in p.terms],
-    }
 
 
 def polynomial_from_json(obj, path: str = "hypersurface") -> PluckerPolynomial:

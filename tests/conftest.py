@@ -45,3 +45,25 @@ def e_basis(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+def random_orthogonal(dim, seed):
+    """Seeded random orthogonal matrix (QR of a Gaussian, signed)."""
+    rng = np.random.default_rng(seed)
+    return core._signed_qr(rng.standard_normal((dim, dim)))
+
+
+def zero_tangent(at):
+    return core.tangent(at, np.zeros((at.n - at.k, at.k)))
+
+
+def fixed_rank_tangent_basis(a, r):
+    """Frobenius-orthonormal basis u_i v_j^T (i < r or j < r) of the
+    tangent space of the rank-r matrices at ``a``, which must have
+    numerical rank r; its size is r (m + n - r)."""
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    assert int(np.sum(s > 1e-10 * s[0])) == r
+    m, n = a.shape
+    return [
+        np.outer(u[:, i], vt[j]) for i in range(m) for j in range(n) if i < r or j < r
+    ]

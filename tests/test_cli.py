@@ -489,6 +489,34 @@ class TestDeterminism:
 
 
 class TestSerialization:
+    def test_numpy_values_write_as_python_values(self):
+        # numpy scalars and 0-d, 1-d and 2-d arrays, nested in dicts and
+        # lists, are written as the Python values of their tolist()
+        cases = [
+            (np.int64(-7), "-7"),
+            (np.float64(0.1), "0.10000000000000001"),
+            (np.float32(0.1), "0.10000000149011612"),
+            (np.array(2.5), "2.5"),
+            (np.array(3), "3"),
+            (np.array([1.0, np.inf, -0.0]), '[1,"inf",-0]'),
+            (np.array([[1, 2], [3, 4]], dtype=np.int32), "[[1,2],[3,4]]"),
+            (
+                np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+                "[[0,0.3333333432674408,0.66666668653488159],"
+                "[1,1.3333333730697632,1.6666666269302368]]",
+            ),
+            (np.array([True, False]), "[true,false]"),
+            (
+                [{"a": np.float64(np.nan), "b": [np.int8(3), np.array([np.float32(1e-8)])]},
+                 (np.uint64(2**63),)],
+                '[{"a":"nan","b":[3,[9.9999999392252903e-09]]},[9223372036854775808]]',
+            ),
+        ]
+        for value, text in cases:
+            assert serialize.canonical_dumps(value) == text
+            assert serialize.canonical_dumps({"v": [value]}) == '{"v":[' + text + "]}"
+        assert serialize.canonical_dumps([np.bool_(True), np.False_]) == "[true,false]"
+
     def test_canonical_floats(self):
         text = serialize.canonical_dumps({"x": 0.1, "y": float("inf"), "z": 1.0})
         assert '"x":0.10000000000000001' in text
@@ -517,7 +545,8 @@ class TestSerialization:
             e[j] += 1
             terms[tuple(e)] = float(rng.standard_normal())
         p = search.PluckerPolynomial(n=4, k=2, terms=tuple(terms.items()))
-        text = serialize.canonical_dumps(serialize.polynomial_to_json(p))
+        doc = {"n": p.n, "k": p.k, "terms": [{"idx": list(e), "coef": c} for e, c in p.terms]}
+        text = serialize.canonical_dumps(doc)
         q = serialize.polynomial_from_json(json.loads(text))
         assert (q.n, q.k, q.terms) == (p.n, p.k, p.terms)
         report = search.gdc_estimate(p, trials=2, n_starts=4, seed=3).to_dict()

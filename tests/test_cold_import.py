@@ -1,5 +1,6 @@
 """The CLI's cold start: no command loads scipy, solving ones included,
-and each command imports only the grasscrit modules it runs."""
+each command imports only the grasscrit modules it runs, and the two
+scalar commands (``bound`` and ``g24-demo``) load no numpy."""
 
 import json
 import os
@@ -129,6 +130,8 @@ COMMAND_MODULES = {
     "bound": {"bounds"},
     "g24-demo": {"bounds"},
 }
+# the commands that compute on Python floats and integers alone
+NUMPY_FREE = {"bound", "g24-demo"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
@@ -146,6 +149,8 @@ def test_command_imports_only_the_modules_it_runs(command):
     expected = {"grasscrit", "grasscrit.errors", "grasscrit.serialize"}
     assert grasscrit == expected | {f"grasscrit.{m}" for m in COMMAND_MODULES[command]}
     assert not {name for name in names if name.split(".")[0] == "scipy"}
+    numpy = {name for name in names if name.split(".")[0] == "numpy"}
+    assert bool(numpy) == (command not in NUMPY_FREE), sorted(numpy)[:5]
 
 
 LAZY_PROBE = """
@@ -178,3 +183,17 @@ def test_package_import_loads_no_submodule():
         "bounds", "core", "cutlocus", "errors", "lowrank", "schubert", "search", "serialize",
     ]
     assert result["missing"] == "module 'grasscrit' has no attribute 'solver'"
+
+
+SERIALIZE_PROBE = """
+import json, sys
+from grasscrit import serialize
+text = serialize.canonical_dumps({"a": [1, 2.5, None, True, "x", (float("inf"),)], "b": {"c": -0.0}})
+print(json.dumps({"text": text, "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}))
+"""
+
+
+def test_serialize_plain_values_load_no_numpy():
+    result = json.loads(_python("-c", SERIALIZE_PROBE).stdout)
+    assert result["text"] == '{"a":[1,2.5,null,true,"x",["inf"]],"b":{"c":-0}}'
+    assert result["numpy"] == []

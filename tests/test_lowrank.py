@@ -1,10 +1,54 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from grasscrit import lowrank
-from grasscrit.errors import DegenerateSpectrum, IndexOutOfRange, RankCollapse
+from grasscrit import core, cutlocus, lowrank
+from grasscrit.errors import DegenerateSpectrum, IndexOutOfRange
+
+from conftest import fixed_rank_tangent_basis
+
+
+class RankCollapse(Exception):
+    """A truncation has smaller numerical rank than required."""
+
+
+def truncate(a, index_set):
+    """Keep the singular triplets at the 0-based positions ``index_set``
+    (into the nonincreasing singular values) and zero the rest; warns
+    when the spectrum is degenerate."""
+    t = lowrank.svd(a)
+    m = t.sigma.size
+    idx = sorted(set(index_set))
+    if any(i < 0 or i >= m for i in idx):
+        raise IndexOutOfRange(f"indices {idx} outside range(0, {m})")
+    if lowrank.spectrum_is_degenerate(t.sigma):
+        warnings.warn("singular values coincide within tolerance", UserWarning, stacklevel=2)
+    mask = np.zeros(m)
+    mask[idx] = 1.0
+    return t.u @ np.diag(t.sigma * mask) @ t.v.T
+
+
+def perturb_degenerate(a, seed=0, scale=1e-8):
+    """``a`` plus Gaussian jitter of Frobenius norm ``scale * |a|``, which
+    splits tied singular values (a nearby problem, not the same one)."""
+    g = np.random.default_rng(seed).standard_normal(a.shape)
+    return a + scale * np.linalg.norm(a) * g / np.linalg.norm(g)
+
+
+def ey_normality_residual(a, a_trunc, expected_rank=None):
+    """Criticality certificate of a truncation ``U1 S1 V1^T`` of rank r:
+    ``max(|U1^T (a - a_trunc)|_F, |(a - a_trunc) V1|_F)`` vanishes exactly
+    when the difference is normal to the rank-r manifold there."""
+    t = lowrank.svd(a_trunc)
+    rank = int(np.sum(t.sigma > lowrank.TOL_SV * max(t.sigma[0], 1e-300)))
+    if rank == 0 or (expected_rank is not None and rank < expected_rank):
+        raise RankCollapse(f"numerical rank {rank} < expected {expected_rank}")
+    resid = a - a_trunc
+    return max(
+        np.linalg.norm(t.u[:, :rank].T @ resid), np.linalg.norm(resid @ t.v[:, :rank])
+    )
 
 
 class TestSvd:
@@ -41,34 +85,36 @@ class TestSvd:
 class TestTruncate:
     def test_keep_largest(self):
         a = np.diag([3.0, 1.0])
-        out = lowrank.truncate(a, {0})
+        out = truncate(a, {0})
         assert np.allclose(out, np.diag([3.0, 0.0]), atol=1e-14)
         assert abs(np.linalg.norm(a - out) - 1.0) < 1e-14
 
     def test_keep_all_is_identity(self, rng):
         a = rng.standard_normal((4, 3))
-        assert np.allclose(lowrank.truncate(a, range(3)), a, atol=1e-13)
+        assert np.allclose(truncate(a, range(3)), a, atol=1e-13)
 
     def test_distances_enumerate_selections(self, rng):
         a = rng.standard_normal((4, 3))
         s = lowrank.svd(a).sigma
+        points = dict(lowrank.ey_critical_set(a, 1))
         for keep in ({0}, {1}, {2}):
             drop = set(range(3)) - keep
-            d = np.linalg.norm(a - lowrank.truncate(a, keep))
+            d = np.linalg.norm(a - truncate(a, keep))
             expected = math.sqrt(sum(s[i] ** 2 for i in drop))
             assert abs(d - expected) < 1e-12
+            assert np.allclose(points[tuple(keep)], truncate(a, keep), atol=1e-13)
 
     def test_idempotent(self, rng):
         a = rng.standard_normal((5, 4))
-        t1 = lowrank.truncate(a, {0, 2})
+        t1 = truncate(a, {0, 2})
         with pytest.warns(UserWarning):
             # t1 has zeroed singular values, hence a degenerate spectrum
-            t2 = lowrank.truncate(t1, {0, 1, 2, 3})
+            t2 = truncate(t1, {0, 1, 2, 3})
         assert np.allclose(t1, t2, atol=1e-14)
 
     def test_index_out_of_range(self, rng):
         with pytest.raises(IndexOutOfRange):
-            lowrank.truncate(rng.standard_normal((3, 3)), {5})
+            truncate(rng.standard_normal((3, 3)), {5})
 
 
 class TestEyCriticalSet:
@@ -101,19 +147,19 @@ class TestEyCriticalSet:
             lowrank.ey_critical_set(np.eye(3), 1)
 
     def test_perturb_helper_unlocks(self):
-        a = lowrank.perturb_degenerate(np.eye(3), seed=0)
+        a = perturb_degenerate(np.eye(3), seed=0)
         assert len(lowrank.ey_critical_set(a, 1)) == 3
 
 
 class TestNormalityResidual:
     def test_diagonal_truncation_exact(self):
         a = np.diag([3.0, 1.0])
-        assert lowrank.ey_normality_residual(a, np.diag([3.0, 0.0])) < 1e-14
+        assert ey_normality_residual(a, np.diag([3.0, 0.0])) < 1e-14
 
     def test_all_selection_points_certified(self, rng):
         a = rng.standard_normal((5, 4))
         for _, a_i in lowrank.ey_critical_set(a, 2):
-            resid = lowrank.ey_normality_residual(a, a_i, expected_rank=2)
+            resid = ey_normality_residual(a, a_i, expected_rank=2)
             assert resid < 1e-10 * np.linalg.norm(a)
 
     def test_noncritical_perturbation_flagged(self, rng):
@@ -124,30 +170,45 @@ class TestNormalityResidual:
             t.u[:, :2] @ np.diag(t.sigma[:2] + np.array([0.0, 0.05])) @ t.v[:, :2].T
             + 0.05 * np.outer(t.u[:, 2], t.v[:, 1])
         )
-        assert lowrank.ey_normality_residual(a, b) > 1e-3
+        assert ey_normality_residual(a, b) > 1e-3
 
     def test_rank_collapse(self, rng):
         a = rng.standard_normal((4, 3))
         with pytest.raises(RankCollapse):
-            lowrank.ey_normality_residual(a, lowrank.truncate(a, {0}), expected_rank=2)
+            ey_normality_residual(a, truncate(a, {0}), expected_rank=2)
 
 
 class TestRegion:
+    """R_{pi/2}, the tangent matrices with singular values at most pi/2:
+    exp maps its interior off the cut locus of the base plane, at the
+    Frobenius norm as distance, and its boundary onto the cut locus."""
+
+    def _image(self, a):
+        base = core.complete_frame(core.random_plane(4, 2, 7))
+        return base.plane, core.exp(base, core.tangent(base, a))
+
     def test_zero_matrix_interior(self):
-        assert lowrank.in_R_half_pi(np.zeros((3, 2))) == "interior"
+        base, e = self._image(np.zeros((2, 2)))
+        assert cutlocus.cut_stratum(base, e).j == 0
+        assert core.grassmann_distance(base, e) < 1e-12
 
     def test_boundary(self):
-        assert lowrank.in_R_half_pi(np.diag([math.pi / 2, 0.3])) == "boundary"
+        base, e = self._image(np.diag([math.pi / 2, 0.3]))
+        assert cutlocus.cut_stratum(base, e).j == 1
+        assert abs(core.grassmann_distance(base, e) - math.hypot(math.pi / 2, 0.3)) < 1e-12
 
     def test_outside(self):
-        assert lowrank.in_R_half_pi(np.diag([2.0, 0.1])) == "outside"
+        # past the cut locus the geodesic stops minimizing
+        a = np.diag([2.0, 0.1])
+        base, e = self._image(a)
+        assert abs(core.grassmann_distance(base, e) - math.hypot(math.pi - 2.0, 0.1)) < 1e-12
+        assert core.grassmann_distance(base, e) < np.linalg.norm(a) - 0.5
 
     def test_rank_region_tangent_dimension(self, rng):
         a = rng.standard_normal((5, 3))
         t = lowrank.svd(a)
         a2 = t.u[:, :2] @ np.diag(t.sigma[:2]) @ t.v[:, :2].T
-        region = lowrank.RankRegion(r=2, m=5, n=3)
-        basis = region.tangent_basis_at(a2)
+        basis = fixed_rank_tangent_basis(a2, 2)
         assert len(basis) == 2 * (5 + 3 - 2)
         flat = np.array([b.ravel() for b in basis])
         assert np.allclose(flat @ flat.T, np.eye(len(basis)), atol=1e-12)

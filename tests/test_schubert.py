@@ -10,9 +10,7 @@ from grasscrit.errors import (
     NotSmoothPoint,
     OnCutLocus,
 )
-from grasscrit.lowrank import RankRegion
-
-from conftest import framed
+from conftest import fixed_rank_tangent_basis, framed
 
 
 def variety(n, k, s, seed=0):
@@ -57,11 +55,10 @@ def pushforward_reference(omega, e):
     at the connecting matrix (the logarithm: e is off the cut locus of
     w).  Returns orthonormal rows."""
     a = core.log(omega.w, e).a
-    region = RankRegion(r=omega.k - omega.s, m=omega.n - omega.k, n=omega.k)
     e_frame = core.complete_frame(e)
     h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.linalg.norm(a)))
     pushed = []
-    for z in region.tangent_basis_at(a):
+    for z in fixed_rank_tangent_basis(a, omega.k - omega.s):
         plus = core.exp(omega.w, core.tangent(omega.w, a + h * z))
         minus = core.exp(omega.w, core.tangent(omega.w, a - h * z))
         pushed.append((core.log(e_frame, plus).a - core.log(e_frame, minus).a).ravel() / (2.0 * h))
@@ -271,9 +268,8 @@ class TestGlobalMin:
         t = lr_svd(a_l.a)
         r = omega.k - omega.s
         a_min = t.u[:, :r] @ np.diag(t.sigma[:r]) @ t.v[:, :r].T
-        region = RankRegion(r=r, m=omega.n - omega.k, n=omega.k)
         rng = np.random.default_rng(92)
-        basis = region.tangent_basis_at(a_min)
+        basis = fixed_rank_tangent_basis(a_min, r)
         for step in (1e-2, 1e-3):
             for _ in range(20):
                 coeffs = rng.standard_normal(len(basis))

@@ -17,7 +17,7 @@ from grasscrit.errors import (
     SchemaError,
 )
 
-from conftest import framed
+from conftest import framed, random_orthogonal, zero_tangent
 
 
 def circle_two_point_slice(phi=0.7):
@@ -215,8 +215,8 @@ class TestLagrangeResidual:
         # gauge enters; covers repeated singular values, a singular value
         # at pi/2 and singular values beyond pi/2
         base = framed(core.random_plane(5, 2, 4))
-        u = core.random_orthogonal(3, 6)[:, :2]
-        v = core.random_orthogonal(2, 7)
+        u = random_orthogonal(3, 6)[:, :2]
+        v = random_orthogonal(2, 7)
         cases = [np.random.default_rng(5).uniform(-0.6, 0.6, (3, 2))] + [
             u @ np.diag(mu) @ v.T
             for mu in ([0.8, 0.8], [math.pi / 2, 0.4], [2.5, 1.9], [2.2, 2.2])
@@ -269,7 +269,7 @@ class TestLagrangeResidual:
         base = framed(core.random_plane(4, 2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            single = search.lagrange_residual(p, base, core.zero_tangent(base))
+            single = search.lagrange_residual(p, base, zero_tangent(base))
             stacked = search.lagrange_residual(p, base, np.zeros((3, 2, 2)))
         assert np.all(np.isfinite(single)) and np.all(np.isfinite(stacked))
         assert np.array_equal(single[1:], np.zeros(8))
@@ -314,7 +314,7 @@ class TestLagrangeResidual:
         base = framed(core.random_plane(4, 2, 3))
         other = framed(core.random_plane(4, 2, 4))
         with pytest.raises(FrameMismatch):
-            search.lagrange_residual(p, base, core.zero_tangent(other))
+            search.lagrange_residual(p, base, zero_tangent(other))
 
     def test_gradients_match_finite_differences(self, rng):
         # degree-2 polynomials on G(2,4), G(3,6) and G(4,8) run one to
