@@ -17,10 +17,10 @@ critical-point solver of :mod:`grasscrit.search`, so the ``bound`` and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Real
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, NotUnit
 
@@ -29,14 +29,14 @@ from .errors import DimensionError, DomainError, NotUnit
 # Explicit complexity bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluation of the explicit degree-power complexity bound.
 
     ``c1_int`` is the exact integer value of the leading constant at
     unit undetermined factor; ``c_param`` scales it.  ``bound`` is
     c_param * c1_int * d**c2, reported as a float when representable
-    and always in log10 form.
+    and always in log10 form.  A named tuple rather than a dataclass,
+    so the ``bound`` command does not import :mod:`dataclasses`.
     """
 
     k: int
@@ -51,7 +51,7 @@ class BoundReport:
     log10_bound: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _log10_int(value: int) -> float:

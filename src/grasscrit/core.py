@@ -386,6 +386,15 @@ def _geodesic_end(at: FramedPlane, a: np.ndarray, velocity: bool = False):
     return y, b @ f[2] + ca @ f[0]
 
 
+def _check_exp_range(at: FramedPlane, peak: float, what: str) -> None:
+    """Raise :class:`DomainError` when a tangent matrix whose largest
+    entry is ``peak`` in absolute value overflows the exponential kernel:
+    each entry of A^T A sums n - k products of entries of A.  Python
+    floats overflow to inf here without a numpy warning."""
+    if not math.isfinite((at.n - at.k) * peak * peak):
+        raise DomainError(f"{what} overflows the exponential kernel")
+
+
 def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     """Riemannian exponential at a framed plane.
 
@@ -395,11 +404,13 @@ def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     rotated by V^T, the matrix function computed by
     :func:`_geodesic_end`, so it depends continuously on ``a``.
     Takes a single tangent matrix; a stack raises :class:`DimensionError`.
+    A tangent matrix whose A^T A overflows raises :class:`DomainError`.
     """
     if not np.array_equal(a.frame.frame, at.frame):
         raise FrameMismatch("tangent vector not attached to the given frame")
     if a.a.ndim != 2:
         raise DimensionError(f"exp takes a single tangent matrix, got shape {a.a.shape}")
+    _check_exp_range(at, float(np.abs(a.a).max()), "tangent matrix")
     return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, a.a))
 
 
@@ -407,8 +418,8 @@ def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
     """Point at parameter ``t`` of the geodesic with initial velocity ``a``.
 
     Takes a single tangent matrix; a stack raises :class:`DimensionError`.
-    A non-finite ``t``, or one that makes the entries of (t A)^T (t A)
-    in the exponential kernel overflow, raises :class:`DomainError`.
+    A non-finite ``t``, or one for which :func:`exp` rejects t A, raises
+    :class:`DomainError`.
     """
     if a.a.ndim != 2:
         raise DimensionError(
@@ -417,13 +428,10 @@ def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"geodesic parameter t must be finite, got {t}")
-    # each entry of (t A)^T (t A) sums n - k products of entries of t A;
-    # Python floats overflow to inf here without a numpy warning
-    peak = abs(t) * float(np.max(np.abs(a.a), initial=0.0))
-    if not math.isfinite((at.n - at.k) * peak * peak):
-        raise DomainError(
-            f"geodesic parameter t = {t} overflows the exponential of t times the tangent"
-        )
+    # exp's range check on t A, before t A is formed: a finite product of
+    # Python floats bounds every entry of t A
+    peak = abs(t) * float(np.abs(a.a).max())
+    _check_exp_range(at, peak, f"geodesic parameter t = {t} times the tangent")
     return exp(at, tangent(at, t * a.a))
 
 

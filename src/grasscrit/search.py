@@ -16,7 +16,7 @@ are the solutions of a Lagrange system in A:
 Both are smooth in A, including at repeated angles: the basis and the
 velocity are power series in A^T A.  :func:`lagrange_residual` stacks
 the two conditions and the solver drives it to zero from seeded starts;
-a solution counts only when A lies inside the cut locus and the
+a solution counts only when its plane E lies off the cut locus and the
 chart-free certificate (geodesic direction normal to the hypersurface)
 also passes.  Counting the surviving points over random base planes
 gives an empirical lower bound for the generic critical-point count,
@@ -30,21 +30,23 @@ in the basis from the same sweep run backward (no cofactor matrices).
 Every reduction on this path runs in a fixed order, so a row of a
 stacked residual does not depend on the other rows.  The solver,
 :func:`least_squares`, runs all starts of a query in lockstep, each
-with its own state, through the trust-region-reflective method of
-Branch, Coleman and Li with Moré's Levenberg-Marquardt step (the
-configuration of scipy's bounded ``trf`` with exact trust-region
-solves; the tests run scipy as the reference, start by start).  Its
-state holds one row per running start: a start that stops is written
-to the result once and its row dropped, so a round touches only the
-starts it advances.  Each round makes one stacked residual call: the
-trial point of every running start together with its k(n - k)
-forward-difference shifts, so the Jacobian of an accepted step is
-already there and that of a rejected one is dropped; the quadratic
-model and the reflective choice at the box are stacked too, and so are
-the starts' orthonormal factors and the certificates of a query, whose
-bases are the found planes.  The module needs numpy alone; the
-solver is called through the module attribute, which the traced
-benchmark wraps by name to time each query.
+with its own state, through an unbounded trust-region method with
+Moré's Levenberg-Marquardt step (the configuration of scipy's
+unbounded ``trf`` with exact trust-region solves; the tests run scipy
+as the reference, start by start).  A solution is judged at its plane
+E, not in A: it may lie past pi/2 in normal coordinates and still be
+an off-cut critical point, read back through the principal angles.
+Its state holds one row per running start: a start that stops is
+written to the result once and its row dropped, so a round touches
+only the starts it advances.  Each round makes one stacked residual
+call: the trial point of every running start together with its
+k(n - k) forward-difference shifts, so the Jacobian of an accepted
+step is already there and that of a rejected one is dropped; the
+quadratic model is stacked too, and so are the starts' orthonormal
+factors and the certificates of a query, whose bases are the found
+planes.  The module needs numpy alone; the solver is called through
+the module attribute, which the traced benchmark wraps by name to
+time each query.
 """
 
 from __future__ import annotations
@@ -79,11 +81,6 @@ _EPS = float(np.finfo(float).eps)
 #: Relative finite-difference step of the solver's Jacobian (scipy's
 #: 2-point default).
 _FD_STEP = _EPS**0.5
-
-#: Bound on every entry of the solver's tangent matrix: the box
-#: [-pi/2, pi/2] holds the off-cut domain ||A||_2 < pi/2.
-_BOX = math.pi / 2
-_INSIDE = float(np.nextafter(_BOX, 0.0))
 
 #: The solver's stopping rules: relative cost change (scipy's default,
 #: so a start on a plateau stops), relative step change, scaled
@@ -319,14 +316,12 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.n
     Jacobians J (S, 1 + n k, m), from one stacked call at the S (m + 1)
     points x and x + h_j e_j.
 
-    The steps are scipy's 2-point ones inside the box [-pi/2, pi/2]:
-    h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, negated
-    where x_j + h_j would leave the box, and each column is divided by
-    the representable step (x_j + h_j) - x_j.
+    The steps are scipy's unbounded 2-point ones:
+    h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, and each
+    column is divided by the representable step (x_j + h_j) - x_j.
     """
     n_starts, m = x.shape
     h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    h = np.where(np.abs(x + h) > _BOX, -h, h)
     stencil = x[:, None, :] + h[:, None, :] * _shift_pattern(m)
     r = lagrange_residual(p, l, stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k))
     r = r.reshape(n_starts, m + 1, -1)
@@ -351,7 +346,7 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     """Moré's trust-region step of each start from one SVD of its
-    augmented scaled Jacobian (U, sv, V^T), with ``uf`` = U^T f.
+    Jacobian (U, sv, V^T), with ``uf`` = U^T f.
 
     The Gauss-Newton step is taken when the Jacobian has full rank and
     the step fits in the radius ``delta``; otherwise the
@@ -411,92 +406,6 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     return step, alpha
 
 
-def _model_1d(j_h, g_h, diag_h, s, s0=None):
-    """Coefficients of t -> model(s0 + t s) of each start, the model
-    0.5 z^T (J^T J + diag) z + g^T z on rows (R, m): (a, b) from s0 = 0,
-    else (a, b, c).  The model's value at s itself is a + b."""
-    v = _matvec(j_h, s)
-    a = 0.5 * (_dot(v, v) + _dot(s * diag_h, s))
-    b = _dot(g_h, s)
-    if s0 is None:
-        return a, b
-    u = _matvec(j_h, s0)
-    b = b + _dot(u, v)
-    c = 0.5 * _dot(u, u) + _dot(g_h, s0)
-    b = b + _dot(s0 * diag_h, s)
-    c = c + 0.5 * _dot(s0 * diag_h, s0)
-    return a, b, c
-
-
-def _to_bound(x: np.ndarray, s: np.ndarray):
-    """Largest t >= 0 with x + t s in the box, row by row (R, m), and
-    the entries that hit it there (+1 or -1 by the sign of s, else 0)."""
-    moving = s != 0
-    s_safe = np.where(moving, s, 1.0)
-    steps = np.where(moving, np.maximum((-_BOX - x) / s_safe, (_BOX - x) / s_safe), np.inf)
-    t = np.min(steps, axis=1)
-    return t, np.equal(steps, t[:, None]) * np.sign(s).astype(int)
-
-
-def _minimize_1d(a, b, lb, ub, c=0.0):
-    """Minimum point and value of a t^2 + b t + c on [lb, ub], entry by
-    entry of (R,) arrays: the first smallest of lb, ub and an inner vertex."""
-    vertex = -0.5 * b / np.where(a != 0, a, 1.0)
-    inside = (a != 0) & (lb < vertex) & (vertex < ub)
-    # a vertex outside the interval is replaced by ub, which ties with ub
-    t = np.stack([lb, ub, np.where(inside, vertex, ub)])
-    y = t * (a * t + b) + c
-    i = np.argmin(y, axis=0)[None]
-    return np.take_along_axis(t, i, 0)[0], np.take_along_axis(y, i, 0)[0]
-
-
-def _reflective_step(x, j_h, diag_h, g_h, p, p_h, d, delta, theta):
-    """Steps of the R starts (rows) whose trust-region step ``p`` leaves
-    the box, all in one pass.
-
-    The trust-region-reflective choice of Branch, Coleman and Li: for
-    each start the best, on the quadratic model, of the step cut at the
-    box and stepped back by ``theta``, its reflection at the box, and
-    the scaled steepest-descent step.  Returns the steps, their scaled
-    form and their predicted reductions.
-    """
-    p_stride, hits = _to_bound(x, p)
-    r_h = np.where(hits != 0, -p_h, p_h)
-    p, p_h = p * p_stride[:, None], p_h * p_stride[:, None]
-    # the reflected direction leaves the trust region or the box first
-    aa, bb = _dot(r_h, r_h), _dot(p_h, r_h)
-    cc = _dot(p_h, p_h) - delta**2
-    q = -(bb + np.copysign(np.sqrt(bb * bb - aa * cc), bb))
-    to_tr = np.maximum(q / aa, cc / q)
-    to_bound, _ = _to_bound(x + p, d * r_h)
-    r_stride = np.minimum(to_bound, to_tr)
-    positive = r_stride > 0
-    r_lo = np.where(positive, (1 - theta) * p_stride / np.where(positive, r_stride, 1.0), 0.0)
-    r_hi = np.where(positive, np.where(r_stride == to_bound, theta * to_bound, to_tr), -1.0)
-    a, b, c = _model_1d(j_h, g_h, diag_h, r_h, s0=p_h)
-    r_stride, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
-    r_value = np.where(r_lo <= r_hi, r_value, math.inf)
-    r_h = r_h * r_stride[:, None] + p_h
-    r = r_h * d
-    p, p_h = p * theta[:, None], p_h * theta[:, None]
-    a, b = _model_1d(j_h, g_h, diag_h, p_h)
-    p_value = a + b
-    ag_h = -g_h
-    ag = d * ag_h
-    to_tr = delta / _norm(ag_h)
-    to_bound, _ = _to_bound(x, ag)
-    ag_stride = np.where(to_bound < to_tr, theta * to_bound, to_tr)
-    a, b = _model_1d(j_h, g_h, diag_h, ag_h)
-    ag_stride, ag_value = _minimize_1d(a, b, np.zeros_like(ag_stride), ag_stride)
-    take_p = (p_value < r_value) & (p_value < ag_value)
-    take_r = (r_value < p_value) & (r_value < ag_value)
-    value = np.where(take_p, p_value, np.where(take_r, r_value, ag_value))
-    take_p, take_r = take_p[:, None], take_r[:, None]
-    step = np.where(take_p, p, np.where(take_r, r, ag * ag_stride[:, None]))
-    step_h = np.where(take_p, p_h, np.where(take_r, r_h, ag_h * ag_stride[:, None]))
-    return step, step_h, -value
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Final points ``x`` (S, m) and residuals ``fun`` (S, 1 + n k) of
@@ -515,19 +424,18 @@ class SolveResult:
 
 
 def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> SolveResult:
-    """Bounded least-squares solves of :func:`lagrange_residual` from the
-    starts ``x0`` (S, k(n-k)), flattened tangent matrices at ``l`` with
-    every entry inside (-pi/2, pi/2), run in lockstep.
+    """Least-squares solves of :func:`lagrange_residual` from the starts
+    ``x0`` (S, k(n-k)), flattened tangent matrices at ``l``, run in
+    lockstep.
 
-    Each start runs the trust-region-reflective method (scipy's ``trf``
-    with ``tr_solver="exact"``, ``x_scale=1``): Moré's trust-region
-    Levenberg-Marquardt step in the Coleman-Li scaling of the box
-    [-pi/2, pi/2] on every entry, reflected at the box when the step
-    leaves it.  A start stops on scipy's rules: an accepted step that
-    lowers the cost by less than ``ftol = 1e-8`` of it (a plateau; a
-    start converging to a root lowers its cost by orders of magnitude
-    per step), a step below ``xtol = 1e-15`` relative to the iterate, a
-    scaled gradient below ``gtol = 1e-13``, or 100 residual
+    Each start runs the unbounded trust-region method (scipy's ``trf``
+    without bounds, with ``tr_solver="exact"``, ``x_scale=1``): Moré's
+    trust-region Levenberg-Marquardt step from one SVD of the Jacobian.
+    A start stops on scipy's rules: an accepted step that lowers the
+    cost by less than ``ftol = 1e-8`` of it (a plateau; a start
+    converging to a root lowers its cost by orders of magnitude per
+    step), a step below ``xtol = 1e-15`` relative to the iterate, a
+    gradient below ``gtol = 1e-13`` in the max norm, or 100 residual
     evaluations; ``status`` records which.  Every start keeps its own
     iterate, radius, Levenberg-Marquardt parameter and evaluation
     count, and stops on its own.  The state arrays hold one row per
@@ -537,16 +445,15 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     start indices.  Each round evaluates the trial points of all running
     starts, each together with its forward-difference stencil, in one
     stacked residual call (see :func:`_jacobian`), and takes one batched
-    SVD of the augmented scaled Jacobians of the starts whose step was
-    accepted (the first call does the same for ``x0``) and one
-    :func:`_reflective_step` call for all starts whose step leaves the
-    box.  The stencils at rejected trial points are computed and
-    discarded: evaluating them speculatively costs one pass per round
-    instead of two.  ``nfev`` counts trial points and ``njev`` the
-    Jacobians at accepted points (scipy's meanings); as in scipy, the
-    gradient at an accepted point is checked against gtol also when the
-    step ended the start (its row is dropped after that check), and a
-    gtol stop there takes precedence.
+    SVD of the Jacobians of the starts whose step was accepted (the
+    first call does the same for ``x0``).  The stencils at rejected
+    trial points are computed and discarded: evaluating them
+    speculatively costs one pass per round instead of two.  ``nfev``
+    counts trial points and ``njev`` the Jacobians at accepted points
+    (scipy's meanings); as in scipy, the gradient at an accepted point
+    is checked against gtol also when the step ended the start (its row
+    is dropped after that check), and a gtol stop there takes
+    precedence.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
@@ -565,14 +472,12 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     cost = 0.5 * _dot(f, f)
     nfev = np.ones(n_starts, dtype=int)
     njev = 0
-    delta = None
+    delta = _norm(x)
+    delta[delta == 0] = 1.0
     alpha = np.zeros(n_starts)
-    # each start's scaled problem, refreshed after each accepted step
-    d, diag_h, g_h, uf, sv = np.empty((5, n_starts, m))
-    j_h = np.empty((n_starts, n_res, m))
+    # each start's gradient and Jacobian SVD, refreshed after each accepted step
+    g, uf, sv = np.empty((3, n_starts, m))
     v_svd = np.empty((n_starts, m, m))
-    theta = np.empty(n_starts)
-    eye = np.eye(m)
     # rows whose step was accepted (or, at first, every row), and rows
     # whose start stopped
     fresh = np.ones(n_starts, dtype=bool)
@@ -581,63 +486,38 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         n_fresh = int(np.count_nonzero(fresh))
         if n_fresh:
             rows = slice(None) if n_fresh == ids.size else np.flatnonzero(fresh)
-            xf, ff, jf = x[rows], f[rows], jac[rows]
+            ff, jf = f[rows], jac[rows]
             njev += n_fresh
-            g = (ff[:, None, :] @ jf)[:, 0]
-            # Coleman-Li scaling: distance to the bound a descent step moves toward
-            dv = np.sign(g)
-            v = np.where(dv < 0, _BOX - xf, np.where(dv > 0, xf + _BOX, 1.0))
-            if delta is None:  # the first round, where every start is fresh
-                delta = _norm(x / np.sqrt(v))
-                delta[delta == 0] = 1.0
-            g_norm = np.abs(g * v).max(axis=1)
-            gtol = g_norm < _GTOL
+            gf = (ff[:, None, :] @ jf)[:, 0]
+            gtol = np.abs(gf).max(axis=1) < _GTOL
             if gtol.any():
                 status[ids[rows][gtol]] = 1
                 done[rows] |= gtol
             keep = ~done[rows]
             if not keep.all():
                 rows = np.flatnonzero(fresh & ~done)
-                ff, g, v, dv, jf, g_norm = (a[keep] for a in (ff, g, v, dv, jf, g_norm))
-            scale = np.sqrt(v)
-            scaled_jac = jf * scale[:, None, :]
-            diag = g * dv
-            u, sv[rows], vt = np.linalg.svd(
-                np.concatenate([scaled_jac, np.sqrt(diag)[:, :, None] * eye], axis=1),
-                full_matrices=False,
-            )
-            d[rows], diag_h[rows], g_h[rows], j_h[rows] = scale, diag, scale * g, scaled_jac
-            v_svd[rows] = vt.swapaxes(1, 2)
-            uf[rows] = (ff[:, None, :] @ u[:, :n_res])[:, 0]
-            theta[rows] = np.maximum(0.995, 1 - g_norm)
+                ff, jf, gf = ff[keep], jf[keep], gf[keep]
+            u, sv[rows], vt = np.linalg.svd(jf, full_matrices=False)
+            g[rows], v_svd[rows] = gf, vt.swapaxes(1, 2)
+            uf[rows] = (ff[:, None, :] @ u)[:, 0]
         if done.any():
             # retire the stopped starts: record them, then drop their rows
             gone = ids[done]
             end_x[gone], end_f[gone], end_nfev[gone] = x[done], f[done], nfev[done]
             keep = ~done
-            ids, x, f, jac, cost, nfev, alpha, delta, d, diag_h, g_h, uf, sv, j_h, v_svd, theta = (
-                a[keep] for a in (
-                    ids, x, f, jac, cost, nfev, alpha, delta, d, diag_h, g_h, uf, sv, j_h, v_svd,
-                    theta,
-                )
+            ids, x, f, jac, cost, nfev, alpha, delta, g, uf, sv, v_svd = (
+                a[keep] for a in (ids, x, f, jac, cost, nfev, alpha, delta, g, uf, sv, v_svd)
             )
             if not ids.size:
                 break
-        step_h, alpha = _trust_region_steps(uf, sv, v_svd, delta, alpha, n_res)
-        step = d * step_h
-        a, b = _model_1d(j_h, g_h, diag_h, step_h)
-        predicted = -(a + b)
-        out = (np.abs(x + step) > _BOX).any(axis=1).nonzero()[0]
-        if out.size:
-            step[out], step_h[out], predicted[out] = _reflective_step(
-                x[out], j_h[out], diag_h[out], g_h[out], step[out], step_h[out], d[out],
-                delta[out], theta[out],
-            )
-        # strictly inside the box: no double lies between -_BOX and _INSIDE
-        x_new = (x + step).clip(-_INSIDE, _INSIDE)
+        step, alpha = _trust_region_steps(uf, sv, v_svd, delta, alpha, n_res)
+        # the decrease the quadratic model 0.5 ||J s||^2 + g^T s predicts
+        js = _matvec(jac, step)
+        predicted = -(0.5 * _dot(js, js) + _dot(g, step))
+        x_new = x + step
         f_new, jac_new = _jacobian(p, l, x_new)
         nfev += 1
-        step_h_norm = _norm(step_h)
+        step_norm = _norm(step)
         finite = np.isfinite(f_new).all(axis=1)
         cost_new = 0.5 * _dot(f_new, f_new)
         actual = cost - cost_new
@@ -645,17 +525,17 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         np.divide(actual, predicted, out=ratio, where=predicted > 0)
         new_radius = np.where(
             ratio < 0.25,
-            0.25 * step_h_norm,
-            np.where((ratio > 0.75) & (step_h_norm > 0.95 * delta), 2.0 * delta, delta),
+            0.25 * step_norm,
+            np.where((ratio > 0.75) & (step_norm > 0.95 * delta), 2.0 * delta, delta),
         )
         ftol = (actual < _FTOL * cost) & (ratio > 0.25) & finite
-        xtol = (_norm(step) < _XTOL * (_XTOL + _norm(x))) & finite
+        xtol = (step_norm < _XTOL * (_XTOL + _norm(x))) & finite
         stopped = ftol | xtol
         if stopped.any():
             status[ids[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
         update = finite & ~stopped
         alpha = alpha * np.divide(delta, new_radius, out=np.ones_like(delta), where=update)
-        delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_h_norm))
+        delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_norm))
         fresh = finite & (actual > 0)
         if fresh.all():
             x, f, cost, jac = x_new, f_new, cost_new, jac_new
@@ -672,8 +552,10 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
 @dataclass(frozen=True)
 class StartDiagnostic:
     """Outcome of one solver start: ``status`` is "converged", "no
-    convergence", "past cut locus" or "certificate failed", and ``stop``
-    the solver's stop reason, one of :data:`STOP_REASONS`."""
+    convergence" (residual not below ``tol``), "on cut locus" (solved,
+    but its plane is within ``core.TOL_CUT`` of the cut locus of the
+    base plane) or "certificate failed", and ``stop`` the solver's stop
+    reason, one of :data:`STOP_REASONS`."""
 
     start: int
     status: str
@@ -694,22 +576,22 @@ def find_critical_points(
     """Critical points of the distance from ``l`` restricted to {p = 0}.
 
     Solves :func:`lagrange_residual` = 0 in the least-squares sense for
-    the tangent matrix A at ``l``, inside the box [-pi/2, pi/2] on every
-    entry, from ``n_starts`` seeded random tangent matrices with angles
-    in (0.1, pi/2 - 0.1), all in one lockstep call of
-    :func:`least_squares`; each start's diagnostic carries its own
-    residual evaluations (nfev).  A start is kept when its residual is
-    below ``tol``, the largest singular value of A is below
-    pi/2 - ``core.TOL_CUT`` (so A is the minimizing logarithm
-    and E = exp_l(A) is off the cut locus) and the chart-free normality
-    certificate is below :data:`CERT_TOL`.  The certificates of all
-    starts that pass the first two tests are one stacked pass, each
-    equal to :func:`hypersurface_normality_residual` at its point, and
-    each survivor's plane is its basis from that pass, the basis
-    :func:`core.exp` gives.  Survivors are
+    the tangent matrix A at ``l``, unbounded, from ``n_starts`` seeded
+    random tangent matrices with angles in (0.1, pi/2 - 0.1), all in one
+    lockstep call of :func:`least_squares`; each start's diagnostic
+    carries its own residual evaluations (nfev).  Every start whose
+    residual is below ``tol`` is judged at its plane E = exp_l(A),
+    whatever ||A|| is: the principal angles between ``l`` and E, one
+    stacked pass, put E on the cut locus when the largest is at least
+    pi/2 - ``core.TOL_CUT``; otherwise E is kept when the chart-free
+    normality certificate is below :data:`CERT_TOL`.  The certificates
+    are one stacked pass, each equal to
+    :func:`hypersurface_normality_residual` at its point, and each
+    survivor's plane is its basis from :func:`core.exp`.  A survivor's
+    value is the norm of its angles, the distance ||log_l(E)||, which
+    is ||A|| only when A lies inside the cut locus.  Survivors are
     deduplicated by Grassmann distance, which is sound because off-cut
-    critical points are isolated, and sorted by their distance value
-    ||A||.
+    critical points are isolated, and sorted by value.
 
     Raises
     ------
@@ -738,27 +620,28 @@ def find_critical_points(
     u0, v0 = core._signed_qr(u0), core._signed_qr(v0)
     x0 = ((u0 * mu0[:, None, :]) @ v0.swapaxes(1, 2)).reshape(n_starts, -1)
     res = least_squares(p, l, x0)
-    a = res.x.reshape(n_starts, n - k, k)
     residuals = _norm(res.fun)
-    unsolved = residuals >= tol
-    past_cut = ~unsolved & (np.linalg.norm(a, 2, axis=(1, 2)) >= math.pi / 2 - core.TOL_CUT)
-    candidates = np.flatnonzero(~unsolved & ~past_cut)
+    unsolved = ~(residuals < tol)
+    solved = np.flatnonzero(~unsolved)
+    on_cut = np.zeros(n_starts, dtype=bool)
     certs = np.full(n_starts, math.inf)
     found: list[tuple[Plane, float]] = []
-    if candidates.size:
-        y = core._geodesic_end(l, a[candidates])
-        certs[candidates] = _normality_certificates(p, l.plane, y)
-        values = _norm(res.x)
+    if solved.size:
+        y = core._geodesic_end(l, res.x[solved].reshape(-1, n - k, k))
+        angles = core._hybrid_angles(l.plane.basis, y)
+        on_cut[solved] = cut = angles[:, -1] >= math.pi / 2 - core.TOL_CUT
+        if not cut.all():
+            certs[solved[~cut]] = _normality_certificates(p, l.plane, y[~cut])
         found = [
-            (Plane(n=n, k=k, basis=y[row]), float(values[start]))
-            for row, start in enumerate(candidates)
+            (Plane(n=n, k=k, basis=y[row]), float(np.linalg.norm(angles[row])))
+            for row, start in enumerate(solved)
             if certs[start] < CERT_TOL
         ]
     diagnostics = [
         StartDiagnostic(
             start,
             "no convergence" if unsolved[start]
-            else "past cut locus" if past_cut[start]
+            else "on cut locus" if on_cut[start]
             else "converged" if certs[start] < CERT_TOL
             else "certificate failed",
             float(residuals[start]),

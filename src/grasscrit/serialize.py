@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # imported where used, so a command loads only what it runs
     from .core import Plane
     from .search import PluckerPolynomial
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "11"
+        assert report["schema_version"] == "12"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -85,6 +89,24 @@ class TestBasicCommands:
         assert set(payload) == {"error"}
         assert payload["error"]["code"] == "DomainError"
         assert captured.err == ""
+
+    def test_exp_rejects_overflowing_tangent_under_warnings_as_errors(self):
+        # on G(1,3) the tangent [[1e200], [0]] overflows A^T A in the
+        # exponential kernel: a cold process run with -W error reports a
+        # typed DomainError (exit 2) instead of dying on a numpy
+        # RuntimeWarning (exit 1)
+        doc = json.dumps({
+            "plane": plane_json(core.make_plane(np.eye(3)[:, :1])),
+            "tangent": serialize.matrix_to_json(np.array([[1e200], [0.0]])),
+        })
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "grasscrit.cli", "exp", "--json", doc],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_VALIDATION
+        assert json.loads(proc.stdout)["error"]["code"] == "DomainError"
+        assert proc.stderr == ""
 
     def test_plucker_and_cut_stratum(self, capsys, g25_pair):
         e1, e2 = g25_pair

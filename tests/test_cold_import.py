@@ -1,6 +1,7 @@
 """The CLI's cold start: no command loads scipy, solving ones included,
 each command imports only the grasscrit modules it runs, and the two
-scalar commands (``bound`` and ``g24-demo``) load no numpy."""
+scalar commands (``bound`` and ``g24-demo``) load neither numpy nor
+dataclasses."""
 
 import json
 import os
@@ -151,6 +152,9 @@ def test_command_imports_only_the_modules_it_runs(command):
     assert not {name for name in names if name.split(".")[0] == "scipy"}
     numpy = {name for name in names if name.split(".")[0] == "numpy"}
     assert bool(numpy) == (command not in NUMPY_FREE), sorted(numpy)[:5]
+    if command in NUMPY_FREE:
+        # dataclasses pulls in inspect, about half of the bounds import
+        assert "dataclasses" not in names
 
 
 LAZY_PROBE = """
