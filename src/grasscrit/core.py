@@ -44,6 +44,10 @@ Conventions used throughout (and by every caller of this module):
   :func:`connecting_factors`.  Off the cut locus the tangent matrix in
   a given frame is unique, so it may be compared entrywise.
 * A set of tangent vectors is one :class:`TangentMatrix` stack.
+* Per-call paths use ufuncs, array methods and :func:`_norm` in place
+  of numpy's Python-level wrappers (``np.linalg.norm``, ``np.clip``,
+  ``np.sum``, ...): the same arithmetic, so the same bits, without the
+  wrappers' per-call cost.
 
 All operations are pure functions of their inputs plus an explicit
 seed; values are safe to share across threads.
@@ -84,14 +88,38 @@ def _as_matrix(raw, name: str) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return a
 
 
+def _norm(x: np.ndarray, axis=None, keepdims: bool = False):
+    """``np.linalg.norm(x, axis=axis, keepdims=keepdims)`` (the 2-norm of
+    the flattened array, or the Euclidean or Frobenius norm along
+    ``axis``) by the same arithmetic, without the wrapper's dispatch."""
+    if axis is None:
+        x = x.ravel(order="K")
+        return np.sqrt(x.dot(x))
+    return np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=keepdims))
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """Read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _same_frame(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two frame matrices are equal entrywise; frames are frozen,
+    so an object is equal to itself without a comparison."""
+    return x is y or np.array_equal(x, y)
+
+
 def _check_orthonormal(b: np.ndarray, tol: float, what: str) -> None:
-    g = b.T @ b - np.eye(b.shape[1])
-    dev = float(np.max(np.abs(g))) if g.size else 0.0
+    g = b.T @ b - _eye(b.shape[1])
+    dev = float(np.abs(g).max()) if g.size else 0.0
     if dev > tol:
         raise DimensionError(f"{what} not orthonormal: max deviation {dev:.3e} > {tol:.1e}")
 
@@ -153,7 +181,7 @@ class FramedPlane:
         if f.shape != (n, n):
             raise DimensionError(f"frame shape {f.shape} != ({n}, {n})")
         _check_orthonormal(f, TOL_ORTH * max(1.0, n), "frame")
-        if not np.array_equal(f[:, : self.plane.k], self.plane.basis):
+        if not (f[:, : self.plane.k] == self.plane.basis).all():
             raise FrameMismatch("first k frame columns must equal the plane basis exactly")
         object.__setattr__(self, "frame", _frozen(f))
 
@@ -184,7 +212,7 @@ class TangentMatrix:
         n, k = self.frame.n, self.frame.k
         if a.shape[-2:] != (n - k, k):
             raise DimensionError(f"tangent shape {a.shape} != (..., {n - k}, {k})")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DimensionError("tangent matrix contains non-finite entries")
         object.__setattr__(self, "a", _frozen(a))
 
@@ -192,7 +220,7 @@ class TangentMatrix:
     def norm(self) -> float | np.ndarray:
         """Frobenius norm of each matrix: a float for a single matrix,
         an array over the leading axes for a stack."""
-        norms = np.linalg.norm(self.a, axis=(-2, -1))
+        norms = _norm(self.a, axis=(-2, -1))
         return float(norms) if norms.ndim == 0 else norms
 
 
@@ -253,9 +281,9 @@ def _frame_complements(b: np.ndarray) -> np.ndarray:
     """Complement bases (..., n, n-k) of a stack of orthonormal bases
     (..., n, k): the body of :func:`complete_frame`, one stack at a time."""
     n, k = b.shape[-2:]
-    resid = np.eye(n) - b @ b.swapaxes(-1, -2)
-    norms = np.linalg.norm(resid, axis=-2)
-    order = np.argsort(-norms, axis=-1, kind="stable")[..., None, : n - k]
+    resid = _eye(n) - b @ b.swapaxes(-1, -2)
+    norms = _norm(resid, axis=-2)
+    order = (-norms).argsort(axis=-1, kind="stable")[..., None, : n - k]
     # columns ``order`` of each matrix, gathered through flat indices:
     # np.take_along_axis costs a single plane 15 % more
     rows = np.arange(0, resid.size, n).reshape(resid.shape[:-1] + (1,))
@@ -307,9 +335,11 @@ def _hybrid_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     c = np.linalg.svd(m, compute_uv=False)
     if c.size and c.max() > 1.0 + CLAMP_SLACK:
         raise GrasscritError(f"cosine {c.max()!r} exceeds 1 beyond clamping slack")
-    c = np.clip(c, 0.0, 1.0)
+    # np.clip(x, 0, 1); on a tie np.maximum returns its second argument,
+    # so a -0.0 passes through as it does through np.clip
+    c = np.minimum(np.maximum(0.0, c), 1.0)
     s = np.linalg.svd(b2 - b1 @ m, compute_uv=False)[..., ::-1]
-    s = np.clip(s, 0.0, 1.0)
+    s = np.minimum(np.maximum(0.0, s), 1.0)
     return np.where(c * c >= 0.5, np.arcsin(s), np.arccos(c))
 
 
@@ -321,7 +351,7 @@ def principal_angles(e1: Plane, e2: Plane) -> np.ndarray:
 
 def grassmann_distance(e1: Plane, e2: Plane) -> float:
     """Riemannian distance: l2 norm of the principal angle vector."""
-    return float(np.linalg.norm(principal_angles(e1, e2)))
+    return float(_norm(principal_angles(e1, e2)))
 
 
 def _check_same_shape(e1: Plane, e2: Plane) -> None:
@@ -344,11 +374,11 @@ def metric(at: FramedPlane, v1: TangentMatrix, v2: TangentMatrix) -> float:
     Takes single tangent matrices; a stack raises :class:`DimensionError`.
     """
     for v in (v1, v2):
-        if not np.array_equal(v.frame.frame, at.frame):
+        if not _same_frame(v.frame.frame, at.frame):
             raise FrameMismatch("tangent vector not attached to the given frame")
         if v.a.ndim != 2:
             raise DimensionError(f"metric takes single tangent matrices, got shape {v.a.shape}")
-    return float(np.sum(v1.a * v2.a))
+    return float((v1.a * v2.a).sum())
 
 
 def _psd_functions(m: np.ndarray, f) -> np.ndarray:
@@ -373,7 +403,10 @@ def _geodesic_end(at: FramedPlane, a: np.ndarray, velocity: bool = False):
 
     def functions(s):
         root = np.sqrt(s)
-        out = [np.cos(root), np.sinc(root / math.pi)]
+        # np.sinc(root / pi), in np.sinc's own arithmetic
+        y = math.pi * (root / math.pi)
+        y = np.where(y, y, _EPS)
+        out = [np.cos(root), np.sin(y) / y]
         if velocity:
             out.append(-root * np.sin(root))
         return np.array(out)
@@ -402,16 +435,31 @@ def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     spanned, in the frame's coordinates, by the columns
     cos(mu_i) v_i over sin(mu_i) u_i.  The returned basis is that one
     rotated by V^T, the matrix function computed by
-    :func:`_geodesic_end`, so it depends continuously on ``a``.
+    :func:`_geodesic_end`, so it depends continuously on ``a`` while its
+    largest singular value stays below pi.
+
+    Every finite tangent matrix is in range: one whose largest singular
+    value is at least pi is first replaced by U diag(mu mod pi) V^T,
+    which spans the same plane (a column whose angle drops by a multiple
+    m of pi changes sign (-1)^m), so the kernel keeps its accuracy and
+    the basis stays orthonormal at any norm.  Below that, no SVD is taken.
     Takes a single tangent matrix; a stack raises :class:`DimensionError`.
     A tangent matrix whose A^T A overflows raises :class:`DomainError`.
     """
-    if not np.array_equal(a.frame.frame, at.frame):
+    if not _same_frame(a.frame.frame, at.frame):
         raise FrameMismatch("tangent vector not attached to the given frame")
     if a.a.ndim != 2:
         raise DimensionError(f"exp takes a single tangent matrix, got shape {a.a.shape}")
-    _check_exp_range(at, float(np.abs(a.a).max()), "tangent matrix")
-    return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, a.a))
+    peak = float(np.abs(a.a).max())
+    _check_exp_range(at, peak, "tangent matrix")
+    m = a.a
+    # ||A||_2 >= pi needs ||A||_F >= pi; a peak entry >= pi gives both
+    # and would overflow the Frobenius sum first
+    if peak >= math.pi or _norm(m) >= math.pi:
+        u, mu, vt = np.linalg.svd(m, full_matrices=False)
+        if mu[0] >= math.pi:
+            m = (u * np.mod(mu, math.pi)) @ vt
+    return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, m))
 
 
 def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
@@ -447,7 +495,7 @@ def _connecting_factors(
     if top > 1.0 + CLAMP_SLACK:
         raise GrasscritError(f"cosine {top!r} exceeds 1 beyond clamping slack")
     s = c.swapaxes(-1, -2) @ targets @ qt.swapaxes(-1, -2)
-    sin = np.linalg.norm(s, axis=-2, keepdims=True)
+    sin = _norm(s, axis=-2, keepdims=True)
     ncols = np.divide(s, sin, out=np.zeros_like(s), where=sin > 0.0)
     theta = np.arctan2(sin[..., 0, :], cos)
     if snap_tol is not None:
@@ -635,8 +683,8 @@ def plucker_minors(plane_or_basis) -> np.ndarray:
 def plucker_coords(e: Plane) -> PluckerPoint:
     """Normalized Plucker coordinates of a plane."""
     v = plucker_minors(e)
-    v = v / np.linalg.norm(v)
-    scale = np.max(np.abs(v))
+    v = v / _norm(v)
+    scale = np.abs(v).max()
     nz = np.nonzero(np.abs(v) > 1e-14 * scale)[0]
     if nz.size and v[nz[0]] < 0:
         v = -v

@@ -111,7 +111,7 @@ class CriticalTestResult:
 def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumReport:
     """Count principal angles equal to pi/2 within ``tol``."""
     angles = core.principal_angles(l, e)
-    j = int(np.sum(angles >= math.pi / 2 - tol))
+    j = int((angles >= math.pi / 2 - tol).sum())
     return CutStratumReport(j=j, angles=angles, tol=tol)
 
 
@@ -123,9 +123,9 @@ def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
         raise DimensionMismatch("empty orbit sample")
     if w.shape[1:] != (j, j):
         raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
-    if not float(np.max(np.abs(w.swapaxes(-1, -2) @ w - np.eye(j)))) <= 1e-8:
+    if not float(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)).max()) <= 1e-8:
         raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
-    blocks = np.tile(np.eye(k), (len(w), 1, 1))
+    blocks = core._eye(k)[None].repeat(len(w), axis=0)
     blocks[:, k - j:, k - j:] = w
     return blocks
 
@@ -170,7 +170,7 @@ def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSe
     j = int(np.count_nonzero(theta == math.pi / 2))  # the snapped right angles
     if j == 0:
         raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
-    delta = float(np.linalg.norm(theta))
+    delta = float(core._norm(theta))
     blocks = _orbit_blocks(w_sample, s.k, j).swapaxes(-1, -2)
     gens = core.tangent(s, -(ncols @ (theta[:, None] * blocks) @ u_right.T) / delta)
     # Standard nonincreasing triple for the stored base preimage.
@@ -227,7 +227,7 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals.size == 0 or svals[0] <= 0.0:
         return 0
-    return int(np.sum(svals > tol_rank * svals[0]))
+    return int((svals > tol_rank * svals[0]).sum())
 
 
 def _clip_spectral_norm(q: np.ndarray) -> np.ndarray:
@@ -268,14 +268,14 @@ def restricted_critical_test(
     happened.
     """
     frame = gen_set.base
-    if not np.array_equal(tangent_basis.frame.frame, frame.frame):
+    if not core._same_frame(tangent_basis.frame.frame, frame.frame):
         raise DimensionMismatch("tangent basis attached to a different frame")
     basis = tangent_basis.a.reshape(-1, frame.n - frame.k, frame.k)
     if len(basis) == 0:
         raise DimensionMismatch("empty tangent basis")
     flat = basis.reshape(len(basis), -1)
-    gram = flat @ flat.T - np.eye(len(basis))
-    if float(np.max(np.abs(gram))) > 1e-8:
+    gram = flat @ flat.T - core._eye(len(basis))
+    if float(np.abs(gram).max()) > 1e-8:
         raise DimensionMismatch("tangent basis is not orthonormal within 1e-8")
     t, j, delta = gen_set.b0_svd, gen_set.j, gen_set.delta
     scale = math.pi / (2.0 * delta)
@@ -286,16 +286,16 @@ def restricted_critical_test(
     g = flat @ g0.reshape(-1)
     m = -scale * (n2.T @ basis @ p2).reshape(len(basis), j * j)
     u, sv, vt = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(sv > RANK_RTOL * scale))
+    rank = int((sv > RANK_RTOL * scale).sum())
     vr = vt[:rank]
     q_star = -vr.T @ ((u[:, :rank].T @ g) / sv[:rank])
     # one round decides when Q* is the only candidate or no Q at all reaches tol
-    decided = rank == j * j or float(np.linalg.norm(g + m @ q_star)) > tol
+    decided = rank == j * j or float(core._norm(g + m @ q_star)) > tol
     q = q_star
     best_q, best = None, math.inf
     for _ in range(1 if decided else ALTERNATING_ROUNDS):
         clipped = _clip_spectral_norm(q.reshape(j, j)).reshape(-1)
-        residual = float(np.linalg.norm(g + m @ clipped))
+        residual = float(core._norm(g + m @ clipped))
         if residual < best:
             best_q, best = clipped, residual
         if residual <= tol:

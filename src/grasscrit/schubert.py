@@ -124,7 +124,7 @@ def schubert_stratum(omega: SchubertVariety, e: Plane) -> SchubertStratum:
     the count is the dimension of the intersection.
     """
     core._check_same_shape(omega.w.plane, e)
-    return _stratum(omega, int(np.sum(core.principal_angles(e, omega.w.plane) < TOL_GEN)))
+    return _stratum(omega, int((core.principal_angles(e, omega.w.plane) < TOL_GEN).sum()))
 
 
 def _stratum(omega: SchubertVariety, s_tilde: int) -> SchubertStratum:
@@ -147,9 +147,9 @@ def _genericity_gate(angles: np.ndarray) -> None:
         raise NonGenericL(
             f"largest angle {angles[-1]:.12f} within {TOL_GEN:.1e} of pi/2"
         )
-    gaps = np.diff(angles)
-    if gaps.size and float(np.min(gaps)) <= TOL_GEN:
-        raise NonGenericL(f"angle gap {np.min(gaps):.3e} within {TOL_GEN:.1e}")
+    gaps = angles[1:] - angles[:-1]
+    if gaps.size and float(gaps.min()) <= TOL_GEN:
+        raise NonGenericL(f"angle gap {gaps.min():.3e} within {TOL_GEN:.1e}")
 
 
 def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +171,7 @@ def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarr
     b_w = omega.w.plane.basis
     comp = core._frame_complements(bases)
     left, sines, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
-    dims = omega.k - sines.shape[-1] + np.sum(sines < math.sin(TOL_GEN), axis=-1)
+    dims = omega.k - sines.shape[-1] + (sines < math.sin(TOL_GEN)).sum(axis=-1)
     bad = np.flatnonzero(dims != omega.s)
     if bad.size:
         stratum = _stratum(omega, int(dims.flat[bad[0]]))
@@ -231,7 +231,7 @@ def _normality_residuals(omega: SchubertVariety, l: Plane, bases: np.ndarray) ->
     comp, basis = _tangent_spaces(omega, bases)
     v, _ = core._log(bases, comp, l.basis, core.TOL_CUT)
     coeffs = basis.reshape(basis.shape[:-2] + (-1,)) @ v.reshape(v.shape[:-2] + (-1, 1))
-    return np.linalg.norm(coeffs[..., 0], axis=-1)
+    return core._norm(coeffs[..., 0], axis=-1)
 
 
 def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:
@@ -285,7 +285,7 @@ def ey_schubert_critical_points(omega: SchubertVariety, l: Plane) -> list[Critic
     )
     bases = core._geodesic_end(omega.w, truncations)
     residuals = _normality_residuals(omega, l, bases)
-    values = np.linalg.norm(theta[rev] - kept, axis=-1)
+    values = core._norm(theta[rev] - kept, axis=-1)
     return [
         CriticalPointRecord(
             point=Plane(n=omega.n, k=omega.k, basis=basis),
@@ -315,12 +315,12 @@ def global_min(omega: SchubertVariety, l: Plane) -> tuple[float, Plane]:
     """
     ncols, theta, p = core.connecting_factors(omega.w, l)
     s = omega.s
-    if int(np.sum(theta < TOL_GEN)) >= s:
+    if int((theta < TOL_GEN).sum()) >= s:
         return 0.0, l
     _genericity_gate(theta)
     kept = np.concatenate([np.zeros(s), theta[s:]])
     basis = core._geodesic_end(omega.w, (ncols * kept) @ p.T)
-    return float(np.linalg.norm(theta[:s])), Plane(n=omega.n, k=omega.k, basis=basis)
+    return float(core._norm(theta[:s])), Plane(n=omega.n, k=omega.k, basis=basis)
 
 
 def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
@@ -344,13 +344,13 @@ def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
     _genericity_gate(theta)
     k, s, n = omega.k, omega.s, omega.n
     value = float(
-        math.sqrt(float(np.sum(theta[k - s:] ** 2)) + (k - s) * (math.pi / 2) ** 2)
+        math.sqrt(float((theta[k - s:] ** 2).sum()) + (k - s) * (math.pi / 2) ** 2)
     )
     q_top = omega.w.plane.basis @ p[:, k - s:]
     # Auxiliary space: orthogonal to l and to the chosen directions of w.
     constraints = np.vstack([l.basis.T, q_top.T])
     u_, sing, vt_ = np.linalg.svd(constraints)
-    rank = int(np.sum(sing > 1e-10))
+    rank = int((sing > 1e-10).sum())
     if n - rank != n - k - s:
         raise DegenerateAuxSpace(f"auxiliary space dimension {n - rank} != {n - k - s}")
     aux = vt_[rank:, :].T  # n x (n-k-s), orthonormal
@@ -369,7 +369,7 @@ def stratum_min_value(omega: SchubertVariety, l: Plane, depth: int) -> float:
     ``l``: it is the l2 norm of the s + depth smallest angles.
     """
     angles = core.principal_angles(omega.w.plane, l)
-    return float(np.linalg.norm(angles[: omega.s + depth]))
+    return float(core._norm(angles[: omega.s + depth]))
 
 
 def sample_variety_distances(

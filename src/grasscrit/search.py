@@ -222,8 +222,7 @@ def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarr
 def _unit(x: np.ndarray) -> np.ndarray:
     """Each matrix of a stack divided by its Frobenius norm; zero
     matrices pass unchanged."""
-    # np.linalg.norm's arithmetic, without its per-call overhead
-    norm = np.sqrt(np.add.reduce(x * x, axis=(-2, -1), keepdims=True))
+    norm = core._norm(x, axis=(-2, -1), keepdims=True)
     return x / np.where(norm > 0.0, norm, 1.0)
 
 
@@ -245,7 +244,7 @@ def lagrange_residual(
     gives residuals of shape (..., 1 + n k) in one call.
     """
     if isinstance(a, TangentMatrix):
-        if not np.array_equal(a.frame.frame, l.frame):
+        if not core._same_frame(a.frame.frame, l.frame):
             raise FrameMismatch("tangent matrix not attached to the base frame")
         a = a.a
     y, ydot = core._geodesic_end(l, a, velocity=True)
@@ -256,7 +255,7 @@ def lagrange_residual(
     pair[0] = ydot
     np.subtract(grad, y @ (y.swapaxes(-1, -2) @ grad), out=pair[1])
     velocity, normal = _unit(pair)
-    tangential = velocity - np.sum(velocity * normal, axis=(-2, -1), keepdims=True) * normal
+    tangential = velocity - np.add.reduce(velocity * normal, axis=(-2, -1), keepdims=True) * normal
     out = np.empty((*stack, 1 + n * k))
     out[..., 0] = value / p.coefficient_scale()
     out[..., 1:] = tangential.reshape(*stack, n * k)
@@ -272,12 +271,12 @@ def _normality_certificates(p: PluckerPolynomial, l: Plane, y: np.ndarray) -> np
     _, grad = _value_and_basis_grad(p, y)
     gamma = complements.swapaxes(-1, -2) @ grad
     direction, _ = core._log(y, complements, l.basis, core.TOL_CUT)
-    gnorm = np.linalg.norm(gamma, axis=(-2, -1), keepdims=True)
-    dnorm = np.linalg.norm(direction, axis=(-2, -1), keepdims=True)
+    gnorm = core._norm(gamma, axis=(-2, -1), keepdims=True)
+    dnorm = core._norm(direction, axis=(-2, -1), keepdims=True)
     gamma = gamma / np.where(gnorm == 0.0, 1.0, gnorm)
     direction = direction / np.where(dnorm < 1e-15, 1.0, dnorm)
-    along = np.sum(direction * gamma, axis=(-2, -1), keepdims=True)
-    cert = np.linalg.norm(direction - along * gamma, axis=(-2, -1))
+    along = np.add.reduce(direction * gamma, axis=(-2, -1), keepdims=True)
+    cert = core._norm(direction - along * gamma, axis=(-2, -1))
     return np.where((gnorm[:, 0, 0] == 0.0) | (dnorm[:, 0, 0] < 1e-15), math.inf, cert)
 
 
@@ -587,7 +586,8 @@ def find_critical_points(
     normality certificate is below :data:`CERT_TOL`.  The certificates
     are one stacked pass, each equal to
     :func:`hypersurface_normality_residual` at its point, and each
-    survivor's plane is its basis from :func:`core.exp`.  A survivor's
+    survivor's plane is its basis from :func:`core._geodesic_end`, the
+    kernel of :func:`core.exp` without its mod-pi reduction.  A survivor's
     value is the norm of its angles, the distance ||log_l(E)||, which
     is ||A|| only when A lies inside the cut locus.  Survivors are
     deduplicated by Grassmann distance, which is sound because off-cut
@@ -633,7 +633,7 @@ def find_critical_points(
         if not cut.all():
             certs[solved[~cut]] = _normality_certificates(p, l.plane, y[~cut])
         found = [
-            (Plane(n=n, k=k, basis=y[row]), float(np.linalg.norm(angles[row])))
+            (Plane(n=n, k=k, basis=y[row]), float(core._norm(angles[row])))
             for row, start in enumerate(solved)
             if certs[start] < CERT_TOL
         ]

@@ -24,6 +24,45 @@ from conftest import (
 
 
 # ---------------------------------------------------------------------------
+# Helpers
+# ---------------------------------------------------------------------------
+
+class TestNormHelper:
+    """core._norm is np.linalg.norm's arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape, axis, keepdims",
+        [
+            ((7,), None, False),
+            ((0,), None, False),
+            ((4, 3), None, False),
+            ((4, 3), (-2, -1), False),
+            ((4, 3), (-2, -1), True),
+            ((4, 3), -1, False),
+            ((4, 3), -2, True),
+            ((2, 5, 4, 3), (-2, -1), False),
+            ((2, 5, 4, 3), (-2, -1), True),
+            ((2, 5, 4, 3), -1, False),
+            ((2, 5, 4, 3), -2, True),
+            ((3, 0, 2), (-2, -1), False),
+        ],
+    )
+    def test_matches_numpy_bit_for_bit(self, rng, shape, axis, keepdims):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        for v in (x, np.zeros(shape), x[..., ::-1], x.swapaxes(0, -1)):
+            expected = np.linalg.norm(v, axis=axis, keepdims=keepdims)
+            got = core._norm(v, axis=axis, keepdims=keepdims)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected)
+
+    def test_eye_is_read_only_identity(self):
+        eye = core._eye(4)
+        assert np.array_equal(eye, np.eye(4)) and core._eye(4) is eye
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
 # make_plane / complete_frame
 # ---------------------------------------------------------------------------
 
@@ -290,6 +329,26 @@ class TestMetric:
         assert core.grassmann_distance(core.geodesic_point(f, zero, 1e308), f.plane) < 1e-12
 
 
+class TestFrameShortcut:
+    """exp and metric compare frames by identity first; an equal frame
+    that is another object must still pass, and another frame fail."""
+
+    def test_equal_copy_of_frame_accepted(self, rng):
+        e = core.random_plane(6, 2, 5)
+        f, copy = framed(e), framed(e)
+        assert copy.frame is not f.frame and np.array_equal(copy.frame, f.frame)
+        a, b = rng.standard_normal((2, 4, 2))
+        on_copy = core.tangent(copy, a)
+        assert np.array_equal(core.exp(f, on_copy).basis, core.exp(f, core.tangent(f, a)).basis)
+        assert core.metric(f, on_copy, core.tangent(copy, b)) == float((a * b).sum())
+
+    def test_exp_rejects_other_frame(self, rng):
+        f1 = framed(core.random_plane(6, 2, 1))
+        f2 = framed(core.random_plane(6, 2, 2))
+        with pytest.raises(FrameMismatch):
+            core.exp(f1, core.tangent(f2, rng.standard_normal((4, 2))))
+
+
 class TestTangentStack:
     def test_norm_per_matrix(self, rng):
         f = framed(core.random_plane(7, 3, 4))
@@ -365,6 +424,40 @@ class TestExpLog:
                     assert np.array_equal(y[i, j], y1)
                     assert np.array_equal(ydot[i, j], ydot1)
                     assert np.array_equal(y1, core.exp(f, core.tangent(f, a[i, j])).basis)
+
+    def test_exp_below_pi_takes_no_svd(self, rng, linalg_calls):
+        # the mod-pi reduction costs an SVD only when ||A||_F >= pi
+        f = framed(core.random_plane(7, 3, 2))
+        a = rng.standard_normal((4, 3))
+        a *= 3.1 / np.linalg.norm(a)
+        before = linalg_calls["svd"]
+        basis = core.exp(f, core.tangent(f, a)).basis
+        assert linalg_calls["svd"] == before
+        assert np.array_equal(basis, core._geodesic_end(f, a))
+
+    def test_exp_reduces_angles_mod_pi(self):
+        # on G(1,2) exp rotates e1 by the angle itself: any angle, also
+        # past pi, gives the line at that angle
+        f = framed(core.make_plane([[1.0], [0.0]]))
+        for t in (math.pi, 4.0, -7.5, 1e3):
+            img = core.exp(f, core.tangent(f, [[t]]))
+            expected = core.make_plane([[math.cos(t)], [math.sin(t)]])
+            assert core.grassmann_distance(img, expected) < 1e-12 * max(1.0, abs(t))
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (3, 1)])
+    def test_geodesic_at_any_finite_norm(self, rng, n, k):
+        f = framed(core.random_plane(n, k, 3))
+        v = core.tangent(f, rng.standard_normal((n - k, k)))
+        for t in (10.0, 1e3, 1e6, 1e12, 1e20, -1e20):
+            point = core.geodesic_point(f, v, t)
+            assert np.abs(point.basis.T @ point.basis - np.eye(k)).max() < 1e-14
+            assert np.array_equal(point.basis, core.exp(f, core.tangent(f, t * v.a)).basis)
+            # where the unreduced kernel stays orthonormal, the two planes
+            # agree within the resolution of t A
+            old = core._geodesic_end(f, t * v.a)
+            if np.abs(old.T @ old - np.eye(k)).max() <= core.TOL_ORTH * k:
+                gap = np.abs(point.projector - old @ old.T).max()
+                assert gap <= 64 * core._EPS * abs(t) * v.norm
 
     def test_geodesic_endpoints(self, rng):
         f = framed(core.random_plane(6, 2, 4))

@@ -172,6 +172,10 @@ class TestStackedOrbit:
             cutlocus.restricted_critical_test(gens, core.tangent(other, [[[1.0]]]))
         with pytest.raises(DimensionMismatch, match="empty"):
             cutlocus.restricted_critical_test(gens, core.tangent(sf, np.zeros((0, 1, 1))))
+        # an equal frame that is another object passes
+        copy = framed(sf.plane)
+        assert copy.frame is not sf.frame
+        assert cutlocus.restricted_critical_test(gens, core.tangent(copy, [[[1.0]]])).found
 
 
 class TestSubdiffGenerators:

@@ -340,6 +340,13 @@ class TestLagrangeResidual:
         other = framed(core.random_plane(4, 2, 4))
         with pytest.raises(FrameMismatch):
             search.lagrange_residual(p, base, zero_tangent(other))
+        # an equal frame that is another object passes
+        copy = framed(base.plane)
+        assert copy.frame is not base.frame
+        assert np.array_equal(
+            search.lagrange_residual(p, base, zero_tangent(copy)),
+            search.lagrange_residual(p, base, zero_tangent(base)),
+        )
 
     def test_gradients_match_finite_differences(self, rng):
         # degree-2 polynomials on G(2,4), G(3,6) and G(4,8) run one to
