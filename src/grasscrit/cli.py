@@ -405,6 +405,10 @@ def main(argv=None) -> int:
                 raise DomainError(
                     f"--{name.replace('_', '-')} must be finite and positive, got {value}"
                 )
+        # every angle lies within pi/2 of pi/2, so such a tolerance puts
+        # every plane on the cut locus
+        if getattr(args, "tol_cut", None) is not None and not args.tol_cut < math.pi / 2:
+            raise DomainError(f"--tol-cut must lie in (0, pi/2), got {args.tol_cut}")
         if getattr(args, "seed", 0) < 0:
             raise DomainError(f"--seed must be nonnegative, got {args.seed}")
         payload = handler(args)

@@ -47,7 +47,10 @@ Conventions used throughout (and by every caller of this module):
 * Per-call paths use ufuncs, array methods and :func:`_norm` in place
   of numpy's Python-level wrappers (``np.linalg.norm``, ``np.clip``,
   ``np.sum``, ...): the same arithmetic, so the same bits, without the
-  wrappers' per-call cost.
+  wrappers' per-call cost.  LAPACK runs through :func:`_svd`,
+  :func:`_svdvals`, :func:`_eigh` and :func:`_qr`: the gufuncs that
+  ``np.linalg``'s wrappers call, under the wrappers' error handling, so
+  a failure raises numpy's ``LinAlgError``.
 
 All operations are pure functions of their inputs plus an explicit
 seed; values are safe to share across threads.
@@ -61,6 +64,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import (
+    _raise_linalgerror_eigenvalues_nonconvergence,
+    _raise_linalgerror_qr,
+    _raise_linalgerror_svd_nonconvergence,
+)
 
 from .errors import (
     DimensionError,
@@ -115,6 +124,49 @@ def _same_frame(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether two frame matrices are equal entrywise; frames are frozen,
     so an object is equal to itself without a comparison."""
     return x is y or np.array_equal(x, y)
+
+
+# LAPACK through the gufuncs that numpy.linalg's svd, eigh and qr call,
+# with the same signatures and under the same error handling, so the
+# results are theirs bit for bit and a failure raises numpy's
+# LinAlgError; they take float64 stacks (..., m, n)
+
+def _lapack_errors(call):
+    """numpy.linalg's error state around a gufunc: a failure flag calls
+    ``call``, which raises LinAlgError; over/divide/underflow ignored."""
+    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _svd(a: np.ndarray, full_matrices: bool = True):
+    """``np.linalg.svd(a, full_matrices)``: the factors (U, s, Vh)."""
+    gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
+    with _lapack_errors(_raise_linalgerror_svd_nonconvergence):
+        return gufunc(a, signature="d->ddd")
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(a, compute_uv=False)``: the singular values."""
+    with _lapack_errors(_raise_linalgerror_svd_nonconvergence):
+        return _umath_linalg.svd(a, signature="d->d")
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)``: eigenvalues ascending and eigenvectors,
+    from the lower triangle."""
+    with _lapack_errors(_raise_linalgerror_eigenvalues_nonconvergence):
+        return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def _qr(a: np.ndarray, complete: bool = False):
+    """Q of ``np.linalg.qr(a, "complete" if complete else "reduced")``
+    and the diagonal of its R."""
+    a = a.astype(float, copy=True)  # qr_r_raw overwrites it with R and the reflectors
+    m, n = a.shape[-2:]
+    q_of = _umath_linalg.qr_complete if complete and m > n else _umath_linalg.qr_reduced
+    with _lapack_errors(_raise_linalgerror_qr):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        q = q_of(a, tau, signature="dd->d")
+    return q, a.diagonal(0, -2, -1)
 
 
 def _check_orthonormal(b: np.ndarray, tol: float, what: str) -> None:
@@ -261,7 +313,7 @@ def make_plane(raw, tol: float = 1e-10) -> Plane:
     n, k = a.shape
     if not (1 <= k <= n - k):
         raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
-    smin = float(np.linalg.svd(a, compute_uv=False)[-1])
+    smin = float(_svdvals(a)[-1])
     if smin <= tol:
         raise RankDeficient(f"smallest singular value {smin:.3e} <= {tol:.1e}")
     q = _signed_qr(a)
@@ -271,8 +323,8 @@ def make_plane(raw, tol: float = 1e-10) -> Plane:
 def _signed_qr(a: np.ndarray) -> np.ndarray:
     """Q factor of each matrix of a stack (..., m, k), with the diagonal
     of the triangular factor made nonnegative."""
-    q, r = np.linalg.qr(a)
-    signs = np.sign(r.diagonal(0, -2, -1))
+    q, r_diagonal = _qr(a)
+    signs = np.sign(r_diagonal)
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
 
@@ -332,13 +384,13 @@ def _hybrid_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     clamp is checked on every largest cosine.
     """
     m = b1.swapaxes(-1, -2) @ b2
-    c = np.linalg.svd(m, compute_uv=False)
+    c = _svdvals(m)
     if c.size and c.max() > 1.0 + CLAMP_SLACK:
         raise GrasscritError(f"cosine {c.max()!r} exceeds 1 beyond clamping slack")
     # np.clip(x, 0, 1); on a tie np.maximum returns its second argument,
     # so a -0.0 passes through as it does through np.clip
     c = np.minimum(np.maximum(0.0, c), 1.0)
-    s = np.linalg.svd(b2 - b1 @ m, compute_uv=False)[..., ::-1]
+    s = _svdvals(b2 - b1 @ m)[..., ::-1]
     s = np.minimum(np.maximum(0.0, s), 1.0)
     return np.where(c * c >= 0.5, np.arcsin(s), np.arccos(c))
 
@@ -385,7 +437,7 @@ def _psd_functions(m: np.ndarray, f) -> np.ndarray:
     """Matrix functions of a stack of symmetric PSD matrices from one
     ``eigh``: ``f`` maps the eigenvalues (clipped at 0) to those of the
     result, or to several such arrays stacked on a new leading axis."""
-    s, q = np.linalg.eigh(m)
+    s, q = _eigh(m)
     return (q * f(np.maximum(s, 0.0))[..., None, :]) @ q.swapaxes(-1, -2)
 
 
@@ -456,7 +508,7 @@ def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     # ||A||_2 >= pi needs ||A||_F >= pi; a peak entry >= pi gives both
     # and would overflow the Frobenius sum first
     if peak >= math.pi or _norm(m) >= math.pi:
-        u, mu, vt = np.linalg.svd(m, full_matrices=False)
+        u, mu, vt = _svd(m, full_matrices=False)
         if mu[0] >= math.pi:
             m = (u * np.mod(mu, math.pi)) @ vt
     return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, m))
@@ -490,7 +542,7 @@ def _connecting_factors(
     with complements ``c`` (..., n, n-k) and target bases ``targets``
     (..., n, k), leading axes broadcast.  Returns N (..., n-k, k),
     theta (..., k) and U (..., k, k)."""
-    p, cos, qt = np.linalg.svd(b.swapaxes(-1, -2) @ targets)
+    p, cos, qt = _svd(b.swapaxes(-1, -2) @ targets)
     top = cos[..., 0].max()
     if top > 1.0 + CLAMP_SLACK:
         raise GrasscritError(f"cosine {top!r} exceeds 1 beyond clamping slack")
@@ -559,7 +611,13 @@ def log(at: FramedPlane, target: Plane, tol_cut: float = TOL_CUT) -> TangentMatr
     A = S g(S^T S) with g = theta / sin(theta), 1 at sin = 0.  The SVD
     already diagonalizes S^T S, so A = N diag(theta) P^T with N, theta
     and P from :func:`connecting_factors`.
+
+    A ``tol_cut`` at or above pi/2 would put every plane on the cut
+    locus, and a negative one would let a cut-locus plane through with
+    one of its many preimages: either raises :class:`DomainError`.
     """
+    if not 0.0 <= tol_cut < math.pi / 2:
+        raise DomainError(f"tol_cut must lie in [0, pi/2), got {tol_cut}")
     _check_same_shape(at.plane, target)
     a, _ = _log(at.plane.basis, at.complement, target.basis, tol_cut)
     return tangent(at, a)

@@ -39,6 +39,7 @@ from .core import FramedPlane, Plane, TangentMatrix
 from .errors import (
     DimensionError,
     DimensionMismatch,
+    DomainError,
     InsufficientSamples,
     NotOnCut,
 )
@@ -109,7 +110,14 @@ class CriticalTestResult:
 
 
 def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumReport:
-    """Count principal angles equal to pi/2 within ``tol``."""
+    """Count principal angles equal to pi/2 within ``tol``.
+
+    A ``tol`` at or above pi/2 would count every angle, and a negative
+    one no angle, not even an exact right angle: either raises
+    :class:`DomainError`.
+    """
+    if not 0.0 <= tol < math.pi / 2:
+        raise DomainError(f"tol must lie in [0, pi/2), got {tol}")
     angles = core.principal_angles(l, e)
     j = int((angles >= math.pi / 2 - tol).sum())
     return CutStratumReport(j=j, angles=angles, tol=tol)
@@ -224,7 +232,7 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
             f"{len(x)} generators < {need} required for stratum j={gen_set.j}"
         )
     centered = x - x[0]
-    svals = np.linalg.svd(centered, compute_uv=False)
+    svals = core._svdvals(centered)
     if svals.size == 0 or svals[0] <= 0.0:
         return 0
     return int((svals > tol_rank * svals[0]).sum())
@@ -232,7 +240,7 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
 
 def _clip_spectral_norm(q: np.ndarray) -> np.ndarray:
     """Nearest matrix of spectral norm at most 1: singular values clipped at 1."""
-    u, s, vt = np.linalg.svd(q)
+    u, s, vt = core._svd(q)
     return (u * np.minimum(s, 1.0)) @ vt
 
 
@@ -285,7 +293,7 @@ def restricted_critical_test(
     n2, p2 = t.u[:, j - 1::-1], t.v[:, j - 1::-1]
     g = flat @ g0.reshape(-1)
     m = -scale * (n2.T @ basis @ p2).reshape(len(basis), j * j)
-    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    u, sv, vt = core._svd(m, full_matrices=False)
     rank = int((sv > RANK_RTOL * scale).sum())
     vr = vt[:rank]
     q_star = -vr.T @ ((u[:, :rank].T @ g) / sv[:rank])

@@ -170,16 +170,14 @@ def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarr
     """
     b_w = omega.w.plane.basis
     comp = core._frame_complements(bases)
-    left, sines, vt = np.linalg.svd(comp.swapaxes(-1, -2) @ b_w)
+    left, sines, vt = core._svd(comp.swapaxes(-1, -2) @ b_w)
     dims = omega.k - sines.shape[-1] + (sines < math.sin(TOL_GEN)).sum(axis=-1)
     bad = np.flatnonzero(dims != omega.s)
     if bad.size:
         stratum = _stratum(omega, int(dims.flat[bad[0]]))
         raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
     r = omega.k - omega.s
-    u, _ = np.linalg.qr(
-        bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), mode="complete"
-    )
+    u, _ = core._qr(bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), complete=True)
 
     def outer(x, y):  # x_i y_j^T for every column pair of each point, i-major
         xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
@@ -349,7 +347,7 @@ def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
     q_top = omega.w.plane.basis @ p[:, k - s:]
     # Auxiliary space: orthogonal to l and to the chosen directions of w.
     constraints = np.vstack([l.basis.T, q_top.T])
-    u_, sing, vt_ = np.linalg.svd(constraints)
+    u_, sing, vt_ = core._svd(constraints)
     rank = int((sing > 1e-10).sum())
     if n - rank != n - k - s:
         raise DegenerateAuxSpace(f"auxiliary space dimension {n - rank} != {n - k - s}")

@@ -496,7 +496,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             if not keep.all():
                 rows = np.flatnonzero(fresh & ~done)
                 ff, jf, gf = ff[keep], jf[keep], gf[keep]
-            u, sv[rows], vt = np.linalg.svd(jf, full_matrices=False)
+            u, sv[rows], vt = core._svd(jf, full_matrices=False)
             g[rows], v_svd[rows] = gf, vt.swapaxes(1, 2)
             uf[rows] = (ff[:, None, :] @ u)[:, 0]
         if done.any():

@@ -11,9 +11,11 @@ def rng():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Live counts of the np.linalg.svd and np.linalg.qr calls made
-    during the test."""
-    counts = {"svd": 0, "qr": 0}
+    """Live counts of the LAPACK calls made during the test: "svd" counts
+    core._svd and core._svdvals, "qr" counts core._qr, and
+    "np.linalg.svd" and "np.linalg.qr" count numpy's wrappers, which the
+    per-call paths do not call."""
+    counts = {"svd": 0, "qr": 0, "np.linalg.svd": 0, "np.linalg.qr": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -22,9 +24,20 @@ def linalg_calls(monkeypatch):
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for owner, attr, name in (
+        (core, "_svd", "svd"),
+        (core, "_svdvals", "svd"),
+        (core, "_qr", "qr"),
+        (np.linalg, "svd", "np.linalg.svd"),
+        (np.linalg, "qr", "np.linalg.qr"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     return counts
+
+
+def calls_since(counts, before):
+    """The calls of each kind counted by ``linalg_calls`` since ``before``."""
+    return {name: counts[name] - before[name] for name in counts}
 
 
 def random_pair(n, k, seed):

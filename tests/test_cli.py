@@ -462,6 +462,18 @@ def test_infinite_positive_option_is_validation_error(capsys, case):
     assert "finite and positive" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["log", "cut-stratum"])
+@pytest.mark.parametrize("value", ["2", repr(math.pi / 2), "1e300"])
+def test_tol_cut_at_or_above_right_angle_is_validation_error(capsys, command, value):
+    # every principal angle lies within pi/2 of pi/2, so such a tolerance
+    # would put every plane on the cut locus, the base plane itself too
+    l = plane_json(core.random_plane(4, 2, 5))
+    doc = {"log": {"plane": l, "target": l}, "cut-stratum": {"l": l, "e": l}}[command]
+    code, out = run(capsys, command, "--tol-cut", value, "--json", json.dumps(doc))
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(out)["error"]["code"] == "DomainError"
+
+
 class TestDeterminism:
     def _slice_doc(self):
         phi = 0.8

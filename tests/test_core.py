@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,107 @@ class TestNormHelper:
         assert np.array_equal(eye, np.eye(4)) and core._eye(4) is eye
         with pytest.raises(ValueError):
             eye[0, 0] = 2.0
+
+
+def _same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (
+        got.dtype == expected.dtype
+        and got.shape == expected.shape
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    )
+
+
+def _numpy_qr(a, mode="reduced"):
+    """Q and the diagonal of R from np.linalg.qr."""
+    q, r = np.linalg.qr(a, mode=mode)
+    return q, r.diagonal(0, -2, -1)
+
+
+def _outcome(fn, a):
+    """The arrays ``fn(a)`` returns, or the type and message it raises."""
+    try:
+        out = fn(a)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+    return tuple(out) if isinstance(out, tuple) else (out,)
+
+
+def _same_outcome(got, expected) -> bool:
+    if isinstance(expected[0], type):
+        return got == expected
+    return len(got) == len(expected) and all(map(_same_bits, got, expected))
+
+
+class TestLapackHelpers:
+    """core._svd, _svdvals, _eigh and _qr give np.linalg's results bit for
+    bit and raise its errors, without a warning and without writing to
+    their input."""
+
+    # single matrices and stacks, square, tall (m > n) and wide (m < n)
+    SHAPES = [(3, 3), (5, 3), (3, 5), (1, 4), (4, 1), (2, 4, 4), (3, 6, 2), (2, 3, 2, 5)]
+
+    def _inputs(self, rng, shape):
+        x = rng.standard_normal(shape)
+        # a C-contiguous stack and a strided view of another
+        return [x, rng.standard_normal(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    def test_svd(self, rng, shape, full_matrices):
+        for a in self._inputs(rng, shape):
+            saved = a.copy()
+            got = core._svd(a, full_matrices=full_matrices)
+            expected = np.linalg.svd(a, full_matrices=full_matrices)
+            assert _same_outcome(got, tuple(expected))
+            assert _same_bits(core._svdvals(a), np.linalg.svd(a, compute_uv=False))
+            assert _same_bits(a, saved)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4, 4), (3, 2, 5, 5)])
+    def test_eigh(self, rng, shape):
+        x = rng.standard_normal(shape)
+        # symmetric, and not: both read the lower triangle alone
+        for a in (x + x.swapaxes(-1, -2), x, x.swapaxes(-1, -2)):
+            saved = a.copy()
+            assert _same_outcome(tuple(core._eigh(a)), tuple(np.linalg.eigh(a)))
+            assert _same_bits(a, saved)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_qr(self, rng, shape, complete):
+        for a in self._inputs(rng, shape):
+            saved = a.copy()
+            got = core._qr(a, complete=complete)
+            expected = _numpy_qr(a, "complete" if complete else "reduced")
+            assert _same_outcome(got, expected)
+            assert _same_bits(a, saved)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (3, 5), (2, 4, 4)])
+    @pytest.mark.parametrize("where", [(0, 1), (-1, 0)])
+    def test_nan_input_fails_as_numpy_does(self, shape, where):
+        a = np.ones(shape)
+        a[(..., *where)] = np.nan
+        cases = [
+            (core._svdvals, lambda x: np.linalg.svd(x, compute_uv=False)),
+            (core._svd, np.linalg.svd),
+            (lambda x: core._svd(x, full_matrices=False),
+             lambda x: np.linalg.svd(x, full_matrices=False)),
+            (core._qr, _numpy_qr),
+            (lambda x: core._qr(x, complete=True), lambda x: _numpy_qr(x, "complete")),
+        ]
+        if shape[-1] == shape[-2]:
+            cases.append((core._eigh, np.linalg.eigh))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for helper, wrapper in cases:
+                saved = a.copy()
+                got, expected = _outcome(helper, a), _outcome(wrapper, a)
+                assert _same_outcome(got, expected)
+                assert _same_bits(a, saved)
+            # an SVD of a NaN raises numpy's own error
+            for helper in (core._svdvals, core._svd):
+                with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                    helper(a)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +532,9 @@ class TestExpLog:
         f = framed(core.random_plane(7, 3, 2))
         a = rng.standard_normal((4, 3))
         a *= 3.1 / np.linalg.norm(a)
-        before = linalg_calls["svd"]
+        before = dict(linalg_calls)
         basis = core.exp(f, core.tangent(f, a)).basis
-        assert linalg_calls["svd"] == before
+        assert linalg_calls == before
         assert np.array_equal(basis, core._geodesic_end(f, a))
 
     def test_exp_reduces_angles_mod_pi(self):
@@ -516,6 +618,16 @@ class TestExpLog:
         target = plane_from_columns(e_basis(4, 2), e_basis(4, 1))
         with pytest.raises(OnCutLocus):
             core.log(f, target)
+
+    @pytest.mark.parametrize("tol_cut", [2.0, math.pi / 2, 1e300, math.inf, math.nan, -1e-9])
+    def test_log_rejects_tolerance_out_of_range(self, tol_cut):
+        # every principal angle lies within pi/2 of pi/2, so a tolerance
+        # that large would put the base plane itself on its cut locus; a
+        # negative one would take a log on the cut locus
+        l = core.random_plane(4, 2, 0)
+        with pytest.raises(DomainError, match="tol_cut"):
+            core.log(framed(l), l, tol_cut=tol_cut)
+        assert core.log(framed(l), l, tol_cut=1.5).norm < 1e-12
 
     def test_log_singular_values_bounded(self):
         for seed in range(20):

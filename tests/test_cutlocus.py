@@ -6,9 +6,15 @@ import pytest
 from scipy.optimize import linprog
 
 from grasscrit import core, cutlocus
-from grasscrit.errors import DimensionError, DimensionMismatch, InsufficientSamples, NotOnCut
+from grasscrit.errors import (
+    DimensionError,
+    DimensionMismatch,
+    DomainError,
+    InsufficientSamples,
+    NotOnCut,
+)
 
-from conftest import e_basis, framed, plane_from_columns
+from conftest import calls_since, e_basis, framed, plane_from_columns
 
 
 def cut_point(l_framed, angles, seed=0):
@@ -59,6 +65,15 @@ class TestCutStratum:
         l = plane_from_columns(e_basis(4, 0), e_basis(4, 1))
         e = plane_from_columns(e_basis(4, 2), e_basis(4, 3))
         assert cutlocus.cut_stratum(l, e).j == 2
+
+    @pytest.mark.parametrize("tol", [2.0, math.pi / 2, 1e300, math.inf, math.nan, -1e-9])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        # a tolerance of pi/2 or more would count every angle, a zero one
+        # included; a negative one not even an exact right angle
+        l = core.random_plane(4, 2, 0)
+        with pytest.raises(DomainError, match="tol"):
+            cutlocus.cut_stratum(l, l, tol=tol)
+        assert cutlocus.cut_stratum(l, l, tol=1.5).j == 0
 
 
 class TestPreimages:
@@ -239,12 +254,14 @@ class TestSubdiffGenerators:
         l = core.random_plane(7, 3, 27)
         lf, s = framed(l), cut_point(framed(l), [0.5, math.pi / 2, math.pi / 2], seed=28)
         sf, w_sample = framed(s), cutlocus.sample_orthogonal_group(2, n_grid=4)
-        before = linalg_calls["svd"]
+        before = dict(linalg_calls)
         gens = cutlocus.subdiff_generators(l, sf, w_sample)
-        assert linalg_calls["svd"] - before == 1
-        before = linalg_calls["svd"]
+        calls = calls_since(linalg_calls, before)
+        assert calls["svd"] == 1 and calls["np.linalg.svd"] == calls["np.linalg.qr"] == 0
+        before = dict(linalg_calls)
         cutlocus.geodesic_preimages(lf, s, w_sample)
-        assert linalg_calls["svd"] - before == 1
+        calls = calls_since(linalg_calls, before)
+        assert calls["svd"] == 1 and calls["np.linalg.svd"] == calls["np.linalg.qr"] == 0
         assert gens.j == cutlocus.cut_stratum(l, s).j == 2
 
 

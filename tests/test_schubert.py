@@ -10,7 +10,7 @@ from grasscrit.errors import (
     NotSmoothPoint,
     OnCutLocus,
 )
-from conftest import fixed_rank_tangent_basis, framed
+from conftest import calls_since, fixed_rank_tangent_basis, framed
 
 
 def variety(n, k, s, seed=0):
@@ -393,16 +393,16 @@ class TestStackedCertificate:
         # of their own SVD, and the genericity gate and the truncations
         # read the angles and triplets of the one SVD that gives the
         # connecting factors, so the critical set adds no SVD of its own
-        counts = linalg_calls
         calls = {}
         for s in (1, 2):
             omega = variety(9, 4, s, seed=440)
             l = core.random_plane(9, 4, 441)
-            before = dict(counts)
+            before = dict(linalg_calls)
             records = schubert.ey_schubert_critical_points(omega, l)
-            calls[s] = (len(records), {m: counts[m] - before[m] for m in counts})
+            calls[s] = (len(records), calls_since(linalg_calls, before))
         assert calls[1][0] == 4 and calls[2][0] == 6
-        assert calls[1][1] == calls[2][1] == {"svd": 3, "qr": 2}
+        expected = {"svd": 3, "qr": 2, "np.linalg.svd": 0, "np.linalg.qr": 0}
+        assert calls[1][1] == calls[2][1] == expected
 
 
 class TestOneDecomposition:
@@ -429,10 +429,11 @@ class TestOneDecomposition:
             lambda: schubert.global_min(omega, l),
             lambda: schubert.global_max(omega, l, b_seed=0),
         ):
-            before = linalg_calls["svd"]
+            before = dict(linalg_calls)
             answer()
-            calls.append(linalg_calls["svd"] - before)
-        assert calls == [1, 2]
+            calls.append(calls_since(linalg_calls, before))
+        assert [c["svd"] for c in calls] == [1, 2]
+        assert all(c["np.linalg.svd"] == c["np.linalg.qr"] == 0 for c in calls)
 
     @pytest.mark.parametrize(
         "angles",
