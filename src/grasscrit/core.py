@@ -44,13 +44,15 @@ Conventions used throughout (and by every caller of this module):
   :func:`connecting_factors`.  Off the cut locus the tangent matrix in
   a given frame is unique, so it may be compared entrywise.
 * A set of tangent vectors is one :class:`TangentMatrix` stack.
-* Per-call paths use ufuncs, array methods and :func:`_norm` in place
-  of numpy's Python-level wrappers (``np.linalg.norm``, ``np.clip``,
-  ``np.sum``, ...): the same arithmetic, so the same bits, without the
-  wrappers' per-call cost.  LAPACK runs through :func:`_svd`,
-  :func:`_svdvals`, :func:`_eigh` and :func:`_qr`: the gufuncs that
-  ``np.linalg``'s wrappers call, under the wrappers' error handling, so
-  a failure raises numpy's ``LinAlgError``.
+* Per-call paths use ufuncs, ufunc reductions, numpy's C constructors
+  and :func:`_norm` in place of numpy's Python-level wrappers and
+  methods (``np.linalg.norm``, ``np.clip``, ``np.zeros_like``,
+  ``np.hstack``, ``ndarray.max`` through ``np.maximum.reduce``, ...):
+  the same arithmetic, so the same bits, without the wrappers' per-call
+  cost.  LAPACK runs through :func:`_svd`, :func:`_svdvals`,
+  :func:`_eigh` and :func:`_qr`: the gufuncs that ``np.linalg``'s
+  wrappers call, under the wrappers' error handling, so a failure
+  raises numpy's ``LinAlgError``.
 
 All operations are pure functions of their inputs plus an explicit
 seed; values are safe to share across threads.
@@ -64,6 +66,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import (
     _raise_linalgerror_eigenvalues_nonconvergence,
@@ -97,7 +100,7 @@ def _as_matrix(raw, name: str) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise DimensionError(f"{name} contains non-finite entries")
     return a
 
@@ -129,32 +132,49 @@ def _same_frame(x: np.ndarray, y: np.ndarray) -> bool:
 # LAPACK through the gufuncs that numpy.linalg's svd, eigh and qr call,
 # with the same signatures and under the same error handling, so the
 # results are theirs bit for bit and a failure raises numpy's
-# LinAlgError; they take float64 stacks (..., m, n)
+# LinAlgError; they take float64 stacks (..., m, n).  The error state of
+# each callback is built once, as np.errstate builds it (a failure flag
+# calls the callback, which raises LinAlgError; over/divide/underflow
+# ignored), and set around each call through the context variable
+# np.errstate sets, so a call builds no errstate object; the state's
+# buffer size, read at import, is unused: gufuncs do not buffer
 
-def _lapack_errors(call):
-    """numpy.linalg's error state around a gufunc: a failure flag calls
-    ``call``, which raises LinAlgError; over/divide/underflow ignored."""
-    return np.errstate(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_state(call):
+    return _make_extobj(call=call, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_SVD_STATE = _lapack_state(_raise_linalgerror_svd_nonconvergence)
+_EIGH_STATE = _lapack_state(_raise_linalgerror_eigenvalues_nonconvergence)
+_QR_STATE = _lapack_state(_raise_linalgerror_qr)
 
 
 def _svd(a: np.ndarray, full_matrices: bool = True):
     """``np.linalg.svd(a, full_matrices)``: the factors (U, s, Vh)."""
     gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
-    with _lapack_errors(_raise_linalgerror_svd_nonconvergence):
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
         return gufunc(a, signature="d->ddd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svdvals(a: np.ndarray) -> np.ndarray:
     """``np.linalg.svd(a, compute_uv=False)``: the singular values."""
-    with _lapack_errors(_raise_linalgerror_svd_nonconvergence):
+    token = _extobj_contextvar.set(_SVD_STATE)
+    try:
         return _umath_linalg.svd(a, signature="d->d")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _eigh(a: np.ndarray):
     """``np.linalg.eigh(a)``: eigenvalues ascending and eigenvectors,
     from the lower triangle."""
-    with _lapack_errors(_raise_linalgerror_eigenvalues_nonconvergence):
+    token = _extobj_contextvar.set(_EIGH_STATE)
+    try:
         return _umath_linalg.eigh_lo(a, signature="d->dd")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _qr(a: np.ndarray, complete: bool = False):
@@ -163,15 +183,18 @@ def _qr(a: np.ndarray, complete: bool = False):
     a = a.astype(float, copy=True)  # qr_r_raw overwrites it with R and the reflectors
     m, n = a.shape[-2:]
     q_of = _umath_linalg.qr_complete if complete and m > n else _umath_linalg.qr_reduced
-    with _lapack_errors(_raise_linalgerror_qr):
+    token = _extobj_contextvar.set(_QR_STATE)
+    try:
         tau = _umath_linalg.qr_r_raw(a, signature="d->d")
         q = q_of(a, tau, signature="dd->d")
+    finally:
+        _extobj_contextvar.reset(token)
     return q, a.diagonal(0, -2, -1)
 
 
 def _check_orthonormal(b: np.ndarray, tol: float, what: str) -> None:
     g = b.T @ b - _eye(b.shape[1])
-    dev = float(np.abs(g).max()) if g.size else 0.0
+    dev = float(np.maximum.reduce(np.abs(g), axis=None)) if g.size else 0.0
     if dev > tol:
         raise DimensionError(f"{what} not orthonormal: max deviation {dev:.3e} > {tol:.1e}")
 
@@ -233,7 +256,7 @@ class FramedPlane:
         if f.shape != (n, n):
             raise DimensionError(f"frame shape {f.shape} != ({n}, {n})")
         _check_orthonormal(f, TOL_ORTH * max(1.0, n), "frame")
-        if not (f[:, : self.plane.k] == self.plane.basis).all():
+        if not np.logical_and.reduce(f[:, : self.plane.k] == self.plane.basis, axis=None):
             raise FrameMismatch("first k frame columns must equal the plane basis exactly")
         object.__setattr__(self, "frame", _frozen(f))
 
@@ -264,7 +287,7 @@ class TangentMatrix:
         n, k = self.frame.n, self.frame.k
         if a.shape[-2:] != (n - k, k):
             raise DimensionError(f"tangent shape {a.shape} != (..., {n - k}, {k})")
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise DimensionError("tangent matrix contains non-finite entries")
         object.__setattr__(self, "a", _frozen(a))
 
@@ -385,8 +408,9 @@ def _hybrid_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """
     m = b1.swapaxes(-1, -2) @ b2
     c = _svdvals(m)
-    if c.size and c.max() > 1.0 + CLAMP_SLACK:
-        raise GrasscritError(f"cosine {c.max()!r} exceeds 1 beyond clamping slack")
+    top = np.maximum.reduce(c, axis=None) if c.size else 0.0
+    if top > 1.0 + CLAMP_SLACK:
+        raise GrasscritError(f"cosine {top!r} exceeds 1 beyond clamping slack")
     # np.clip(x, 0, 1); on a tie np.maximum returns its second argument,
     # so a -0.0 passes through as it does through np.clip
     c = np.minimum(np.maximum(0.0, c), 1.0)
@@ -430,7 +454,7 @@ def metric(at: FramedPlane, v1: TangentMatrix, v2: TangentMatrix) -> float:
             raise FrameMismatch("tangent vector not attached to the given frame")
         if v.a.ndim != 2:
             raise DimensionError(f"metric takes single tangent matrices, got shape {v.a.shape}")
-    return float((v1.a * v2.a).sum())
+    return float(np.add.reduce(v1.a * v2.a, axis=None))
 
 
 def _psd_functions(m: np.ndarray, f) -> np.ndarray:
@@ -454,14 +478,16 @@ def _geodesic_end(at: FramedPlane, a: np.ndarray, velocity: bool = False):
     """
 
     def functions(s):
+        out = np.empty((3 if velocity else 2,) + s.shape)
         root = np.sqrt(s)
+        np.cos(root, out=out[0])
         # np.sinc(root / pi), in np.sinc's own arithmetic
         y = math.pi * (root / math.pi)
         y = np.where(y, y, _EPS)
-        out = [np.cos(root), np.sin(y) / y]
+        np.divide(np.sin(y), y, out=out[1])
         if velocity:
-            out.append(-root * np.sin(root))
-        return np.array(out)
+            np.multiply(-root, np.sin(root), out=out[2])
+        return out
 
     f = _psd_functions(a.swapaxes(-1, -2) @ a, functions)
     b, ca = at.plane.basis, at.complement @ a
@@ -480,6 +506,23 @@ def _check_exp_range(at: FramedPlane, peak: float, what: str) -> None:
         raise DomainError(f"{what} overflows the exponential kernel")
 
 
+def _exp_tangent(at: FramedPlane, a: np.ndarray, what: str) -> np.ndarray:
+    """The tangent matrix (n-k, k) whose :func:`_geodesic_end` is the
+    basis of exp_at(``a``): ``a`` itself, or U diag(mu mod pi) V^T from
+    its compact SVD U diag(mu) V^T when its largest singular value is at
+    least pi.  Raises :class:`DomainError`, naming ``what``, when
+    A^T A overflows the kernel."""
+    peak = float(np.maximum.reduce(np.abs(a), axis=None))
+    _check_exp_range(at, peak, what)
+    # ||A||_2 >= pi needs ||A||_F >= pi; a peak entry >= pi gives both
+    # and would overflow the Frobenius sum first
+    if peak >= math.pi or _norm(a) >= math.pi:
+        u, mu, vt = _svd(a, full_matrices=False)
+        if mu[0] >= math.pi:
+            return (u * np.mod(mu, math.pi)) @ vt
+    return a
+
+
 def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     """Riemannian exponential at a framed plane.
 
@@ -494,24 +537,16 @@ def exp(at: FramedPlane, a: TangentMatrix) -> Plane:
     value is at least pi is first replaced by U diag(mu mod pi) V^T,
     which spans the same plane (a column whose angle drops by a multiple
     m of pi changes sign (-1)^m), so the kernel keeps its accuracy and
-    the basis stays orthonormal at any norm.  Below that, no SVD is taken.
-    Takes a single tangent matrix; a stack raises :class:`DimensionError`.
-    A tangent matrix whose A^T A overflows raises :class:`DomainError`.
+    the basis stays orthonormal at any norm (:func:`_exp_tangent`).  Below
+    that, no SVD is taken.  Takes a single tangent matrix; a stack raises
+    :class:`DimensionError`.  A tangent matrix whose A^T A overflows
+    raises :class:`DomainError`.
     """
     if not _same_frame(a.frame.frame, at.frame):
         raise FrameMismatch("tangent vector not attached to the given frame")
     if a.a.ndim != 2:
         raise DimensionError(f"exp takes a single tangent matrix, got shape {a.a.shape}")
-    peak = float(np.abs(a.a).max())
-    _check_exp_range(at, peak, "tangent matrix")
-    m = a.a
-    # ||A||_2 >= pi needs ||A||_F >= pi; a peak entry >= pi gives both
-    # and would overflow the Frobenius sum first
-    if peak >= math.pi or _norm(m) >= math.pi:
-        u, mu, vt = _svd(m, full_matrices=False)
-        if mu[0] >= math.pi:
-            m = (u * np.mod(mu, math.pi)) @ vt
-    return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, m))
+    return Plane(n=at.n, k=at.k, basis=_geodesic_end(at, _exp_tangent(at, a.a, "tangent matrix")))
 
 
 def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
@@ -530,7 +565,7 @@ def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
         raise DomainError(f"geodesic parameter t must be finite, got {t}")
     # exp's range check on t A, before t A is formed: a finite product of
     # Python floats bounds every entry of t A
-    peak = abs(t) * float(np.abs(a.a).max())
+    peak = abs(t) * float(np.maximum.reduce(np.abs(a.a), axis=None))
     _check_exp_range(at, peak, f"geodesic parameter t = {t} times the tangent")
     return exp(at, tangent(at, t * a.a))
 
@@ -543,12 +578,12 @@ def _connecting_factors(
     (..., n, k), leading axes broadcast.  Returns N (..., n-k, k),
     theta (..., k) and U (..., k, k)."""
     p, cos, qt = _svd(b.swapaxes(-1, -2) @ targets)
-    top = cos[..., 0].max()
+    top = np.maximum.reduce(cos[..., 0], axis=None)
     if top > 1.0 + CLAMP_SLACK:
         raise GrasscritError(f"cosine {top!r} exceeds 1 beyond clamping slack")
     s = c.swapaxes(-1, -2) @ targets @ qt.swapaxes(-1, -2)
     sin = _norm(s, axis=-2, keepdims=True)
-    ncols = np.divide(s, sin, out=np.zeros_like(s), where=sin > 0.0)
+    ncols = np.divide(s, sin, out=np.zeros(s.shape), where=sin > 0.0)
     theta = np.arctan2(sin[..., 0, :], cos)
     if snap_tol is not None:
         theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
@@ -587,7 +622,7 @@ def _log(
     the tangent matrices (..., n-k, k) and their angles theta (..., k).
     Raises :class:`OnCutLocus` if any pair is on the cut locus."""
     ncols, theta, u_right = _connecting_factors(b, c, targets)
-    top = float(theta.max())
+    top = float(np.maximum.reduce(theta, axis=None))
     if top >= math.pi / 2 - tol_cut:
         raise OnCutLocus(f"largest principal angle {top:.12f} within {tol_cut:.1e} of pi/2")
     return (ncols * theta[..., None, :]) @ u_right.swapaxes(-1, -2), theta
@@ -705,7 +740,7 @@ def _laplace_sweep(b: np.ndarray):
         rows, drop, sign = _laplace_table(n, j)
         entries = b[..., j - 1].take(rows, axis=-1) * sign
         lower = minors.take(drop, axis=-1)
-        minors = (entries * lower).sum(axis=-2)
+        minors = np.add.reduce(entries * lower, axis=-2)
         levels.append((entries, lower))
 
     def pullback(adjoint: np.ndarray) -> np.ndarray:
@@ -716,8 +751,10 @@ def _laplace_sweep(b: np.ndarray):
             by_lower, by_row = _reverse_laplace_table(n, j)
             weight = adjoint[..., None, :]
             pull = weight * _laplace_table(n, j)[2] * lower
-            grad[..., j - 1] = pull.reshape(lead + (-1,)).take(by_row, axis=-1).sum(axis=-1)
-            adjoint = (weight * entries).reshape(lead + (-1,)).take(by_lower, axis=-1).sum(axis=-2)
+            pull = pull.reshape(lead + (-1,)).take(by_row, axis=-1)
+            grad[..., j - 1] = np.add.reduce(pull, axis=-1)
+            adjoint = (weight * entries).reshape(lead + (-1,)).take(by_lower, axis=-1)
+            adjoint = np.add.reduce(adjoint, axis=-2)
         grad[..., 0] = adjoint
         return grad
 
@@ -742,8 +779,8 @@ def plucker_coords(e: Plane) -> PluckerPoint:
     """Normalized Plucker coordinates of a plane."""
     v = plucker_minors(e)
     v = v / _norm(v)
-    scale = np.abs(v).max()
-    nz = np.nonzero(np.abs(v) > 1e-14 * scale)[0]
+    magnitude = np.abs(v)
+    nz = (magnitude > 1e-14 * np.maximum.reduce(magnitude, axis=None)).nonzero()[0]
     if nz.size and v[nz[0]] < 0:
         v = -v
     return PluckerPoint(coords=v)

@@ -119,7 +119,7 @@ def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumRepo
     if not 0.0 <= tol < math.pi / 2:
         raise DomainError(f"tol must lie in [0, pi/2), got {tol}")
     angles = core.principal_angles(l, e)
-    j = int((angles >= math.pi / 2 - tol).sum())
+    j = int(np.count_nonzero(angles >= math.pi / 2 - tol))
     return CutStratumReport(j=j, angles=angles, tol=tol)
 
 
@@ -131,7 +131,7 @@ def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
         raise DimensionMismatch("empty orbit sample")
     if w.shape[1:] != (j, j):
         raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
-    if not float(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)).max()) <= 1e-8:
+    if not np.maximum.reduce(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)), axis=None) <= 1e-8:
         raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
     blocks = core._eye(k)[None].repeat(len(w), axis=0)
     blocks[:, k - j:, k - j:] = w
@@ -235,7 +235,7 @@ def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-
     svals = core._svdvals(centered)
     if svals.size == 0 or svals[0] <= 0.0:
         return 0
-    return int((svals > tol_rank * svals[0]).sum())
+    return int(np.count_nonzero(svals > tol_rank * svals[0]))
 
 
 def _clip_spectral_norm(q: np.ndarray) -> np.ndarray:
@@ -283,7 +283,7 @@ def restricted_critical_test(
         raise DimensionMismatch("empty tangent basis")
     flat = basis.reshape(len(basis), -1)
     gram = flat @ flat.T - core._eye(len(basis))
-    if float(np.abs(gram).max()) > 1e-8:
+    if np.maximum.reduce(np.abs(gram), axis=None) > 1e-8:
         raise DimensionMismatch("tangent basis is not orthonormal within 1e-8")
     t, j, delta = gen_set.b0_svd, gen_set.j, gen_set.delta
     scale = math.pi / (2.0 * delta)
@@ -294,7 +294,7 @@ def restricted_critical_test(
     g = flat @ g0.reshape(-1)
     m = -scale * (n2.T @ basis @ p2).reshape(len(basis), j * j)
     u, sv, vt = core._svd(m, full_matrices=False)
-    rank = int((sv > RANK_RTOL * scale).sum())
+    rank = np.count_nonzero(sv > RANK_RTOL * scale)
     vr = vt[:rank]
     q_star = -vr.T @ ((u[:, :rank].T @ g) / sv[:rank])
     # one round decides when Q* is the only candidate or no Q at all reaches tol
@@ -323,5 +323,5 @@ def nearest_cut_witness(l: FramedPlane) -> Plane:
     direction; the principal angles to the base are (0, ..., 0, pi/2),
     realizing the distance from a plane to its cut locus.
     """
-    basis = np.hstack([l.complement[:, :1], l.plane.basis[:, 1:]])
+    basis = np.concatenate([l.complement[:, :1], l.plane.basis[:, 1:]], axis=1)
     return Plane(n=l.n, k=l.k, basis=basis)

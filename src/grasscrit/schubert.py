@@ -124,7 +124,8 @@ def schubert_stratum(omega: SchubertVariety, e: Plane) -> SchubertStratum:
     the count is the dimension of the intersection.
     """
     core._check_same_shape(omega.w.plane, e)
-    return _stratum(omega, int((core.principal_angles(e, omega.w.plane) < TOL_GEN).sum()))
+    angles = core.principal_angles(e, omega.w.plane)
+    return _stratum(omega, int(np.count_nonzero(angles < TOL_GEN)))
 
 
 def _stratum(omega: SchubertVariety, s_tilde: int) -> SchubertStratum:
@@ -148,8 +149,8 @@ def _genericity_gate(angles: np.ndarray) -> None:
             f"largest angle {angles[-1]:.12f} within {TOL_GEN:.1e} of pi/2"
         )
     gaps = angles[1:] - angles[:-1]
-    if gaps.size and float(gaps.min()) <= TOL_GEN:
-        raise NonGenericL(f"angle gap {gaps.min():.3e} within {TOL_GEN:.1e}")
+    if gaps.size and float(gap := np.minimum.reduce(gaps)) <= TOL_GEN:
+        raise NonGenericL(f"angle gap {gap:.3e} within {TOL_GEN:.1e}")
 
 
 def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +172,10 @@ def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarr
     b_w = omega.w.plane.basis
     comp = core._frame_complements(bases)
     left, sines, vt = core._svd(comp.swapaxes(-1, -2) @ b_w)
-    dims = omega.k - sines.shape[-1] + (sines < math.sin(TOL_GEN)).sum(axis=-1)
-    bad = np.flatnonzero(dims != omega.s)
+    dims = omega.k - sines.shape[-1] + np.add.reduce(sines < math.sin(TOL_GEN), axis=-1)
+    bad = dims[dims != omega.s]
     if bad.size:
-        stratum = _stratum(omega, int(dims.flat[bad[0]]))
+        stratum = _stratum(omega, int(bad[0]))
         raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
     r = omega.k - omega.s
     u, _ = core._qr(bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), complete=True)
@@ -217,7 +218,8 @@ def chart_tangent_basis(omega: SchubertVariety, e: Plane) -> TangentMatrix:
     """
     core._check_same_shape(omega.w.plane, e)
     comp, stack = _tangent_spaces(omega, e.basis[None])
-    return core.tangent(FramedPlane(plane=e, frame=np.hstack([e.basis, comp[0]])), stack[0])
+    frame = np.concatenate([e.basis, comp[0]], axis=1)
+    return core.tangent(FramedPlane(plane=e, frame=frame), stack[0])
 
 
 def _normality_residuals(omega: SchubertVariety, l: Plane, bases: np.ndarray) -> np.ndarray:
@@ -313,7 +315,7 @@ def global_min(omega: SchubertVariety, l: Plane) -> tuple[float, Plane]:
     """
     ncols, theta, p = core.connecting_factors(omega.w, l)
     s = omega.s
-    if int((theta < TOL_GEN).sum()) >= s:
+    if np.count_nonzero(theta < TOL_GEN) >= s:
         return 0.0, l
     _genericity_gate(theta)
     kept = np.concatenate([np.zeros(s), theta[s:]])
@@ -342,20 +344,20 @@ def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
     _genericity_gate(theta)
     k, s, n = omega.k, omega.s, omega.n
     value = float(
-        math.sqrt(float((theta[k - s:] ** 2).sum()) + (k - s) * (math.pi / 2) ** 2)
+        math.sqrt(float(np.add.reduce(theta[k - s:] ** 2)) + (k - s) * (math.pi / 2) ** 2)
     )
     q_top = omega.w.plane.basis @ p[:, k - s:]
     # Auxiliary space: orthogonal to l and to the chosen directions of w.
-    constraints = np.vstack([l.basis.T, q_top.T])
+    constraints = np.concatenate([l.basis.T, q_top.T])
     u_, sing, vt_ = core._svd(constraints)
-    rank = int((sing > 1e-10).sum())
+    rank = np.count_nonzero(sing > 1e-10)
     if n - rank != n - k - s:
         raise DegenerateAuxSpace(f"auxiliary space dimension {n - rank} != {n - k - s}")
     aux = vt_[rank:, :].T  # n x (n-k-s), orthonormal
     rng = np.random.default_rng(b_seed)
     coeffs = core._signed_qr(rng.standard_normal((n - k - s, k - s)))
     b_part = aux @ coeffs
-    maximizer = Plane(n=n, k=k, basis=np.hstack([b_part, q_top]))
+    maximizer = Plane(n=n, k=k, basis=np.concatenate([b_part, q_top], axis=1))
     return value, maximizer
 
 

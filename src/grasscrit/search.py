@@ -162,8 +162,15 @@ class PluckerPolynomial:
         return math.comb(self.n, self.k)
 
     def eval(self, coords: np.ndarray):
-        """Value at coordinates of shape (..., binomial(n, k)); shape (...)."""
-        return self.eval_grad(coords)[0]
+        """Value at coordinates of shape (..., binomial(n, k)); shape (...).
+
+        The terms are summed in a fixed order rather than by a BLAS
+        matrix-vector product, whose rounding depends on the number of
+        rows in the stack.
+        """
+        coords = np.asarray(coords, dtype=float)
+        monomials = np.multiply.reduce(coords.take(self._indices, axis=-1), axis=-1)
+        return np.add.reduce(monomials * self._coefs, axis=-1)
 
     def eval_grad(self, coords: np.ndarray):
         """Value (...) and gradient (..., binomial(n, k)) at coordinates
@@ -172,16 +179,13 @@ class PluckerPolynomial:
         A monomial's derivative in one of its d slots is the product of
         the other d - 1 factors (a leave-one-out product), so zero
         coordinates need no division; repeated slots add up to the
-        power rule.  The value sums the terms in a fixed order rather
-        than by a BLAS matrix-vector product, whose rounding depends on
-        the number of rows in the stack.
+        power rule.  The value is :meth:`eval`'s.
         """
         coords = np.asarray(coords, dtype=float)
-        value = (coords.take(self._indices, axis=-1).prod(axis=-1) * self._coefs).sum(axis=-1)
-        grad = np.zeros_like(coords)
-        leave_one_out = coords.take(self._others, axis=-1).prod(axis=-1)
+        grad = np.zeros(coords.shape)
+        leave_one_out = np.multiply.reduce(coords.take(self._others, axis=-1), axis=-1)
         np.add.at(grad, (..., self._indices), self._coefs[:, None] * leave_one_out)
-        return value, grad
+        return self.eval(coords), grad
 
     def coefficient_scale(self) -> float:
         return self._scale
@@ -358,45 +362,53 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     """
     suf = sv * uf
     full_rank = sv[:, -1] > _EPS * n_res * sv[:, 0]
-    step = -_matvec(v, np.divide(uf, sv, out=np.zeros_like(uf), where=full_rank[:, None]))
+    step = -_matvec(v, np.divide(uf, sv, out=np.zeros(uf.shape), where=full_rank[:, None]))
     gauss_newton = full_rank & (_norm(step) <= delta)
     alpha = np.where(gauss_newton, 0.0, alpha)
-    if gauss_newton.all():
+    if np.logical_and.reduce(gauss_newton):
         return step, alpha
     # a slice, not a gather, when every start takes the Levenberg-Marquardt step
-    rest = slice(None) if not gauss_newton.any() else np.flatnonzero(~gauss_newton)
+    rest = (~gauss_newton).nonzero()[0] if np.logical_or.reduce(gauss_newton) else slice(None)
     suf, sv, radius, full_rank, v = suf[rest], sv[rest], delta[rest], full_rank[rest], v[rest]
-    sv2 = sv**2
+    sv2, suf2 = sv**2, suf**2
 
-    def phi_and_derivative(a, sv2, suf, radius):
+    def phi_and_derivative(a, sv2, suf, suf2, radius):
         denom = sv2 + a[:, None]
         p_norm = _norm(suf / denom)
-        return p_norm - radius, -(suf**2 / denom**3).sum(axis=1) / p_norm
+        return p_norm - radius, -np.add.reduce(suf2 / denom**3, axis=1) / p_norm
 
     upper = _norm(suf) / radius
-    lower = np.zeros_like(upper)
+    lower = np.zeros(upper.shape)
     n_full = np.count_nonzero(full_rank)
     if n_full:
         fr = slice(None) if n_full == full_rank.size else full_rank
-        phi, phi_prime = phi_and_derivative(np.zeros(n_full), sv2[fr], suf[fr], radius[fr])
+        phi, phi_prime = phi_and_derivative(
+            np.zeros(n_full), sv2[fr], suf[fr], suf2[fr], radius[fr]
+        )
         lower[fr] = -phi / phi_prime
     a = alpha[rest]
     a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
-    # the rows still iterating, at positions ``pos`` of ``a``
-    pos, ai, lo, up, s2, s, r = np.arange(a.size), a, lower, upper, sv2, suf, radius
+    # the rows still iterating, at positions ``pos`` of ``a``, which
+    # receives a row's parameter when the row stops
+    pos, ai, lo, up, s2, s, ss, r = np.arange(a.size), a, lower, upper, sv2, suf, suf2, radius
     for _ in range(10):
-        ai = np.where((ai < lo) | (ai > up), np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
-        phi, phi_prime = phi_and_derivative(ai, s2, s, r)
+        outside = (ai < lo) | (ai > up)
+        if np.logical_or.reduce(outside):
+            ai = np.where(outside, np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
+        phi, phi_prime = phi_and_derivative(ai, s2, s, ss, r)
         up = np.where(phi < 0, ai, up)
         ratio = phi / phi_prime
         lo = np.maximum(lo, ai - ratio)
         ai = ai - (phi + r) * ratio / r
-        a[pos] = ai
         iterating = ~(np.abs(phi) < 0.01 * r)
-        if not iterating.any():
+        if not np.logical_or.reduce(iterating):
             break
-        if not iterating.all():
-            pos, ai, lo, up, s2, s, r = (z[iterating] for z in (pos, ai, lo, up, s2, s, r))
+        if not np.logical_and.reduce(iterating):
+            a[pos] = ai
+            pos, ai, lo, up, s2, s, ss, r = (
+                z[iterating] for z in (pos, ai, lo, up, s2, s, ss, r)
+            )
+    a[pos] = ai
     p = -_matvec(v, suf / (sv2 + a[:, None]))
     p = p * (radius / _norm(p))[:, None]
     if isinstance(rest, slice):
@@ -482,24 +494,25 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     fresh = np.ones(n_starts, dtype=bool)
     done = np.zeros(n_starts, dtype=bool)
     while True:
-        n_fresh = int(np.count_nonzero(fresh))
-        if n_fresh:
-            rows = slice(None) if n_fresh == ids.size else np.flatnonzero(fresh)
+        rows = fresh.nonzero()[0]
+        if rows.size:
+            njev += rows.size
+            if rows.size == ids.size:
+                rows = slice(None)
             ff, jf = f[rows], jac[rows]
-            njev += n_fresh
             gf = (ff[:, None, :] @ jf)[:, 0]
-            gtol = np.abs(gf).max(axis=1) < _GTOL
-            if gtol.any():
+            gtol = np.maximum.reduce(np.abs(gf), axis=1) < _GTOL
+            if np.logical_or.reduce(gtol):
                 status[ids[rows][gtol]] = 1
                 done[rows] |= gtol
             keep = ~done[rows]
-            if not keep.all():
-                rows = np.flatnonzero(fresh & ~done)
+            if not np.logical_and.reduce(keep):
+                rows = (fresh & ~done).nonzero()[0]
                 ff, jf, gf = ff[keep], jf[keep], gf[keep]
             u, sv[rows], vt = core._svd(jf, full_matrices=False)
             g[rows], v_svd[rows] = gf, vt.swapaxes(1, 2)
             uf[rows] = (ff[:, None, :] @ u)[:, 0]
-        if done.any():
+        if np.logical_or.reduce(done):
             # retire the stopped starts: record them, then drop their rows
             gone = ids[done]
             end_x[gone], end_f[gone], end_nfev[gone] = x[done], f[done], nfev[done]
@@ -517,7 +530,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         f_new, jac_new = _jacobian(p, l, x_new)
         nfev += 1
         step_norm = _norm(step)
-        finite = np.isfinite(f_new).all(axis=1)
+        finite = np.logical_and.reduce(np.isfinite(f_new), axis=1)
         cost_new = 0.5 * _dot(f_new, f_new)
         actual = cost - cost_new
         ratio = np.where((predicted == 0) & (actual == 0), 1.0, 0.0)
@@ -530,20 +543,20 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         ftol = (actual < _FTOL * cost) & (ratio > 0.25) & finite
         xtol = (step_norm < _XTOL * (_XTOL + _norm(x))) & finite
         stopped = ftol | xtol
-        if stopped.any():
+        if np.logical_or.reduce(stopped):
             status[ids[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
         update = finite & ~stopped
-        alpha = alpha * np.divide(delta, new_radius, out=np.ones_like(delta), where=update)
+        alpha = alpha * np.divide(delta, new_radius, out=np.ones(delta.shape), where=update)
         delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_norm))
         fresh = finite & (actual > 0)
-        if fresh.all():
+        if np.logical_and.reduce(fresh):
             x, f, cost, jac = x_new, f_new, cost_new, jac_new
-        elif fresh.any():
+        elif np.logical_or.reduce(fresh):
             x[fresh], f[fresh], cost[fresh] = x_new[fresh], f_new[fresh], cost_new[fresh]
             jac[fresh] = jac_new[fresh]
         done = stopped | (nfev == _MAX_NFEV)
     return SolveResult(
-        x=end_x, fun=end_f, start_nfev=end_nfev, nfev=int(end_nfev.sum()), njev=njev,
+        x=end_x, fun=end_f, start_nfev=end_nfev, nfev=int(np.add.reduce(end_nfev)), njev=njev,
         status=status,
     )
 
@@ -585,13 +598,16 @@ def find_critical_points(
     pi/2 - ``core.TOL_CUT``; otherwise E is kept when the chart-free
     normality certificate is below :data:`CERT_TOL`.  The certificates
     are one stacked pass, each equal to
-    :func:`hypersurface_normality_residual` at its point, and each
-    survivor's plane is its basis from :func:`core._geodesic_end`, the
-    kernel of :func:`core.exp` without its mod-pi reduction.  A survivor's
-    value is the norm of its angles, the distance ||log_l(E)||, which
-    is ||A|| only when A lies inside the cut locus.  Survivors are
+    :func:`hypersurface_normality_residual` at its point.  Each plane is
+    the basis of :func:`core.exp` at A bit for bit: A reduced mod pi as
+    ``exp`` reduces it (:func:`core._exp_tangent`), then the stacked
+    kernel :func:`core._geodesic_end`.  A survivor's value is the norm of
+    its angles, the distance ||log_l(E)||, which is ||A|| only when A
+    lies inside the cut locus.  Survivors are sorted by value and
     deduplicated by Grassmann distance, which is sound because off-cut
-    critical points are isolated, and sorted by value.
+    critical points are isolated: in that order, a survivor is kept
+    when it lies farther than :data:`DEDUP_DISTANCE` from every one kept
+    before it, the angles to those from one stacked call.
 
     Raises
     ------
@@ -622,15 +638,18 @@ def find_critical_points(
     res = least_squares(p, l, x0)
     residuals = _norm(res.fun)
     unsolved = ~(residuals < tol)
-    solved = np.flatnonzero(~unsolved)
+    solved = (~unsolved).nonzero()[0]
     on_cut = np.zeros(n_starts, dtype=bool)
     certs = np.full(n_starts, math.inf)
     found: list[tuple[Plane, float]] = []
     if solved.size:
-        y = core._geodesic_end(l, res.x[solved].reshape(-1, n - k, k))
+        a = res.x[solved].reshape(-1, n - k, k)
+        for row, a_row in enumerate(a):
+            a[row] = core._exp_tangent(l, a_row, "solved tangent matrix")
+        y = core._geodesic_end(l, a)
         angles = core._hybrid_angles(l.plane.basis, y)
         on_cut[solved] = cut = angles[:, -1] >= math.pi / 2 - core.TOL_CUT
-        if not cut.all():
+        if not np.logical_and.reduce(cut):
             certs[solved[~cut]] = _normality_certificates(p, l.plane, y[~cut])
         found = [
             (Plane(n=n, k=k, basis=y[row]), float(core._norm(angles[row])))
@@ -651,10 +670,17 @@ def find_critical_points(
         )
         for start in range(n_starts)
     ]
-    deduped: list[tuple[Plane, float]] = []
-    for point, value in sorted(found, key=lambda t: t[1]):
-        if all(core.grassmann_distance(point, q) > DEDUP_DISTANCE for q, _ in deduped):
-            deduped.append((point, value))
+    found.sort(key=lambda t: t[1])
+    kept = [0] if found else []
+    if len(found) > 1:
+        bases = np.array([point.basis for point, _ in found])
+        for i in range(1, len(found)):
+            # one stacked call against the points kept so far, each pair
+            # in the order core.grassmann_distance takes it
+            pair_angles = core._hybrid_angles(bases[i], bases[kept])
+            if all(core._norm(pair) > DEDUP_DISTANCE for pair in pair_angles):
+                kept.append(i)
+    deduped = [found[i] for i in kept]
     if not deduped:
         raise NoConvergence(
             f"no start converged out of {n_starts}", diagnostics=diagnostics

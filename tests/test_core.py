@@ -163,6 +163,84 @@ class TestLapackHelpers:
                 with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
                     helper(a)
 
+    HELPERS = [
+        (core._svdvals, lambda x: np.linalg.svd(x, compute_uv=False)),
+        (core._svd, np.linalg.svd),
+        (core._eigh, np.linalg.eigh),
+        (core._qr, _numpy_qr),
+    ]
+
+    @pytest.mark.parametrize("helper, wrapper", HELPERS)
+    def test_caller_error_state_restored(self, monkeypatch, helper, wrapper):
+        # after a return, a LinAlgError and an exception from the gufunc
+        # itself, the caller's error state and callback are in force again
+        def callback(kind, flag):
+            raise AssertionError("the caller's callback ran")
+
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
+        nan = np.array([[2.0, np.nan], [1.0, 3.0]])
+
+        class Failing:
+            def __getattr__(self, name):
+                def gufunc(*args, **kwargs):
+                    raise RuntimeError(name)
+                return gufunc
+
+        caller = dict(divide="raise", over="warn", under="print", invalid="ignore")
+        with np.errstate(call=callback, **caller):
+            state, call = np.geterr(), np.geterrcall()
+            helper(good)
+            assert np.geterr() == state and np.geterrcall() is call
+            assert _same_outcome(_outcome(helper, nan), _outcome(wrapper, nan))
+            assert np.geterr() == state and np.geterrcall() is call
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_umath_linalg", Failing())
+                with pytest.raises(RuntimeError):
+                    helper(good)
+            assert np.geterr() == state and np.geterrcall() is call
+
+    @pytest.mark.parametrize("helper, wrapper", HELPERS)
+    def test_inside_raise_state_as_numpy_does(self, rng, helper, wrapper):
+        # the helpers set numpy.linalg's error state over the caller's
+        # all="raise": a NaN still gives numpy's LinAlgError (or its
+        # result), and tiny or huge entries no FloatingPointError
+        nan = np.ones((3, 3))
+        nan[0, 1] = np.nan
+        x = rng.standard_normal((3, 3))
+        with np.errstate(all="raise"):
+            for a in (x, nan, nan.T, 1e-300 * x, 1e300 * x, np.full((3, 3), np.inf)):
+                assert _same_outcome(_outcome(helper, a), _outcome(wrapper, a))
+
+    def test_numpy_private_names(self):
+        # core calls numpy.linalg's gufuncs and raises its errors by
+        # their private names, and sets its error state through the
+        # context variable np.errstate sets; a numpy that renames or
+        # drops one fails here by name
+        from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+        from numpy.linalg import _linalg, _umath_linalg
+
+        for name in ("svd", "svd_f", "svd_s", "eigh_lo", "qr_r_raw", "qr_reduced", "qr_complete"):
+            assert isinstance(getattr(_umath_linalg, name), np.ufunc)
+        # core's error states are _make_extobj's, set through the variable
+        assert core._make_extobj is _make_extobj and core._extobj_contextvar is _extobj_contextvar
+        outside = _extobj_contextvar.get()
+        with np.errstate(all="raise"):
+            assert _extobj_contextvar.get() is not outside
+        assert _extobj_contextvar.get() is outside
+        for state, call in (
+            (core._SVD_STATE, _linalg._raise_linalgerror_svd_nonconvergence),
+            (core._EIGH_STATE, _linalg._raise_linalgerror_eigenvalues_nonconvergence),
+            (core._QR_STATE, _linalg._raise_linalgerror_qr),
+        ):
+            token = _extobj_contextvar.set(state)
+            try:
+                assert np.geterr() == {
+                    "divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"
+                }
+                assert np.geterrcall() is call
+            finally:
+                _extobj_contextvar.reset(token)
+
 
 # ---------------------------------------------------------------------------
 # make_plane / complete_frame

@@ -112,6 +112,17 @@ class TestPolynomial:
             cm[i] -= h
             assert abs(grad[i] - (p.eval(cp) - p.eval(cm)) / (2 * h)) < 1e-6
 
+    def test_eval_builds_no_gradient(self, monkeypatch, rng):
+        p = random_polynomial(rng, 4, 2, 2, 12)
+        coords = rng.standard_normal((3, p.n_coords))
+        value = p.eval(coords)
+
+        def no_gradient(*args):
+            raise AssertionError("eval built the gradient")
+
+        monkeypatch.setattr(search.PluckerPolynomial, "eval_grad", no_gradient)
+        assert np.array_equal(p.eval(coords), value)
+
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_stacked_eval_grad_matches_loop(self, rng, degree):
         for n, k in ((3, 1), (4, 2), (5, 2)):
@@ -121,7 +132,10 @@ class TestPolynomial:
                 coords[..., 1] = 0.0
                 value, grad = p.eval_grad(coords)
                 assert np.shape(value) == shape and grad.shape == coords.shape
-                assert np.array_equal(p.eval(coords), value)
+                # the value alone, bit for bit
+                alone = p.eval(coords)
+                assert np.shape(alone) == shape
+                assert np.asarray(alone).tobytes() == np.asarray(value).tobytes()
                 for idx in np.ndindex(*shape):
                     ref_val, ref_grad = loop_eval_grad(p, coords[idx])
                     assert abs(value[idx] - ref_val) <= 1e-13 * max(1.0, abs(ref_val))
@@ -681,6 +695,60 @@ class TestFindCriticalPoints:
         assert np.linalg.norm(results[0].x) > math.pi / 2
         assert core.grassmann_distance(point, known) < 1e-9
         assert value == core.grassmann_distance(lf.plane, point)
+        # a copy wrapped by about 100 pi, past the range where the kernel
+        # alone stays accurate, is judged at exp's plane, bit for bit
+        wrapped = a * (1.00001 * (theta + 100 * math.pi) / theta)
+        [(point, value)], [diag] = search.find_critical_points(
+            p, lf, n_starts=1, seed=0, return_diagnostics=True
+        )
+        assert diag.status == "converged"
+        assert np.linalg.norm(results[1].x) > 100 * math.pi
+        expected = core.exp(lf, core.tangent(lf, results[1].x.reshape(2, 1)))
+        assert np.array_equal(point.basis, expected.basis)
+        assert core.grassmann_distance(point, known) < 1e-9
+        assert value == core.grassmann_distance(lf.plane, point)
+
+    def test_stacked_dedup_matches_per_pair_loop(self, monkeypatch):
+        # solved starts on one geodesic from the base plane (its distance
+        # is exact along it), spaced about DEDUP_DISTANCE apart, plus one
+        # off it; the starts are out of value order.  The stacked
+        # deduplication keeps the points and order of the per-pair loop
+        n, k = 4, 2
+        rng = np.random.default_rng(5)
+        lf = framed(core.random_plane(n, k, rng))
+        p = search.linear_form(n, k, rng.standard_normal(6))
+        unit = rng.standard_normal((n - k, k))
+        unit /= np.linalg.norm(unit)
+        side = rng.standard_normal((n - k, k))
+        offsets = [2e-6, 0.0, 2.5e-6, 0.5e-6, 4e-6, 3.5e-6]
+        x = np.array([(0.6 + t) * unit for t in offsets] + [0.6 * unit + 1.5e-6 * side])
+        x = x.reshape(len(x), -1)
+
+        def solved(p, l, x0):
+            s = len(x)
+            return search.SolveResult(
+                x=x.copy(), fun=np.zeros((s, 1 + n * k)), start_nfev=np.ones(s, dtype=int),
+                nfev=s, njev=s, status=np.ones(s, dtype=int),
+            )
+
+        monkeypatch.setattr(search, "least_squares", solved)
+        monkeypatch.setattr(search, "_normality_certificates", lambda p, l, y: np.zeros(len(y)))
+        got = search.find_critical_points(p, lf, n_starts=len(x), seed=0)
+        planes = [core.exp(lf, core.tangent(lf, row.reshape(n - k, k))) for row in x]
+        expected = []
+        for point, value in sorted(
+            [(e, core.grassmann_distance(lf.plane, e)) for e in planes], key=lambda t: t[1]
+        ):
+            if all(core.grassmann_distance(point, q) > search.DEDUP_DISTANCE for q, _ in expected):
+                expected.append((point, value))
+        # the spacing: 0.5e-6 and 2e-6 apart along the geodesic
+        assert 0.4e-6 < core.grassmann_distance(planes[3], planes[1]) < 0.6e-6
+        assert 1.9e-6 < core.grassmann_distance(planes[0], planes[1]) < 2.1e-6
+        assert 1 < len(expected) < len(x)
+        assert len(got) == len(expected)
+        for (point, value), (want, want_value) in zip(got, expected):
+            assert np.array_equal(point.basis, want.basis)
+            assert value == want_value
 
     def test_schubert_divisors_against_selection_oracle(self):
         # det[E W] = 0 on G(k, 2k) is the Schubert variety of planes
