@@ -36,17 +36,19 @@ unbounded ``trf`` with exact trust-region solves; the tests run scipy
 as the reference, start by start).  A solution is judged at its plane
 E, not in A: it may lie past pi/2 in normal coordinates and still be
 an off-cut critical point, read back through the principal angles.
-Its state holds one row per running start: a start that stops is
-written to the result once and its row dropped, so a round touches
-only the starts it advances.  Each round makes one stacked residual
-call: the trial point of every running start together with its
-k(n - k) forward-difference shifts, so the Jacobian of an accepted
-step is already there and that of a rejected one is dropped; the
-quadratic model is stacked too, and so are the starts' orthonormal
-factors and the certificates of a query, whose bases are the found
-planes.  The module needs numpy alone; the solver is called through
-the module attribute, which the traced benchmark wraps by name to
-time each query.
+The solver keeps one row per running start, and in it only what a
+round cannot recompute: the iterate x, residual f, Jacobian J, trust
+radius Delta, Levenberg-Marquardt parameter alpha and nfev; the
+gradient J^T f, the SVD of J and the cost are derived from (f, J) each
+round.  A start that stops is written to the result once and its row
+dropped.  Each round makes one stacked residual call: the trial point
+of every running start together with its k(n - k) forward-difference
+shifts, so the Jacobian of an accepted step is already there and that
+of a rejected one is dropped; the SVDs and the quadratic model are
+stacked too, and so are the starts' orthonormal factors and the
+certificates of a query, whose bases are the found planes.  The module
+needs numpy alone; the solver is called through the module attribute,
+which the traced benchmark wraps by name to time each query.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ class PluckerPolynomial:
                     f"exponent vector length {len(exps)} != binomial(n,k) = {n_coords}"
                 )
         terms = tuple((tuple(e), float(c)) for e, c in self.terms)
-        exponents = np.array([e for e, _ in terms], dtype=np.intp)
+        try:
+            exponents = np.array([e for e, _ in terms], dtype=np.intp)
+        except OverflowError:
+            raise SchemaError("exponent too large") from None
         if np.any(exponents < 0):
             raise SchemaError("negative exponent")
         degrees = np.unique(exponents.sum(axis=1))
@@ -151,7 +156,10 @@ class PluckerPolynomial:
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_others", indices[:, others])
         object.__setattr__(self, "_coefs", coefs)
-        object.__setattr__(self, "_scale", float(np.max(np.abs(coefs))))
+        scale = float(np.max(np.abs(coefs)))
+        object.__setattr__(self, "_scale", scale)
+        # 2^-e for scale = m 2^e, 1/2 <= m < 1, capped for subnormals
+        object.__setattr__(self, "_grad_factor", math.ldexp(1.0, min(-math.frexp(scale)[1], 1023)))
 
     @property
     def degree(self) -> int:
@@ -217,10 +225,12 @@ def _value_and_basis_grad(p: PluckerPolynomial, y: np.ndarray) -> tuple[np.ndarr
     """p(minors(y)) and its gradient with respect to y, for a stack of
     n x k matrices (..., n, k): the minors from the column sweep
     :func:`core._laplace_sweep`, and the gradient from the same sweep
-    run backward (its pullback of dp/dc)."""
+    run backward (its pullback of dp/dc), scaled exactly by a power of
+    two so that its squares neither overflow nor underflow whatever
+    the scale of p (callers use its direction alone)."""
     minors, pullback = core._laplace_sweep(y)
     value, dp_dc = p.eval_grad(minors)
-    return value, pullback(dp_dc)
+    return value, pullback(dp_dc * p._grad_factor)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -447,30 +457,28 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     converging to a root lowers its cost by orders of magnitude per
     step), a step below ``xtol = 1e-15`` relative to the iterate, a
     gradient below ``gtol = 1e-13`` in the max norm, or 100 residual
-    evaluations; ``status`` records which.  Every start keeps its own
-    iterate, radius, Levenberg-Marquardt parameter and evaluation
-    count, and stops on its own.  The state arrays hold one row per
-    running start, in start order; when starts stop, their x, residual
-    and evaluation count are written to the result once and their rows
-    dropped in one compaction, so no round gathers or scatters through
-    start indices.  Each round evaluates the trial points of all running
-    starts, each together with its forward-difference stencil, in one
-    stacked residual call (see :func:`_jacobian`), and takes one batched
-    SVD of the Jacobians of the starts whose step was accepted (the
-    first call does the same for ``x0``).  The stencils at rejected
-    trial points are computed and discarded: evaluating them
-    speculatively costs one pass per round instead of two.  ``nfev``
-    counts trial points and ``njev`` the Jacobians at accepted points
-    (scipy's meanings); as in scipy, the gradient at an accepted point
-    is checked against gtol also when the step ended the start (its row
-    is dropped after that check), and a gtol stop there takes
-    precedence.
+    evaluations; ``status`` records which.  Every start stops on its
+    own.  The state holds one row per running start, in start order,
+    and carries only (x, f, J, Delta, alpha, nfev) across rounds: each
+    round derives the gradient J^T f, the cost and one batched SVD of J
+    of every running start from f and J, which a rejected step leaves
+    as they were and an accepted one overwrites.  Stopped starts are
+    written to the result once and their rows dropped in one
+    compaction.  Each round evaluates the trial points of all running
+    starts, each with its forward-difference stencil, in one stacked
+    residual call (see :func:`_jacobian`); the stencils at rejected
+    trial points are discarded: evaluating them speculatively costs one
+    pass per round instead of two.  ``nfev`` counts trial points and
+    ``njev`` the Jacobians at ``x0`` and at accepted points (scipy's
+    meanings); as in scipy, the gradient at an accepted point is
+    checked against gtol also when the step ended the start, and a gtol
+    stop there takes precedence.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
     """
     x = np.array(x0, dtype=float)
-    n_starts, m = x.shape
+    n_starts = len(x)
     f, jac = _jacobian(p, l, x)
     n_res = f.shape[1]
     # each start's end state, written once when it stops
@@ -480,49 +488,36 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     # the state of the running starts, one row each in start order:
     # ``ids`` names the start of each row
     ids = np.arange(n_starts)
-    cost = 0.5 * _dot(f, f)
     nfev = np.ones(n_starts, dtype=int)
-    njev = 0
+    njev = n_starts
     delta = _norm(x)
     delta[delta == 0] = 1.0
     alpha = np.zeros(n_starts)
-    # each start's gradient and Jacobian SVD, refreshed after each accepted step
-    g, uf, sv = np.empty((3, n_starts, m))
-    v_svd = np.empty((n_starts, m, m))
-    # rows whose step was accepted (or, at first, every row), and rows
-    # whose start stopped
-    fresh = np.ones(n_starts, dtype=bool)
     done = np.zeros(n_starts, dtype=bool)
     while True:
-        rows = fresh.nonzero()[0]
-        if rows.size:
-            njev += rows.size
-            if rows.size == ids.size:
-                rows = slice(None)
-            ff, jf = f[rows], jac[rows]
-            gf = (ff[:, None, :] @ jf)[:, 0]
-            gtol = np.maximum.reduce(np.abs(gf), axis=1) < _GTOL
-            if np.logical_or.reduce(gtol):
-                status[ids[rows][gtol]] = 1
-                done[rows] |= gtol
-            keep = ~done[rows]
-            if not np.logical_and.reduce(keep):
-                rows = (fresh & ~done).nonzero()[0]
-                ff, jf, gf = ff[keep], jf[keep], gf[keep]
-            u, sv[rows], vt = core._svd(jf, full_matrices=False)
-            g[rows], v_svd[rows] = gf, vt.swapaxes(1, 2)
-            uf[rows] = (ff[:, None, :] @ u)[:, 0]
+        # the gradient is checked before the stopped starts retire, so a
+        # gtol stop at an accepted point takes precedence
+        g = (f[:, None, :] @ jac)[:, 0]
+        gtol = np.maximum.reduce(np.abs(g), axis=1) < _GTOL
+        if np.logical_or.reduce(gtol):
+            status[ids[gtol]] = 1
+            done |= gtol
         if np.logical_or.reduce(done):
             # retire the stopped starts: record them, then drop their rows
             gone = ids[done]
             end_x[gone], end_f[gone], end_nfev[gone] = x[done], f[done], nfev[done]
             keep = ~done
-            ids, x, f, jac, cost, nfev, alpha, delta, g, uf, sv, v_svd = (
-                a[keep] for a in (ids, x, f, jac, cost, nfev, alpha, delta, g, uf, sv, v_svd)
+            ids, x, f, jac, nfev, alpha, delta, g = (
+                a[keep] for a in (ids, x, f, jac, nfev, alpha, delta, g)
             )
             if not ids.size:
                 break
-        step, alpha = _trust_region_steps(uf, sv, v_svd, delta, alpha, n_res)
+        u, sv, vt = core._svd(jac, full_matrices=False)
+        uf = (f[:, None, :] @ u)[:, 0]
+        # a contiguous V: a transposed view takes another BLAS path in
+        # _matvec, with other rounding
+        v = np.ascontiguousarray(vt.swapaxes(1, 2))
+        step, alpha = _trust_region_steps(uf, sv, v, delta, alpha, n_res)
         # the decrease the quadratic model 0.5 ||J s||^2 + g^T s predicts
         js = _matvec(jac, step)
         predicted = -(0.5 * _dot(js, js) + _dot(g, step))
@@ -531,8 +526,8 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         nfev += 1
         step_norm = _norm(step)
         finite = np.logical_and.reduce(np.isfinite(f_new), axis=1)
-        cost_new = 0.5 * _dot(f_new, f_new)
-        actual = cost - cost_new
+        cost = 0.5 * _dot(f, f)
+        actual = cost - 0.5 * _dot(f_new, f_new)
         ratio = np.where((predicted == 0) & (actual == 0), 1.0, 0.0)
         np.divide(actual, predicted, out=ratio, where=predicted > 0)
         new_radius = np.where(
@@ -548,12 +543,13 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         update = finite & ~stopped
         alpha = alpha * np.divide(delta, new_radius, out=np.ones(delta.shape), where=update)
         delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_norm))
-        fresh = finite & (actual > 0)
-        if np.logical_and.reduce(fresh):
-            x, f, cost, jac = x_new, f_new, cost_new, jac_new
-        elif np.logical_or.reduce(fresh):
-            x[fresh], f[fresh], cost[fresh] = x_new[fresh], f_new[fresh], cost_new[fresh]
-            jac[fresh] = jac_new[fresh]
+        accepted = finite & (actual > 0)
+        njev += int(np.count_nonzero(accepted))
+        # masked copies, with no gather of the accepted rows
+        take = accepted[:, None]
+        np.copyto(x, x_new, where=take)
+        np.copyto(f, f_new, where=take)
+        np.copyto(jac, jac_new, where=take[:, :, None])
         done = stopped | (nfev == _MAX_NFEV)
     return SolveResult(
         x=end_x, fun=end_f, start_nfev=end_nfev, nfev=int(np.add.reduce(end_nfev)), njev=njev,

@@ -373,6 +373,7 @@ def _malformed_inputs():
         "plane-n-fraction": (["distance"], {"e1": dict(plane, n=4.5), "e2": plane}),
         "hypersurface-n-string": (gdc, dict(hyper, n="x")),
         "hypersurface-idx-number": (gdc, with_term(idx=5)),
+        "hypersurface-idx-huge": (gdc, with_term(idx=[10**20, 0])),
         "hypersurface-coef-string": (gdc, with_term(coef="abc")),
         "tangent-basis-number": (
             ["subdiff-zero-test"],

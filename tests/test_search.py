@@ -226,8 +226,11 @@ class TestBasisGradient:
             y[2, :, -1] = y[2, :, 0]
             table = core.plucker_index_table(n, k)
             w = rng.standard_normal(len(table))
-            _, grad = search._value_and_basis_grad(search.linear_form(n, k, w), y)
+            p = search.linear_form(n, k, w)
+            _, grad = search._value_and_basis_grad(p, y)
             assert grad.shape == y.shape
+            # the gradient comes scaled by a power of two, exactly
+            grad = grad / p._grad_factor
             for matrix, got in zip(y, grad):
                 expected = np.zeros((n, k))
                 for weight, rows in zip(w, table):
@@ -310,6 +313,16 @@ class TestLagrangeResidual:
         assert np.all(np.isfinite(single)) and np.all(np.isfinite(stacked))
         assert np.array_equal(single[1:], np.zeros(8))
 
+    def test_subnormal_coefficient_scale(self, rng):
+        # the power of two scaling the basis gradient is capped where the
+        # coefficient scale is subnormal (2^1074 overflows); the normality
+        # part of the residual is the same as at scale 1, bit for bit
+        base = framed(core.random_plane(3, 1, 4))
+        a = rng.uniform(-1.0, 1.0, (5, 2, 1))
+        one, tiny = (search.linear_form(3, 1, [c, 0.0, 0.0]) for c in (1.0, 5e-324))
+        expected = search.lagrange_residual(one, base, a)[:, 1:]
+        assert np.array_equal(search.lagrange_residual(tiny, base, a)[:, 1:], expected)
+
     def test_jacobian_matches_scipy_2_point(self, rng, monkeypatch):
         # the stacked Jacobian of several starts takes scipy's unbounded
         # 2-point steps, none flipped (a start past pi/2 steps outward
@@ -376,6 +389,7 @@ class TestLagrangeResidual:
             p = search.PluckerPolynomial(n=n, k=k, terms=tuple(terms))
             y = rng.standard_normal((n, k))
             _, grad = search._value_and_basis_grad(p, y)
+            grad = grad / p._grad_factor
             h = 1e-6
             for i in range(n):
                 for j in range(k):
@@ -560,11 +574,13 @@ class TestFindCriticalPoints:
     def test_one_residual_call_per_round(self, monkeypatch):
         # each round evaluates the trial points of all running starts
         # with their Jacobian stencils in one call, and the first call
-        # does the same for the starts; njev counts the Jacobians used
+        # does the same for the starts; each round takes one SVD over
+        # the Jacobians of all running starts, rejected steps included;
+        # njev counts the Jacobians used
         p = g24_hyperplane()
         lf = framed(core.random_plane(4, 2, 50))
         rng = np.random.default_rng(3)
-        x0 = rng.uniform(-1.0, 1.0, (5, 4))
+        x0 = rng.uniform(-1.5, 1.5, (5, 4))
         calls = []
         residual = search.lagrange_residual
 
@@ -579,13 +595,23 @@ class TestFindCriticalPoints:
             running.append(len(uf))
             return steps(uf, *args)
 
+        svds = []
+        svd = core._svd
+
+        def recording(a, *args, **kwargs):
+            svds.append(len(a))
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(search, "lagrange_residual", counting)
         monkeypatch.setattr(search, "_trust_region_steps", rounds)
+        monkeypatch.setattr(core, "_svd", recording)
         res = search.least_squares(p, lf, x0)
         assert len(calls) == len(running) + 1
         assert calls == [5 * 5] + [5 * s for s in running]
+        assert svds == running
         assert res.nfev == 5 + sum(running)
-        assert 5 <= res.njev <= res.nfev
+        # the starts take rejected steps, which the SVDs must cover
+        assert 5 <= res.njev < res.nfev
 
     def test_stacked_certificates_match_single_point(self, rng, monkeypatch):
         # the stacked certificate of each start that reaches the
@@ -847,6 +873,30 @@ class TestGdcEstimate:
         report = search.gdc_estimate(search.linear_form(n, k, w), trials, n_starts=6, seed=seed)
         assert report.counts == counts
         assert report.statuses == statuses
+
+    @pytest.mark.parametrize(
+        "n, k, weights",
+        [(3, 1, [1.0, -1.0, 0.0]), (4, 2, np.random.default_rng(21).standard_normal(6))],
+    )
+    def test_counts_independent_of_scale(self, n, k, weights):
+        # a hypersurface and its scalar multiples are one set: the line
+        # x - y = 0 on G(1,3) and a G(2,4) hyperplane give the same
+        # counts at every scale, and at a power of two, exact in floating
+        # point, the same points bit for bit
+        def solve(scale):
+            p = search.linear_form(n, k, np.multiply(scale, weights))
+            report = search.gdc_estimate(p, trials=2, n_starts=4, seed=0)
+            points = search.find_critical_points(p, framed(core.random_plane(n, k, 6)), 4, seed=0)
+            return report, [(plane.basis.tobytes(), value) for plane, value in points]
+
+        report, points = solve(1.0)
+        assert report.statuses == ("ok", "ok") and points
+        for scale in (2.0**600, 2.0**-600, 1e200, 1e-200):
+            scaled_report, scaled_points = solve(scale)
+            assert (scaled_report.counts, scaled_report.statuses) == (report.counts, report.statuses)
+            assert len(scaled_points) == len(points)
+            if math.frexp(scale)[0] == 0.5:
+                assert scaled_points == points
 
     def test_counts_below_bound(self):
         p = circle_two_point_slice(0.8)
