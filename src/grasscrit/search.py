@@ -46,14 +46,19 @@ of every running start together with its k(n - k) forward-difference
 shifts, so the Jacobian of an accepted step is already there and that
 of a rejected one is dropped; the SVDs and the quadratic model are
 stacked too, and so are the starts' orthonormal factors and the
-certificates of a query, whose bases are the found planes.  The module
-needs numpy alone; the solver is called through the module attribute,
-which the traced benchmark wraps by name to time each query.
+certificates of a query, whose bases are the found planes.  Each row
+product of a round is one call of numpy's vector gufuncs ``np.vecdot``,
+``np.matvec`` or ``np.vecmat``, which run the kernels of the stacked
+matmul forms (the row dot, gemv) bit for bit.  The module needs numpy
+2.2 or later alone, for those gufuncs; the solver is called through the
+module attribute, which the traced benchmark wraps by name to time each
+query.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -95,6 +100,9 @@ _MAX_NFEV = 100
 #: Names of the solver's stop reasons, indexed by scipy's status codes.
 STOP_REASONS = ("max_nfev", "gtol", "ftol", "xtol", "ftol and xtol")
 
+#: Largest total degree of a :class:`PluckerPolynomial`.
+MAX_DEGREE = 100
+
 
 # ---------------------------------------------------------------------------
 # Plucker polynomials
@@ -112,8 +120,10 @@ class PluckerPolynomial:
     slot (T x d x (d - 1)), a coefficient vector and the coefficient
     scale, so evaluation never forms a terms x coordinates matrix.  It
     raises :class:`DimensionError` unless 1 <= k <= n - k, and
-    :class:`SchemaError` for malformed terms or coefficients that are
-    not finite or all zero.
+    :class:`SchemaError` for malformed terms (an exponent that is not a
+    nonnegative integer), a degree above :data:`MAX_DEGREE` (checked in
+    Python integers before any table, of d^2 entries per term, is
+    built) or coefficients that are not finite or all zero.
     """
 
     n: int
@@ -133,17 +143,20 @@ class PluckerPolynomial:
                 )
         terms = tuple((tuple(e), float(c)) for e, c in self.terms)
         try:
-            exponents = np.array([e for e, _ in terms], dtype=np.intp)
-        except OverflowError:
-            raise SchemaError("exponent too large") from None
-        if np.any(exponents < 0):
+            rows = [[operator.index(i) for i in e] for e, _ in terms]
+        except TypeError:
+            raise SchemaError("exponent is not an integer") from None
+        if any(i < 0 for row in rows for i in row):
             raise SchemaError("negative exponent")
-        degrees = np.unique(exponents.sum(axis=1))
+        degrees = sorted({sum(row) for row in rows})
         if len(degrees) != 1:
-            raise SchemaError(f"polynomial is not homogeneous: degrees {degrees.tolist()}")
-        d = int(degrees[0])
+            raise SchemaError(f"polynomial is not homogeneous: degrees {degrees}")
+        d = degrees[0]
         if d == 0:
             raise SchemaError("polynomial must have positive degree")
+        if d > MAX_DEGREE:
+            raise SchemaError(f"polynomial degree {d} exceeds MAX_DEGREE = {MAX_DEGREE}")
+        exponents = np.array(rows, dtype=np.intp)
         coefs = np.array([c for _, c in terms])
         if not np.all(np.isfinite(coefs)):
             raise SchemaError("polynomial has a non-finite coefficient")
@@ -342,19 +355,14 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.n
     return f, (r[:, 1:] - f[:, None, :]).swapaxes(1, 2) / ((x + h) - x)[:, None, :]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of two (S, m) stacks."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (S, m) stack."""
-    return np.sqrt(_dot(a, a))
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a_s @ x_s for a stack of matrices (S, r, m) and vectors (S, m)."""
-    return (a @ x[:, :, None])[:, :, 0]
+def _phi_and_derivative(a, sv2, suf, suf2, radius):
+    """phi(alpha) = ||p(alpha)|| - Delta of each row and its derivative
+    in alpha, where -p(alpha) has the components suf / (sv^2 + alpha)
+    in the right singular basis."""
+    denom = sv2 + a[:, None]
+    q = suf / denom
+    p_norm = np.sqrt(np.vecdot(q, q))
+    return p_norm - radius, -np.add.reduce(suf2 / denom**3, axis=1) / p_norm
 
 
 def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
@@ -367,13 +375,15 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     1 % by at most 10 safeguarded Newton iterations on
     phi(alpha) = ||p(alpha)|| - delta, warm-started from ``alpha``, and
     the step is scaled onto the boundary.  The iteration keeps only the
-    starts still iterating; each sees scipy's scalar iteration.  Returns
-    the steps (S, m) and the new parameters (S,).
+    starts still iterating; each sees scipy's scalar iteration.  The
+    steps are ``np.matvec`` of the contiguous V (S, m, m) and the norms
+    ``np.vecdot`` of the rows.  Returns the steps (S, m) and the new
+    parameters (S,).
     """
     suf = sv * uf
     full_rank = sv[:, -1] > _EPS * n_res * sv[:, 0]
-    step = -_matvec(v, np.divide(uf, sv, out=np.zeros(uf.shape), where=full_rank[:, None]))
-    gauss_newton = full_rank & (_norm(step) <= delta)
+    step = -np.matvec(v, np.divide(uf, sv, out=np.zeros(uf.shape), where=full_rank[:, None]))
+    gauss_newton = full_rank & (np.sqrt(np.vecdot(step, step)) <= delta)
     alpha = np.where(gauss_newton, 0.0, alpha)
     if np.logical_and.reduce(gauss_newton):
         return step, alpha
@@ -381,46 +391,42 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     rest = (~gauss_newton).nonzero()[0] if np.logical_or.reduce(gauss_newton) else slice(None)
     suf, sv, radius, full_rank, v = suf[rest], sv[rest], delta[rest], full_rank[rest], v[rest]
     sv2, suf2 = sv**2, suf**2
-
-    def phi_and_derivative(a, sv2, suf, suf2, radius):
-        denom = sv2 + a[:, None]
-        p_norm = _norm(suf / denom)
-        return p_norm - radius, -np.add.reduce(suf2 / denom**3, axis=1) / p_norm
-
-    upper = _norm(suf) / radius
+    upper = np.sqrt(np.vecdot(suf, suf)) / radius
     lower = np.zeros(upper.shape)
     n_full = np.count_nonzero(full_rank)
     if n_full:
         fr = slice(None) if n_full == full_rank.size else full_rank
-        phi, phi_prime = phi_and_derivative(
+        phi, phi_prime = _phi_and_derivative(
             np.zeros(n_full), sv2[fr], suf[fr], suf2[fr], radius[fr]
         )
         lower[fr] = -phi / phi_prime
     a = alpha[rest]
     a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
     # the rows still iterating, at positions ``pos`` of ``a``, which
-    # receives a row's parameter when the row stops
+    # receives a row's parameter when the row stops, each with its 1 %
+    # band ``tol`` of the radius
     pos, ai, lo, up, s2, s, ss, r = np.arange(a.size), a, lower, upper, sv2, suf, suf2, radius
+    tol = 0.01 * radius
     for _ in range(10):
         outside = (ai < lo) | (ai > up)
         if np.logical_or.reduce(outside):
             ai = np.where(outside, np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
-        phi, phi_prime = phi_and_derivative(ai, s2, s, ss, r)
+        phi, phi_prime = _phi_and_derivative(ai, s2, s, ss, r)
         up = np.where(phi < 0, ai, up)
         ratio = phi / phi_prime
         lo = np.maximum(lo, ai - ratio)
         ai = ai - (phi + r) * ratio / r
-        iterating = ~(np.abs(phi) < 0.01 * r)
+        iterating = ~(np.abs(phi) < tol)
         if not np.logical_or.reduce(iterating):
             break
         if not np.logical_and.reduce(iterating):
             a[pos] = ai
-            pos, ai, lo, up, s2, s, ss, r = (
-                z[iterating] for z in (pos, ai, lo, up, s2, s, ss, r)
+            pos, ai, lo, up, s2, s, ss, r, tol = (
+                z[iterating] for z in (pos, ai, lo, up, s2, s, ss, r, tol)
             )
     a[pos] = ai
-    p = -_matvec(v, suf / (sv2 + a[:, None]))
-    p = p * (radius / _norm(p))[:, None]
+    p = -np.matvec(v, suf / (sv2 + a[:, None]))
+    p = p * (radius / np.sqrt(np.vecdot(p, p)))[:, None]
     if isinstance(rest, slice):
         return p, a
     step[rest], alpha[rest] = p, a
@@ -462,8 +468,10 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     and carries only (x, f, J, Delta, alpha, nfev) across rounds: each
     round derives the gradient J^T f, the cost and one batched SVD of J
     of every running start from f and J, which a rejected step leaves
-    as they were and an accepted one overwrites.  Stopped starts are
-    written to the result once and their rows dropped in one
+    as they were and an accepted one overwrites; J^T f and U^T f are
+    ``np.vecmat`` calls, J s an ``np.matvec`` call and the costs, model
+    terms and norms ``np.vecdot`` calls, one per row product.  Stopped
+    starts are written to the result once and their rows dropped in one
     compaction.  Each round evaluates the trial points of all running
     starts, each with its forward-difference stencil, in one stacked
     residual call (see :func:`_jacobian`); the stencils at rejected
@@ -490,14 +498,14 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     ids = np.arange(n_starts)
     nfev = np.ones(n_starts, dtype=int)
     njev = n_starts
-    delta = _norm(x)
+    delta = np.sqrt(np.vecdot(x, x))
     delta[delta == 0] = 1.0
     alpha = np.zeros(n_starts)
     done = np.zeros(n_starts, dtype=bool)
     while True:
         # the gradient is checked before the stopped starts retire, so a
         # gtol stop at an accepted point takes precedence
-        g = (f[:, None, :] @ jac)[:, 0]
+        g = np.vecmat(f, jac)
         gtol = np.maximum.reduce(np.abs(g), axis=1) < _GTOL
         if np.logical_or.reduce(gtol):
             status[ids[gtol]] = 1
@@ -513,22 +521,22 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             if not ids.size:
                 break
         u, sv, vt = core._svd(jac, full_matrices=False)
-        uf = (f[:, None, :] @ u)[:, 0]
-        # a contiguous V: a transposed view takes another BLAS path in
-        # _matvec, with other rounding
+        uf = np.vecmat(f, u)
+        # a contiguous V: np.matvec on a transposed view, or np.vecmat
+        # on V^T, takes another BLAS path, with other rounding
         v = np.ascontiguousarray(vt.swapaxes(1, 2))
         step, alpha = _trust_region_steps(uf, sv, v, delta, alpha, n_res)
         # the decrease the quadratic model 0.5 ||J s||^2 + g^T s predicts
-        js = _matvec(jac, step)
-        predicted = -(0.5 * _dot(js, js) + _dot(g, step))
+        js = np.matvec(jac, step)
+        predicted = -(0.5 * np.vecdot(js, js) + np.vecdot(g, step))
         x_new = x + step
         f_new, jac_new = _jacobian(p, l, x_new)
         nfev += 1
-        step_norm = _norm(step)
+        step_norm = np.sqrt(np.vecdot(step, step))
         finite = np.logical_and.reduce(np.isfinite(f_new), axis=1)
-        cost = 0.5 * _dot(f, f)
-        actual = cost - 0.5 * _dot(f_new, f_new)
-        ratio = np.where((predicted == 0) & (actual == 0), 1.0, 0.0)
+        cost = 0.5 * np.vecdot(f, f)
+        actual = cost - 0.5 * np.vecdot(f_new, f_new)
+        ratio = ((predicted == 0) & (actual == 0)).astype(float)
         np.divide(actual, predicted, out=ratio, where=predicted > 0)
         new_radius = np.where(
             ratio < 0.25,
@@ -536,7 +544,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
             np.where((ratio > 0.75) & (step_norm > 0.95 * delta), 2.0 * delta, delta),
         )
         ftol = (actual < _FTOL * cost) & (ratio > 0.25) & finite
-        xtol = (step_norm < _XTOL * (_XTOL + _norm(x))) & finite
+        xtol = (step_norm < _XTOL * (_XTOL + np.sqrt(np.vecdot(x, x)))) & finite
         stopped = ftol | xtol
         if np.logical_or.reduce(stopped):
             status[ids[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
@@ -632,7 +640,7 @@ def find_critical_points(
     u0, v0 = core._signed_qr(u0), core._signed_qr(v0)
     x0 = ((u0 * mu0[:, None, :]) @ v0.swapaxes(1, 2)).reshape(n_starts, -1)
     res = least_squares(p, l, x0)
-    residuals = _norm(res.fun)
+    residuals = np.sqrt(np.vecdot(res.fun, res.fun))
     unsolved = ~(residuals < tol)
     solved = (~unsolved).nonzero()[0]
     on_cut = np.zeros(n_starts, dtype=bool)
@@ -647,8 +655,9 @@ def find_critical_points(
         on_cut[solved] = cut = angles[:, -1] >= math.pi / 2 - core.TOL_CUT
         if not np.logical_and.reduce(cut):
             certs[solved[~cut]] = _normality_certificates(p, l.plane, y[~cut])
+        values = np.sqrt(np.vecdot(angles, angles))
         found = [
-            (Plane(n=n, k=k, basis=y[row]), float(core._norm(angles[row])))
+            (Plane(n=n, k=k, basis=y[row]), float(values[row]))
             for row, start in enumerate(solved)
             if certs[start] < CERT_TOL
         ]

@@ -6,7 +6,9 @@ Documents:
 * Tangent matrix / generic matrix: ``{"rows": int, "cols": int,
   "a": [[...]]}``
 * Hypersurface: ``{"n": int, "k": int, "terms": [{"idx": [exponents
-  over the binomial(n, k) coordinates], "coef": float}]}``
+  over the binomial(n, k) coordinates], "coef": float}]}``, homogeneous
+  of positive total degree at most 100 (``search.MAX_DEGREE``), with
+  finite coefficients that are not all zero; else a :class:`SchemaError`
 
 All floating point output is decimal with 17 significant digits, which
 round-trips IEEE doubles exactly; dictionaries are emitted with sorted

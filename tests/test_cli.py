@@ -366,6 +366,9 @@ def _malformed_inputs():
     def with_term(**field):
         return dict(hyper, terms=[dict(hyper["terms"][0], **field)])
 
+    def conic(*exponents):
+        return {"n": 3, "k": 1, "terms": [{"idx": e, "coef": 1.0} for e in exponents]}
+
     return {
         "s-string": (["schubert-min"], {"w": w, "s": "one", "l": l}),
         "s-list": (["schubert-critical"], {"w": w, "s": [1], "l": l}),
@@ -374,6 +377,10 @@ def _malformed_inputs():
         "hypersurface-n-string": (gdc, dict(hyper, n="x")),
         "hypersurface-idx-number": (gdc, with_term(idx=5)),
         "hypersurface-idx-huge": (gdc, with_term(idx=[10**20, 0])),
+        # exponents that fit numpy's index type, but whose index tables
+        # would not fit in memory, or whose degree sum overflows it
+        "hypersurface-degree-huge": (gdc, conic([10**18, 0, 0], [0, 10**18, 0])),
+        "hypersurface-degree-overflow": (gdc, conic([2**62, 2**62, 0], [0, 2**62, 2**62])),
         "hypersurface-coef-string": (gdc, with_term(coef="abc")),
         "tangent-basis-number": (
             ["subdiff-zero-test"],

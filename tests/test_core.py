@@ -241,6 +241,15 @@ class TestLapackHelpers:
             finally:
                 _extobj_contextvar.reset(token)
 
+    def test_numpy_vector_gufuncs(self):
+        # the solver's row products call np.vecdot (numpy 2.0) and
+        # np.matvec and np.vecmat (numpy 2.2); an older numpy fails here
+        # by name
+        for name in ("vecdot", "matvec", "vecmat"):
+            assert isinstance(getattr(np, name, None), np.ufunc), (
+                f"np.{name} is missing: grasscrit needs numpy >= 2.2 (see pyproject.toml)"
+            )
+
 
 # ---------------------------------------------------------------------------
 # make_plane / complete_frame

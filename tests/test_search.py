@@ -81,6 +81,22 @@ class TestPolynomial:
             search.PluckerPolynomial(n=2, k=1, terms=(((-1, 2), 1.0),))
         with pytest.raises(SchemaError):
             search.PluckerPolynomial(n=2, k=1, terms=(((1,), 1.0),))
+        # exponents are integers: neither truncated nor parsed
+        for exps in ((1.5, 0), (1.0, 0), ("1", 0)):
+            with pytest.raises(SchemaError, match="not an integer"):
+                search.PluckerPolynomial(n=2, k=1, terms=((exps, 1.0),))
+        p = search.PluckerPolynomial(n=2, k=1, terms=(((np.int64(1), 0), 1.0),))
+        assert p.degree == 1
+
+    def test_degree_limit(self):
+        # the degree is checked before the index tables, whose size grows
+        # as d^2 per term, are built
+        top = search.MAX_DEGREE
+        p = search.PluckerPolynomial(n=3, k=1, terms=(((top, 0, 0), 1.0), ((0, top - 1, 1), 1.0)))
+        assert p.degree == top
+        for exps in ([top + 1, 0, 0], [10**18, 0, 0], [2**62, 2**62, 0]):
+            with pytest.raises(SchemaError, match="exceeds MAX_DEGREE"):
+                search.PluckerPolynomial(n=3, k=1, terms=((tuple(exps), 1.0),))
 
     @pytest.mark.parametrize("n, k", [(-3, 1), (3, 0), (3, 2), (4, 3)])
     def test_shape_outside_standing_range_rejected(self, n, k):
@@ -398,6 +414,57 @@ class TestLagrangeResidual:
                     ym[i, j] -= h
                     fd = (p.eval(core.plucker_minors(yp)) - p.eval(core.plucker_minors(ym))) / (2 * h)
                     assert abs(grad[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+class TestRowAlgebra:
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3), (7, 3), (8, 4)])
+    @pytest.mark.parametrize("s", [1, 2, 4, 12])
+    def test_vector_gufuncs_match_matmul_forms(self, n, k, s):
+        # the solver's row products run through np.vecdot, np.matvec and
+        # np.vecmat; on its own arrays (S starts, m = k(n - k) unknowns,
+        # 1 + n k residuals) each equals the stacked-matmul form bit for
+        # bit, so a numpy whose gufuncs take another BLAS path than
+        # matmul fails here instead of moving the solver's iterates
+        rng = np.random.default_rng(100 * n + s)
+        p = random_polynomial(rng, n, k, 2, 2 * math.comb(n, k))
+        lf = framed(core.random_plane(n, k, rng))
+        m = k * (n - k)
+
+        def same(got, want):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        def vecdot(a, b):
+            return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+        def matvec(a, x):
+            return (a @ x[:, :, None])[:, :, 0]
+
+        def vecmat(x, a):
+            return (x[:, None, :] @ a)[:, 0]
+
+        x = rng.uniform(-1.4, 1.4, (s, m))
+        f, jac = search._jacobian(p, lf, x)
+        assert f.shape == (s, 1 + n * k) and jac.shape == (s, 1 + n * k, m)
+        # the layout _jacobian returns, and the same array after a round
+        # copies accepted rows into it
+        f_new, jac_new = search._jacobian(p, lf, x + rng.uniform(-0.1, 0.1, (s, m)))
+        accepted = np.arange(s) % 2 == 0
+        for _ in range(2):
+            g = np.vecmat(f, jac)
+            same(g, vecmat(f, jac))
+            u, sv, vt = core._svd(jac, full_matrices=False)
+            uf = np.vecmat(f, u)
+            same(uf, vecmat(f, u))
+            v = np.ascontiguousarray(vt.swapaxes(1, 2))
+            delta = 0.5 * np.sqrt(np.vecdot(x, x))
+            step, _ = search._trust_region_steps(uf, sv, v, delta, np.zeros(s), f.shape[1])
+            same(np.matvec(v, uf / sv), matvec(v, uf / sv))
+            js = np.matvec(jac, step)
+            same(js, matvec(jac, step))
+            for a, b in ((f, f), (f_new, f_new), (js, js), (g, step), (x, x), (step, step)):
+                same(np.vecdot(a, b), vecdot(a, b))
+            np.copyto(f, f_new, where=accepted[:, None])
+            np.copyto(jac, jac_new, where=accepted[:, None, None])
 
 
 def scipy_trf_reference(p, l, x0):
