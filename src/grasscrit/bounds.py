@@ -124,6 +124,10 @@ def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
 # Oriented G(2,4) sphere-product model
 # ---------------------------------------------------------------------------
 
+#: The range of y1 that :func:`g24_residual_scan` scans with ``n_grid`` points.
+Y1_LO, Y1_HI = -0.999, 0.999
+
+
 def _vector3(vec, name: str) -> tuple[float, float, float]:
     """``vec`` as three floats, or a DimensionError for any other shape."""
     try:
@@ -235,9 +239,7 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return [i * step + lo for i in range(num - 1)] + [hi]
 
 
-def g24_residual_scan(
-    betas, n_grid: int = 2001, y1_lo: float = -0.999, y1_hi: float = 0.999
-) -> dict:
+def g24_residual_scan(betas, n_grid: int = 2001) -> dict:
     """Deterministic sign scan of the criticality residual over a grid.
 
     For each beta reports the residual extrema, the number of sign
@@ -255,8 +257,8 @@ def g24_residual_scan(
     n_grid = int(n_grid)
     if n_grid < 2:
         raise DimensionError(f"n_grid must be at least 2, got {n_grid}")
-    out = {"y1_lo": y1_lo, "y1_hi": y1_hi, "n_grid": n_grid, "betas": []}
-    ys = _linspace(y1_lo, y1_hi, n_grid)
+    out = {"y1_lo": Y1_LO, "y1_hi": Y1_HI, "n_grid": n_grid, "betas": []}
+    ys = _linspace(Y1_LO, Y1_HI, n_grid)
     for beta in betas:
         beta = float(beta)
         if not math.isfinite(beta):

@@ -5,9 +5,10 @@ writes a canonical JSON report to stdout (or ``--out``), and embeds the
 schema version.  Randomized commands require an explicit ``--seed`` and
 produce byte-identical reports for identical inputs, seed and version.
 
-Exit codes: 0 success, 2 validation error (domain preconditions), 3
-parse error (bad command line or malformed/unschematic JSON), 4 solver
-error.  Errors are reported as ``{"code", "message", "path"}``.
+Exit codes: 0 success, 2 validation error (domain preconditions, and
+a count option above ``MAX_COUNT``), 3 parse error (bad command line or
+malformed/unschematic JSON), 4 solver error.  Errors are reported as
+``{"code", "message", "path"}``.
 
 Each handler imports the library modules it runs, numpy included, so a
 cold process compiles and runs only those: ``bound`` and ``g24-demo``
@@ -28,6 +29,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_SOLVER = 4
+
+#: Largest value of the count options ``--trials``, ``--starts`` and
+#: ``--grid``: each builds arrays or Python lists of that length, so a
+#: larger count could fail to allocate or exhaust memory.  At this value
+#: a G(1,3) conic ``gdc-sample`` or a two-right-angle ``subdiff-dim``
+#: peaks near 60 MB; the per-start work of a larger hypersurface is not
+#: bounded by it.
+MAX_COUNT = 10_000
 
 
 class _CliParseError(Exception):
@@ -409,6 +418,10 @@ def main(argv=None) -> int:
         # every plane on the cut locus
         if getattr(args, "tol_cut", None) is not None and not args.tol_cut < math.pi / 2:
             raise DomainError(f"--tol-cut must lie in (0, pi/2), got {args.tol_cut}")
+        for name in ("trials", "starts", "grid"):
+            value = getattr(args, name, None)
+            if value is not None and value > MAX_COUNT:
+                raise DomainError(f"--{name} must be at most {MAX_COUNT}, got {value}")
         if getattr(args, "seed", 0) < 0:
             raise DomainError(f"--seed must be nonnegative, got {args.seed}")
         payload = handler(args)

@@ -26,7 +26,8 @@ Conventions used throughout (and by every caller of this module):
   :func:`_connecting_factors` serves every construction that also needs
   the principal vectors (the logarithm, the Schubert answers, the
   cut-locus orbit): one SVD with vectors, whose sines are the column
-  norms of C^T B_2 Q and whose angles are atan2(sin, cos).
+  norms of C^T B_2 Q and whose angles are atan2(sin, cos), unsnapped
+  (:mod:`cutlocus` decides which of them are right angles).
 * Frame completion and orthonormalization fix signs deterministically,
   so identical inputs give bit-identical outputs for a given build.
 * :func:`_hybrid_angles` (angles of bare pairs),
@@ -89,6 +90,9 @@ TOL_ORTH = 1e-12
 
 #: Default absolute tolerance (radians) for "angle equals pi/2" decisions.
 TOL_CUT = 1e-9
+
+#: :func:`make_plane` rejects a basis whose smallest singular value is at most this.
+TOL_SPAN = 1e-10
 
 #: Silent clamping slack for arccos arguments slightly above 1.
 CLAMP_SLACK = 1e-12
@@ -318,7 +322,7 @@ class PluckerPoint:
 # Construction
 # ---------------------------------------------------------------------------
 
-def make_plane(raw, tol: float = 1e-10) -> Plane:
+def make_plane(raw) -> Plane:
     """Orthonormalize the columns of ``raw`` into a :class:`Plane`.
 
     Uses a QR factorization with the sign convention that the diagonal
@@ -328,7 +332,7 @@ def make_plane(raw, tol: float = 1e-10) -> Plane:
     Raises
     ------
     RankDeficient
-        If the smallest singular value of ``raw`` is <= ``tol``.
+        If the smallest singular value of ``raw`` is <= ``TOL_SPAN``.
     DimensionError
         If k > n - k.
     """
@@ -337,8 +341,8 @@ def make_plane(raw, tol: float = 1e-10) -> Plane:
     if not (1 <= k <= n - k):
         raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
     smin = float(_svdvals(a)[-1])
-    if smin <= tol:
-        raise RankDeficient(f"smallest singular value {smin:.3e} <= {tol:.1e}")
+    if smin <= TOL_SPAN:
+        raise RankDeficient(f"smallest singular value {smin:.3e} <= {TOL_SPAN:.1e}")
     q = _signed_qr(a)
     return Plane(n=n, k=k, basis=q)
 
@@ -571,7 +575,7 @@ def geodesic_point(at: FramedPlane, a: TangentMatrix, t: float) -> Plane:
 
 
 def _connecting_factors(
-    b: np.ndarray, c: np.ndarray, targets: np.ndarray, snap_tol: float | None = None
+    b: np.ndarray, c: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`connecting_factors` on stacks: base bases ``b`` (..., n, k)
     with complements ``c`` (..., n, n-k) and target bases ``targets``
@@ -585,14 +589,10 @@ def _connecting_factors(
     sin = _norm(s, axis=-2, keepdims=True)
     ncols = np.divide(s, sin, out=np.zeros(s.shape), where=sin > 0.0)
     theta = np.arctan2(sin[..., 0, :], cos)
-    if snap_tol is not None:
-        theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
     return ncols, theta, p
 
 
-def connecting_factors(
-    at: FramedPlane, target: Plane, snap_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def connecting_factors(at: FramedPlane, target: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors (N, theta, U) of a minimizing connecting matrix N diag(theta) U^T.
 
     One SVD B^T B_t = P diag(cos theta) Q^T gives all three: ``U = P``
@@ -602,17 +602,11 @@ def connecting_factors(
     at both ends and nondecreasing, so right angles sit in the last
     slots.  Total construction: on the cut locus it fixes one choice of
     minimizing geodesic; sweeping the gauge orbit of the right-angle
-    block then recovers all of them.
-
-    Parameters
-    ----------
-    snap_tol:
-        If given, angles within ``snap_tol`` of pi/2 are snapped to
-        exactly pi/2 (cut-locus constructions place right angles
-        exactly).
+    block then recovers all of them.  No angle is snapped to pi/2: the
+    cut-locus constructions decide which are right angles.
     """
     _check_same_shape(at.plane, target)
-    return _connecting_factors(at.plane.basis, at.complement, target.basis, snap_tol)
+    return _connecting_factors(at.plane.basis, at.complement, target.basis)
 
 
 def _log(

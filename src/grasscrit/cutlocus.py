@@ -5,7 +5,9 @@ principal angle to L equal to pi/2, stratified by the number j of right
 angles.  On the stratum with j right angles the minimizing geodesics
 from L form an orthogonal-group orbit: fixing one connecting matrix
 ``A0 = U S V^T`` with the right angles placed in the last j slots of S,
-every other one is ``U S blockdiag(I, W) V^T`` for W in O(j).
+every other one is ``U S blockdiag(I, W) V^T`` for W in O(j).  These
+are the factors of :func:`core.connecting_factors`, in its order, with
+each angle within ``core.TOL_CUT`` of pi/2 set here to exactly pi/2.
 
 The distance function from L is smooth off the cut locus with unit
 gradient; at a cut point S its Clarke subdifferential is, up to sign
@@ -43,7 +45,6 @@ from .errors import (
     InsufficientSamples,
     NotOnCut,
 )
-from .lowrank import SvdTriple
 
 #: Default number of grid samples per connected component of O(2).
 O2_GRID = 64
@@ -78,14 +79,15 @@ class SubdiffGeneratorSet:
     matrices at ``base``, one per sampled orbit element; their convex
     hull inner-approximates the subdifferential, with Hausdorff error
     controlled by the fineness of the orthogonal-group sample.
-    ``b0_svd`` is the base preimage B0 with nonincreasing angles (the j
-    right angles first); with ``delta`` and ``j`` it fixes the whole
-    subdifferential, which is what :func:`restricted_critical_test` uses.
+    ``factors`` (N, theta, P) of the base preimage B0 = N diag(theta) P^T
+    are in the order of :func:`core.connecting_factors`, the j right
+    angles (exactly pi/2) last; with ``delta`` and ``j`` they fix the
+    whole subdifferential, which :func:`restricted_critical_test` uses.
     """
 
     base: FramedPlane
     delta: float
-    b0_svd: SvdTriple
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     j: int
     generators: TangentMatrix
 
@@ -123,9 +125,23 @@ def cut_stratum(l: Plane, e: Plane, tol: float = core.TOL_CUT) -> CutStratumRepo
     return CutStratumReport(j=j, angles=angles, tol=tol)
 
 
-def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
-    """The stack blockdiag(I_{k-j}, W) over a nonempty sample of W in O(j),
-    the whole sample checked at once."""
+def _cut_factors(at: FramedPlane, target: Plane):
+    """(N, theta, P) of :func:`core.connecting_factors` from ``at`` to ``target``
+    with every angle within ``core.TOL_CUT`` of pi/2 set to exactly pi/2 (the
+    last j, as the angles are nondecreasing), and j; NotOnCut when j = 0."""
+    ncols, theta, p = core.connecting_factors(at, target)
+    theta[theta >= math.pi / 2 - core.TOL_CUT] = math.pi / 2
+    j = int(np.count_nonzero(theta == math.pi / 2))
+    if j == 0:
+        raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
+    return (ncols, theta, p), j
+
+
+def _orbit(factors, j: int, w_sample, transpose: bool = False) -> np.ndarray:
+    """The stack N diag(theta) blockdiag(I_{k-j}, W) P^T (W^T with
+    ``transpose``) over a nonempty sample of W in O(j), the whole sample
+    checked at once."""
+    ncols, theta, p = factors
     w = np.asarray(w_sample, dtype=float)
     if w.size == 0:
         raise DimensionMismatch("empty orbit sample")
@@ -133,9 +149,11 @@ def _orbit_blocks(w_sample, k: int, j: int) -> np.ndarray:
         raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
     if not np.maximum.reduce(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)), axis=None) <= 1e-8:
         raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
-    blocks = core._eye(k)[None].repeat(len(w), axis=0)
-    blocks[:, k - j:, k - j:] = w
-    return blocks
+    blocks = core._eye(len(theta))[None].repeat(len(w), axis=0)
+    blocks[:, -j:, -j:] = w
+    if transpose:
+        blocks = blocks.swapaxes(-1, -2)
+    return ncols @ (theta[:, None] * blocks) @ p.T
 
 
 def geodesic_preimages(l: FramedPlane, s: Plane, w_sample) -> TangentMatrix:
@@ -145,9 +163,8 @@ def geodesic_preimages(l: FramedPlane, s: Plane, w_sample) -> TangentMatrix:
     sequence of j x j matrices) the stack holds the connecting matrix
     ``A_W``; all share the singular values of the base preimage and map
     to ``s`` under the exponential.  ``W = identity`` reproduces the base
-    preimage itself.  One :func:`core.connecting_factors` call gives the
-    factors and the stratum j, the number of angles it snaps to pi/2
-    (those within ``core.TOL_CUT`` of it).
+    preimage itself.  The factors and the stratum j come from one
+    :func:`core.connecting_factors` call, right angles set exactly.
 
     Raises
     ------
@@ -157,12 +174,8 @@ def geodesic_preimages(l: FramedPlane, s: Plane, w_sample) -> TangentMatrix:
     DimensionMismatch
         If the sample is empty, misshapen or not orthogonal.
     """
-    ncols, theta, u_right = core.connecting_factors(l, s, snap_tol=core.TOL_CUT)
-    j = int(np.count_nonzero(theta == math.pi / 2))  # the snapped right angles
-    if j == 0:
-        raise NotOnCut("target is off the cut locus; log gives the unique preimage")
-    blocks = _orbit_blocks(w_sample, l.k, j)
-    return core.tangent(l, ncols @ (theta[:, None] * blocks) @ u_right.T)
+    factors, j = _cut_factors(l, s)
+    return core.tangent(l, _orbit(factors, j, w_sample))
 
 
 def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSet:
@@ -174,17 +187,10 @@ def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSe
     stratum j is read from the same factors, as in
     :func:`geodesic_preimages`.
     """
-    ncols, theta, u_right = core.connecting_factors(s, l, snap_tol=core.TOL_CUT)
-    j = int(np.count_nonzero(theta == math.pi / 2))  # the snapped right angles
-    if j == 0:
-        raise NotOnCut("point is off the cut locus; the subdifferential is a singleton")
-    delta = float(core._norm(theta))
-    blocks = _orbit_blocks(w_sample, s.k, j).swapaxes(-1, -2)
-    gens = core.tangent(s, -(ncols @ (theta[:, None] * blocks) @ u_right.T) / delta)
-    # Standard nonincreasing triple for the stored base preimage.
-    rev = slice(None, None, -1)
-    b0 = SvdTriple(u=ncols[:, rev], sigma=theta[rev], v=u_right[:, rev])
-    return SubdiffGeneratorSet(base=s, delta=delta, b0_svd=b0, j=j, generators=gens)
+    factors, j = _cut_factors(s, l)
+    delta = float(core._norm(factors[1]))
+    gens = core.tangent(s, -_orbit(factors, j, w_sample, transpose=True) / delta)
+    return SubdiffGeneratorSet(base=s, delta=delta, factors=factors, j=j, generators=gens)
 
 
 def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray:
@@ -253,10 +259,11 @@ def restricted_critical_test(
     orthonormal tangent matrices at the generator set's base (the
     tangent space of the constraint manifold at the cut point).  The
     subdifferential is built exactly from the stored base preimage, not
-    from the sampled generators: with N1, theta1, P1 the factors of the
-    non-right angles and N2, P2 the j right-angle columns (in the slot
-    order the orbit samples act on), it is ``{G0 + L(Q) : ||Q||_2 <= 1}``
-    where ``G0 = -N1 diag(theta1) P1^T / delta`` and
+    from the sampled generators: with N1, theta1, P1 the first k - j
+    columns of its factors (the non-right angles) and N2, P2 the last j
+    (the right angles, which the orbit samples act on), it is
+    ``{G0 + L(Q) : ||Q||_2 <= 1}`` where
+    ``G0 = -N1 diag(theta1) P1^T / delta`` and
     ``L(Q) = -(pi / 2 delta) N2 Q P2^T``.  For orthogonal Q, G0 + L(Q) is
     the generator that :func:`subdiff_generators` builds from W = Q^T.
 
@@ -285,14 +292,12 @@ def restricted_critical_test(
     gram = flat @ flat.T - core._eye(len(basis))
     if np.maximum.reduce(np.abs(gram), axis=None) > 1e-8:
         raise DimensionMismatch("tangent basis is not orthonormal within 1e-8")
-    t, j, delta = gen_set.b0_svd, gen_set.j, gen_set.delta
+    (ncols, theta, p), j, delta = gen_set.factors, gen_set.j, gen_set.delta
     scale = math.pi / (2.0 * delta)
-    g0 = -(t.u[:, j:] * t.sigma[j:]) @ t.v[:, j:].T / delta
-    # b0_svd is nonincreasing, so its first j columns hold the right
-    # angles in the reverse of the orbit's slot order
-    n2, p2 = t.u[:, j - 1::-1], t.v[:, j - 1::-1]
+    r = frame.k - j  # the non-right angles come first, the right ones last
+    g0 = -(ncols[:, :r] * theta[:r]) @ p[:, :r].T / delta
     g = flat @ g0.reshape(-1)
-    m = -scale * (n2.T @ basis @ p2).reshape(len(basis), j * j)
+    m = -scale * (ncols[:, r:].T @ basis @ p[:, r:]).reshape(len(basis), j * j)
     u, sv, vt = core._svd(m, full_matrices=False)
     rank = np.count_nonzero(sv > RANK_RTOL * scale)
     vr = vt[:rank]

@@ -42,9 +42,6 @@ class SvdTriple:
         if np.any(np.diff(s) > 0):
             raise DimensionError("singular values must be nonincreasing")
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma) @ self.v.T
-
 
 def svd(a) -> SvdTriple:
     """Compact SVD with the deterministic sign convention.
@@ -71,16 +68,16 @@ def svd(a) -> SvdTriple:
     return SvdTriple(u=u, sigma=s, v=v)
 
 
-def spectrum_is_degenerate(sigma, tol_sv: float = TOL_SV) -> bool:
+def spectrum_is_degenerate(sigma) -> bool:
     """Whether consecutive singular values coincide (or the smallest
-    vanishes) within relative tolerance."""
+    vanishes) within relative tolerance ``TOL_SV``."""
     s = np.asarray(sigma, dtype=float)
     if s.size == 0:
         return False
     scale = max(float(s[0]), 1e-300)
-    if float(s[-1]) <= tol_sv * scale:
+    if float(s[-1]) <= TOL_SV * scale:
         return True
-    return bool(np.any(np.diff(s) >= -tol_sv * scale))
+    return bool(np.any(np.diff(s) >= -TOL_SV * scale))
 
 
 def ey_critical_set(a, r: int) -> list[tuple[tuple[int, ...], np.ndarray]]:

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # imported where used, so a command loads only what it runs
     from .core import Plane
     from .search import PluckerPolynomial
 
-SCHEMA_VERSION = "13"
+SCHEMA_VERSION = "14"
 
 
 # ---------------------------------------------------------------------------

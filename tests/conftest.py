@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,36 @@ def random_orthogonal(dim, seed):
     """Seeded random orthogonal matrix (QR of a Gaussian, signed)."""
     rng = np.random.default_rng(seed)
     return core._signed_qr(rng.standard_normal((dim, dim)))
+
+
+#: An angle 1e-11 below pi/2: a right angle within core.TOL_CUT.
+NEAR_RIGHT = math.pi / 2 - 1e-11
+
+
+def connecting_cases(n, k):
+    """A framed random plane of G(k, n) and targets at prescribed angles
+    to it, as (theta, target) pairs: generic, zero, repeated, near-right
+    (``NEAR_RIGHT``) and exactly right angles, each target spanned by
+    B V cos(theta) + C U sin(theta) in a random basis."""
+    rng = np.random.default_rng(100 + n)
+    f = core.complete_frame(core.random_plane(n, k, n))
+    cases = [
+        np.sort(rng.uniform(0.05, 1.5, k)),
+        np.r_[0.0, np.sort(rng.uniform(0.1, 1.4, k - 1))],
+        np.full(k, rng.uniform(0.1, 1.4)),
+        np.r_[np.full(k - 1, 0.7), NEAR_RIGHT],
+        np.r_[0.0, np.full(k - 2, 0.5), math.pi / 2],
+        np.r_[np.sort(rng.uniform(0.1, 1.4, k - 2)), NEAR_RIGHT, math.pi / 2],
+        np.full(k, math.pi / 2),
+    ]
+    out = []
+    for theta in cases:
+        u = core._signed_qr(rng.standard_normal((n - k, k)))
+        v = core._signed_qr(rng.standard_normal((k, k)))
+        r = core._signed_qr(rng.standard_normal((k, k)))
+        basis = f.frame @ np.vstack([v * np.cos(theta), u * np.sin(theta)]) @ r
+        out.append((theta, core.Plane(n=n, k=k, basis=basis)))
+    return f, out
 
 
 def zero_tangent(at):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from grasscrit import cli, core, search, serialize
+from grasscrit.errors import NoConvergence
 
 from conftest import framed
 
@@ -37,7 +38,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "13"
+        assert report["schema_version"] == "14"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -480,6 +481,91 @@ def test_tol_cut_at_or_above_right_angle_is_validation_error(capsys, command, va
     code, out = run(capsys, command, "--tol-cut", value, "--json", json.dumps(doc))
     assert code == cli.EXIT_VALIDATION
     assert json.loads(out)["error"]["code"] == "DomainError"
+
+
+def _count_limit_options():
+    eye = np.eye(5)
+    cut = json.dumps({  # l = columns 0, 1 and s = columns 2, 3 of I_5: j = 2
+        "l": plane_json(core.make_plane(eye[:, :2])),
+        "s": plane_json(core.make_plane(eye[:, 2:4])),
+    })
+    conic = json.dumps({"n": 3, "k": 1, "terms": [
+        {"idx": [2, 0, 0], "coef": 1.0}, {"idx": [0, 2, 0], "coef": -2.0},
+        {"idx": [0, 0, 2], "coef": 0.5},
+    ]})
+    big = "1000000000000"
+    return {
+        "gdc-sample-starts": ["gdc-sample", "--trials", "1", "--starts", big, "--seed", "0",
+                              "--json", conic],
+        "gdc-sample-trials": ["gdc-sample", "--trials", big, "--starts", "1", "--seed", "0",
+                              "--json", conic],
+        "subdiff-dim-grid": ["subdiff-dim", "--grid", big, "--json", cut],
+        "g24-demo-grid": ["g24-demo", "--grid", big],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_count_limit_options()))
+def test_count_above_limit_is_validation_error(capsys, case):
+    # each count sizes an array or a Python list; above MAX_COUNT the
+    # command is refused before anything is built
+    code = cli.main(_count_limit_options()[case])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "DomainError"
+    assert f"must be at most {cli.MAX_COUNT}" in error["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_count_at_limit_is_accepted(capsys):
+    code, out = run(capsys, "g24-demo", "--grid", str(cli.MAX_COUNT), "--beta", "0.5")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["scan"]["n_grid"] == cli.MAX_COUNT
+
+
+class TestInputOutput:
+    def _doc(self, g25_pair):
+        e1, e2 = g25_pair
+        return json.dumps({"e1": plane_json(e1), "e2": plane_json(e2)})
+
+    def test_in_file_gives_the_json_report(self, capsys, tmp_path, g25_pair):
+        path = tmp_path / "pair.json"
+        path.write_text(self._doc(g25_pair), encoding="utf-8")
+        assert run(capsys, "distance", "--in", str(path)) == run(
+            capsys, "distance", "--json", self._doc(g25_pair)
+        )
+
+    def test_unreadable_file_or_non_object_is_parse_error(self, capsys, tmp_path):
+        for argv in (["--in", str(tmp_path / "missing.json")], ["--json", "[]"]):
+            code, out = run(capsys, "distance", *argv)
+            assert code == cli.EXIT_PARSE
+            assert json.loads(out)["error"]["code"] == "ParseError"
+
+    def test_out_file_holds_the_report_and_errors(self, capsys, tmp_path, g25_pair):
+        _, want = run(capsys, "distance", "--json", self._doc(g25_pair))
+        path = tmp_path / "report.json"
+        code, out = run(capsys, "distance", "--json", self._doc(g25_pair), "--out", str(path))
+        assert (code, out) == (cli.EXIT_OK, "")
+        assert path.read_text(encoding="utf-8") == want
+        code, out = run(capsys, "distance", "--json", "{not json", "--out", str(path))
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert json.loads(path.read_text(encoding="utf-8"))["error"]["code"] == "ParseError"
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "subdiff-zero-test" in capsys.readouterr().out
+
+    def test_no_convergence_is_solver_error(self, capsys, monkeypatch):
+        # no command raises NoConvergence today (gdc_estimate turns it into
+        # a trial status), so a stub handler stands in for one that does
+        def failing(args):
+            raise NoConvergence("stub: no start converged")
+
+        monkeypatch.setitem(cli._HANDLERS, "bound", failing)
+        code, out = run(capsys, "bound", "--k", "2", "--n", "4", "--d", "3")
+        assert code == cli.EXIT_SOLVER
+        error = json.loads(out)["error"]
+        assert error["code"] == "NoConvergence" and error["message"] == "stub: no start converged"
 
 
 class TestDeterminism:

@@ -111,7 +111,7 @@ def _command_argvs():
 
 # every command loads the package, its errors and serialize, plus these
 _PLANES = {"core"}
-_CUT_LOCUS = {"core", "cutlocus", "lowrank"}
+_CUT_LOCUS = {"core", "cutlocus"}
 _SCHUBERT = {"core", "lowrank", "schubert"}
 COMMAND_MODULES = {
     "angles": _PLANES,

@@ -15,6 +15,8 @@ from grasscrit.errors import (
 )
 
 from conftest import (
+    NEAR_RIGHT,
+    connecting_cases,
     e_basis,
     framed,
     plane_from_columns,
@@ -779,7 +781,7 @@ class TestExpLog:
             assert np.max(np.abs(got - u @ np.diag(theta) @ v.T)) <= tol, theta
 
 
-def principal_vector_factors(at, target, snap_tol=None):
+def principal_vector_factors(at, target):
     """The construction of (N, theta, U) from paired principal vectors:
     n_i = (q_i - cos(theta_i) p_i) / sin(theta_i) in complement
     coordinates, zero for theta_i <= 1e-14, with the hybrid angles and
@@ -787,8 +789,6 @@ def principal_vector_factors(at, target, snap_tol=None):
     u, _, vt = np.linalg.svd(at.plane.basis.T @ target.basis)
     p_vectors, q_vectors = at.plane.basis @ u, target.basis @ vt.T
     theta = core.principal_angles(at.plane, target)
-    if snap_tol is not None:
-        theta[theta >= math.pi / 2 - snap_tol] = math.pi / 2
     ncols = np.zeros((at.n - at.k, at.k))
     for i in range(at.k):
         if theta[i] > 1e-14:
@@ -803,32 +803,15 @@ class TestConnectingFactors:
         # Gauge-invariant comparison: the connecting matrix N diag(theta) U^T
         # where it is unique (at most one right angle), and otherwise the
         # spans of the right-angle columns of N and U, which fix the orbit
-        # of minimizing geodesics.
-        rng = np.random.default_rng(100 + n)
-        f = framed(core.random_plane(n, k, n))
-        gap = math.pi / 2 - 1e-11  # snapped by snap_tol = 1e-9
-        cases = [
-            np.sort(rng.uniform(0.05, 1.5, k)),
-            np.r_[0.0, np.sort(rng.uniform(0.1, 1.4, k - 1))],
-            np.full(k, rng.uniform(0.1, 1.4)),
-            np.r_[np.full(k - 1, 0.7), gap],
-            np.r_[0.0, np.full(k - 2, 0.5), math.pi / 2],
-            np.r_[np.sort(rng.uniform(0.1, 1.4, k - 2)), gap, math.pi / 2],
-            np.full(k, math.pi / 2),
-        ]
-        for theta in cases:
-            u = core._signed_qr(rng.standard_normal((n - k, k)))
-            v = core._signed_qr(rng.standard_normal((k, k)))
-            r = core._signed_qr(rng.standard_normal((k, k)))
-            basis = f.frame @ np.vstack([v * np.cos(theta), u * np.sin(theta)]) @ r
-            target = core.Plane(n=n, k=k, basis=basis)
-            got = core.connecting_factors(f, target, snap_tol=1e-9)
-            ref = principal_vector_factors(f, target, snap_tol=1e-9)
+        # of minimizing geodesics.  The angles are not snapped to pi/2;
+        # cutlocus's test of _cut_factors checks which ones it snaps.
+        f, cases = connecting_cases(n, k)
+        for theta, target in cases:
+            got = core.connecting_factors(f, target)
+            ref = principal_vector_factors(f, target)
             assert np.max(np.abs(got[1] - ref[1])) < 1e-14, theta
             assert np.allclose(got[2].T @ got[2], np.eye(k), rtol=0.0, atol=1e-14)
-            right = got[1] == math.pi / 2
-            assert np.array_equal(right, ref[1] == math.pi / 2)
-            assert np.array_equal(right, theta >= gap)
+            right = theta >= NEAR_RIGHT
             if right.sum() <= 1:
                 a_got = (got[0] * got[1]) @ got[2].T
                 a_ref = (ref[0] * ref[1]) @ ref[2].T

@@ -14,7 +14,14 @@ from grasscrit.errors import (
     NotOnCut,
 )
 
-from conftest import calls_since, e_basis, framed, plane_from_columns
+from conftest import (
+    NEAR_RIGHT,
+    calls_since,
+    connecting_cases,
+    e_basis,
+    framed,
+    plane_from_columns,
+)
 
 
 def cut_point(l_framed, angles, seed=0):
@@ -29,8 +36,10 @@ def cut_point(l_framed, angles, seed=0):
 
 def per_w_reference(at, target, w_sample, transpose):
     """Connecting matrices N diag(theta) blockdiag(I, W) U^T built one W at
-    a time (W^T with ``transpose``), as a stack."""
-    ncols, theta, u_right = core.connecting_factors(at, target, snap_tol=core.TOL_CUT)
+    a time (W^T with ``transpose``), as a stack, with the angles within
+    TOL_CUT of pi/2 set to exactly pi/2."""
+    ncols, theta, u_right = core.connecting_factors(at, target)
+    theta[theta >= math.pi / 2 - core.TOL_CUT] = math.pi / 2
     k = at.k
     out = []
     for w in w_sample:
@@ -74,6 +83,30 @@ class TestCutStratum:
         with pytest.raises(DomainError, match="tol"):
             cutlocus.cut_stratum(l, l, tol=tol)
         assert cutlocus.cut_stratum(l, l, tol=1.5).j == 0
+
+
+class TestCutFactors:
+    @pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (12, 5)])
+    def test_sets_exactly_the_right_angles(self, n, k):
+        # the angles within TOL_CUT of pi/2 (NEAR_RIGHT and pi/2 itself)
+        # become exactly pi/2, the last j of them; the other angles and
+        # N, P keep the bits of core.connecting_factors
+        f, cases = connecting_cases(n, k)
+        for theta, target in cases:
+            raw = core.connecting_factors(f, target)
+            right = theta >= NEAR_RIGHT
+            assert np.array_equal(
+                right, core.principal_angles(f.plane, target) >= math.pi / 2 - core.TOL_CUT
+            )
+            if not right.any():
+                with pytest.raises(NotOnCut):
+                    cutlocus._cut_factors(f, target)
+                continue
+            (ncols, snapped, p), j = cutlocus._cut_factors(f, target)
+            assert np.array_equal(snapped == math.pi / 2, right), theta
+            assert j == np.count_nonzero(right) and np.all(snapped[k - j:] == math.pi / 2)
+            assert np.array_equal(snapped[~right], raw[1][~right])
+            assert np.array_equal(ncols, raw[0]) and np.array_equal(p, raw[2])
 
 
 class TestPreimages:
@@ -222,15 +255,14 @@ class TestSubdiffGenerators:
         sf = framed(s)
         w_list = cutlocus.sample_orthogonal_group(1)
         gens = cutlocus.subdiff_generators(l, sf, w_list)
-        t = gens.b0_svd  # nonincreasing order: the right angles come first
+        ncols, theta, p = gens.factors  # core's order: the right angles come last
         n, k, j = sf.n, sf.k, gens.j
-        u_sigma = t.u @ np.diag(t.sigma)
         c_mat = np.zeros((n, 2 * k))
-        c_mat[:k, :k] = t.v
-        c_mat[k:, k:] = u_sigma
+        c_mat[:k, :k] = p
+        c_mat[k:, k:] = ncols @ np.diag(theta)
         for w, gen in zip(w_list, gens.generators.a):
             blk = np.eye(k)
-            blk[:j, :j] = w
+            blk[k - j:, k - j:] = w
             wbar = np.zeros((2 * k, 2 * k))
             wbar[:k, k:] = -blk
             wbar[k:, :k] = blk.T

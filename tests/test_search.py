@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import least_squares as scipy_least_squares
+from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.optimize._numdiff import approx_derivative
 
 from grasscrit import bounds, core, schubert, search
@@ -465,6 +466,57 @@ class TestRowAlgebra:
                 same(np.vecdot(a, b), vecdot(a, b))
             np.copyto(f, f_new, where=accepted[:, None])
             np.copyto(jac, jac_new, where=accepted[:, None, None])
+
+
+    def test_trust_region_steps_match_scipy_row_by_row(self, monkeypatch):
+        # each row of the stacked step is scipy's scalar Moré step on that
+        # row's arrays, byte for byte: on every call the solver makes in a
+        # small sweep (Gauss-Newton and Levenberg-Marquardt rows, rows
+        # leaving the Newton iteration at different rounds) and on
+        # synthetic Jacobians with a zero or 1e-300 column, whose rank
+        # deficiency takes scipy's rank-deficient branch
+        calls = []
+        steps = search._trust_region_steps
+
+        def recording(uf, sv, v, delta, alpha, n_res):
+            args = tuple(a.copy() for a in (uf, sv, v, delta, alpha))
+            out = steps(uf, sv, v, delta, alpha, n_res)
+            calls.append((args, n_res, out))
+            return out
+
+        monkeypatch.setattr(search, "_trust_region_steps", recording)
+        rng = np.random.default_rng(2026)
+        for p, (n, k) in (
+            (real_conic(), (3, 1)),
+            (g24_hyperplane(), (4, 2)),
+            (random_polynomial(rng, 5, 2, 2, 6), (5, 2)),
+            (random_polynomial(rng, 6, 3, 1, 8), (6, 3)),
+        ):
+            solve_with_diagnostics(p, framed(core.random_plane(n, k, rng)), 12, 7)
+        swept = len(calls)
+        for _ in range(40):
+            s, m = 6, int(rng.integers(2, 9))
+            n_res = m + int(rng.integers(1, 6))
+            jac = rng.standard_normal((s, n_res, m))
+            jac[:, :, rng.integers(0, m)] = rng.choice([0.0, 1e-300])
+            f = rng.standard_normal((s, n_res))
+            u, sv, vt = core._svd(jac, full_matrices=False)
+            v = np.ascontiguousarray(vt.swapaxes(1, 2))
+            delta = rng.uniform(1e-3, 2.0, s)
+            alpha = np.where(rng.random(s) < 0.5, 0.0, rng.uniform(0.0, 1.0, s))
+            recording(np.vecmat(f, u), sv, v, delta, alpha, n_res)
+        assert swept > 20
+        iterations = set()
+        for (uf, sv, v, delta, alpha), n_res, (step, new_alpha) in calls:
+            for i in range(len(uf)):
+                want, want_alpha, n_iter = solve_lsq_trust_region(
+                    uf.shape[1], n_res, uf[i], sv[i], v[i], delta[i], initial_alpha=alpha[i]
+                )
+                assert step[i].tobytes() == want.tobytes()
+                assert new_alpha[i].tobytes() == np.float64(want_alpha).tobytes()
+                iterations.add(n_iter)
+        # Gauss-Newton rows (0 iterations) and Newton iterations of several lengths
+        assert 0 in iterations and len(iterations) > 3
 
 
 def scipy_trf_reference(p, l, x0):
