@@ -41,18 +41,18 @@ round cannot recompute: the iterate x, residual f, Jacobian J, trust
 radius Delta, Levenberg-Marquardt parameter alpha and nfev; the
 gradient J^T f, the SVD of J and the cost are derived from (f, J) each
 round.  A start that stops is written to the result once and its row
-dropped.  Each round makes one stacked residual call: the trial point
-of every running start together with its k(n - k) forward-difference
-shifts, so the Jacobian of an accepted step is already there and that
-of a rejected one is dropped; the SVDs and the quadratic model are
-stacked too, and so are the starts' orthonormal factors and the
-certificates of a query, whose bases are the found planes.  Each row
-product of a round is one call of numpy's vector gufuncs ``np.vecdot``,
-``np.matvec`` or ``np.vecmat``, which run the kernels of the stacked
-matmul forms (the row dot, gemv) bit for bit.  The module needs numpy
-2.2 or later alone, for those gufuncs; the solver is called through the
-module attribute, which the traced benchmark wraps by name to time each
-query.
+dropped.  Each round makes one stacked residual call (consecutive
+blocks of rows past a fixed size): the trial point of every running
+start together with its k(n - k) forward-difference shifts, so the
+Jacobian of an accepted step is already there and that of a rejected
+one is dropped; the SVDs and the quadratic model are stacked too, and
+so are the starts' orthonormal factors and the certificates of a
+query, whose bases are the found planes.  Each row product of a round
+is one call of numpy's vector gufuncs ``np.vecdot``, ``np.matvec`` or
+``np.vecmat``, which run the kernels of the stacked matmul forms (the
+row dot, gemv) bit for bit.  The module needs numpy 2.2 or later
+alone, for those gufuncs; the solver is called through the module
+attribute, which the traced benchmark wraps by name to time each query.
 """
 
 from __future__ import annotations
@@ -97,6 +97,12 @@ _XTOL = 1e-15
 _GTOL = 1e-13
 _MAX_NFEV = 100
 
+#: Compiled entries (see :class:`PluckerPolynomial`) of the residual rows
+#: that one residual call of the solver evaluates at most: the rows of a
+#: stacked Jacobian stencil go to :func:`lagrange_residual` in blocks of
+#: this many entries, so its temporaries do not grow with the starts.
+_BLOCK_ENTRIES = 2**16
+
 #: Names of the solver's stop reasons, indexed by scipy's status codes.
 STOP_REASONS = ("max_nfev", "gtol", "ftol", "xtol", "ftol and xtol")
 
@@ -118,7 +124,9 @@ class PluckerPolynomial:
     its d coordinate indices (powers repeated), one row of a T x d
     index matrix, beside the indices of the other d - 1 factors of each
     slot (T x d x (d - 1)), a coefficient vector and the coefficient
-    scale, so evaluation never forms a terms x coordinates matrix.  It
+    scale, so evaluation never forms a terms x coordinates matrix; a
+    residual row's compiled size is that leave-one-out gather plus the
+    k binomial(n, k) entries of the minors' column sweep.  It
     raises :class:`DimensionError` unless 1 <= k <= n - k, and
     :class:`SchemaError` for malformed terms (an exponent that is not a
     nonnegative integer), a degree above :data:`MAX_DEGREE` (checked in
@@ -168,6 +176,7 @@ class PluckerPolynomial:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_others", indices[:, others])
+        object.__setattr__(self, "_row_entries", len(indices) * d * (d - 1) + self.k * n_coords)
         object.__setattr__(self, "_coefs", coefs)
         scale = float(np.max(np.abs(coefs)))
         object.__setattr__(self, "_scale", scale)
@@ -200,13 +209,18 @@ class PluckerPolynomial:
         A monomial's derivative in one of its d slots is the product of
         the other d - 1 factors (a leave-one-out product), so zero
         coordinates need no division; repeated slots add up to the
-        power rule.  The value is :meth:`eval`'s.
+        power rule.  The value is :meth:`eval`'s bit for bit, from the
+        same products: the last slot's leave-one-out product is the left
+        fold of the first d - 1 factors in slot order, so times the last
+        factor it is :meth:`eval`'s monomial (for d = 1, the empty
+        product 1.0 times the factor).
         """
         coords = np.asarray(coords, dtype=float)
         grad = np.zeros(coords.shape)
         leave_one_out = np.multiply.reduce(coords.take(self._others, axis=-1), axis=-1)
         np.add.at(grad, (..., self._indices), self._coefs[:, None] * leave_one_out)
-        return self.eval(coords), grad
+        monomials = leave_one_out[..., -1] * coords.take(self._indices[:, -1], axis=-1)
+        return np.add.reduce(monomials * self._coefs, axis=-1), grad
 
     def coefficient_scale(self) -> float:
         return self._scale
@@ -340,19 +354,29 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.n
     """Residuals f (S, 1 + n k) of :func:`lagrange_residual` at the S
     flattened tangent matrices ``x`` (S, m) and their forward-difference
     Jacobians J (S, 1 + n k, m), from one stacked call at the S (m + 1)
-    points x and x + h_j e_j.
+    points x and x + h_j e_j, or from calls on consecutive blocks of
+    those rows when they exceed :data:`_BLOCK_ENTRIES` compiled entries
+    (rows do not depend on their stack, so the bits are the same).
 
     The steps are scipy's unbounded 2-point ones:
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, and each
     column is divided by the representable step (x_j + h_j) - x_j.
     """
     n_starts, m = x.shape
-    h = _FD_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where(x >= 0.0, _FD_STEP, -_FD_STEP) * np.maximum(1.0, np.abs(x))
     stencil = x[:, None, :] + h[:, None, :] * _shift_pattern(m)
-    r = lagrange_residual(p, l, stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k))
+    points = stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k)
+    block = max(1, _BLOCK_ENTRIES // p._row_entries)
+    if len(points) <= block:
+        r = lagrange_residual(p, l, points)
+    else:
+        r = np.concatenate(
+            [lagrange_residual(p, l, points[i:i + block]) for i in range(0, len(points), block)]
+        )
     r = r.reshape(n_starts, m + 1, -1)
     f = r[:, 0]
-    return f, (r[:, 1:] - f[:, None, :]).swapaxes(1, 2) / ((x + h) - x)[:, None, :]
+    jac = (r[:, 1:] - f[:, None, :]).swapaxes(1, 2)
+    return f, np.divide(jac, ((x + h) - x)[:, None, :], out=jac)
 
 
 def _phi_and_derivative(a, sv2, suf, suf2, radius):
@@ -374,21 +398,25 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     Levenberg-Marquardt parameter alpha solves ||p(alpha)|| = delta to
     1 % by at most 10 safeguarded Newton iterations on
     phi(alpha) = ||p(alpha)|| - delta, warm-started from ``alpha``, and
-    the step is scaled onto the boundary.  The iteration keeps only the
-    starts still iterating; each sees scipy's scalar iteration.  The
-    steps are ``np.matvec`` of the contiguous V (S, m, m) and the norms
-    ``np.vecdot`` of the rows.  Returns the steps (S, m) and the new
-    parameters (S,).
+    the step is scaled onto the boundary.  A rank-deficient row whose
+    alpha is 0 starts from the bounds (scipy's warm start), a step run
+    only when some Levenberg-Marquardt row is rank-deficient; every
+    branch tests its mask by ``np.count_nonzero``.  The iteration keeps
+    only the starts still iterating; each sees scipy's scalar
+    iteration.  The steps are ``np.matvec`` of the contiguous V
+    (S, m, m) and the norms ``np.vecdot`` of the rows.  Returns the
+    steps (S, m) and the new parameters (S,).
     """
     suf = sv * uf
     full_rank = sv[:, -1] > _EPS * n_res * sv[:, 0]
     step = -np.matvec(v, np.divide(uf, sv, out=np.zeros(uf.shape), where=full_rank[:, None]))
     gauss_newton = full_rank & (np.sqrt(np.vecdot(step, step)) <= delta)
     alpha = np.where(gauss_newton, 0.0, alpha)
-    if np.logical_and.reduce(gauss_newton):
+    n_gauss_newton = np.count_nonzero(gauss_newton)
+    if n_gauss_newton == gauss_newton.size:
         return step, alpha
     # a slice, not a gather, when every start takes the Levenberg-Marquardt step
-    rest = (~gauss_newton).nonzero()[0] if np.logical_or.reduce(gauss_newton) else slice(None)
+    rest = (~gauss_newton).nonzero()[0] if n_gauss_newton else slice(None)
     suf, sv, radius, full_rank, v = suf[rest], sv[rest], delta[rest], full_rank[rest], v[rest]
     sv2, suf2 = sv**2, suf**2
     upper = np.sqrt(np.vecdot(suf, suf)) / radius
@@ -401,7 +429,8 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
         )
         lower[fr] = -phi / phi_prime
     a = alpha[rest]
-    a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
+    if n_full < full_rank.size:
+        a = np.where(~full_rank & (a == 0.0), np.maximum(0.001 * upper, np.sqrt(lower * upper)), a)
     # the rows still iterating, at positions ``pos`` of ``a``, which
     # receives a row's parameter when the row stops, each with its 1 %
     # band ``tol`` of the radius
@@ -409,7 +438,7 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
     tol = 0.01 * radius
     for _ in range(10):
         outside = (ai < lo) | (ai > up)
-        if np.logical_or.reduce(outside):
+        if np.count_nonzero(outside):
             ai = np.where(outside, np.maximum(0.001 * up, np.sqrt(lo * up)), ai)
         phi, phi_prime = _phi_and_derivative(ai, s2, s, ss, r)
         up = np.where(phi < 0, ai, up)
@@ -417,9 +446,10 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
         lo = np.maximum(lo, ai - ratio)
         ai = ai - (phi + r) * ratio / r
         iterating = ~(np.abs(phi) < tol)
-        if not np.logical_or.reduce(iterating):
+        n_iterating = np.count_nonzero(iterating)
+        if not n_iterating:
             break
-        if not np.logical_and.reduce(iterating):
+        if n_iterating < iterating.size:
             a[pos] = ai
             pos, ai, lo, up, s2, s, ss, r, tol = (
                 z[iterating] for z in (pos, ai, lo, up, s2, s, ss, r, tol)
@@ -474,13 +504,19 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     starts are written to the result once and their rows dropped in one
     compaction.  Each round evaluates the trial points of all running
     starts, each with its forward-difference stencil, in one stacked
-    residual call (see :func:`_jacobian`); the stencils at rejected
-    trial points are discarded: evaluating them speculatively costs one
-    pass per round instead of two.  ``nfev`` counts trial points and
+    residual call, or in blocks of rows for a large stack (see
+    :func:`_jacobian`); the stencils at rejected trial points are
+    discarded: evaluating them speculatively costs one pass per round
+    instead of two.  ``nfev`` counts trial points and
     ``njev`` the Jacobians at ``x0`` and at accepted points (scipy's
     meanings); as in scipy, the gradient at an accepted point is
     checked against gtol also when the step ended the start, and a gtol
-    stop there takes precedence.
+    stop there takes precedence.  A round's branches test a mask by
+    counting its set entries (``np.count_nonzero``); the gtol test forms
+    one mask |g| < gtol and reduces it per row only in a round where
+    some entry is set (NaN is not small in either form).  A trial point
+    with a non-finite residual is not accepted, keeps its start's alpha
+    and shrinks its radius to a quarter of the step, as in scipy.
 
     The solver is a module attribute, looked up by name at each query,
     so a tracer can wrap ``search.least_squares`` to time each query.
@@ -506,11 +542,12 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         # the gradient is checked before the stopped starts retire, so a
         # gtol stop at an accepted point takes precedence
         g = np.vecmat(f, jac)
-        gtol = np.maximum.reduce(np.abs(g), axis=1) < _GTOL
-        if np.logical_or.reduce(gtol):
+        small = np.abs(g) < _GTOL
+        if np.count_nonzero(small):
+            gtol = np.logical_and.reduce(small, axis=1)
             status[ids[gtol]] = 1
             done |= gtol
-        if np.logical_or.reduce(done):
+        if np.count_nonzero(done):
             # retire the stopped starts: record them, then drop their rows
             gone = ids[done]
             end_x[gone], end_f[gone], end_nfev[gone] = x[done], f[done], nfev[done]
@@ -538,19 +575,20 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         actual = cost - 0.5 * np.vecdot(f_new, f_new)
         ratio = ((predicted == 0) & (actual == 0)).astype(float)
         np.divide(actual, predicted, out=ratio, where=predicted > 0)
+        shrunk = 0.25 * step_norm
         new_radius = np.where(
             ratio < 0.25,
-            0.25 * step_norm,
+            shrunk,
             np.where((ratio > 0.75) & (step_norm > 0.95 * delta), 2.0 * delta, delta),
         )
         ftol = (actual < _FTOL * cost) & (ratio > 0.25) & finite
         xtol = (step_norm < _XTOL * (_XTOL + np.sqrt(np.vecdot(x, x)))) & finite
         stopped = ftol | xtol
-        if np.logical_or.reduce(stopped):
+        if np.count_nonzero(stopped):
             status[ids[stopped]] = np.where(xtol, np.where(ftol, 4, 3), 2)[stopped]
         update = finite & ~stopped
-        alpha = alpha * np.divide(delta, new_radius, out=np.ones(delta.shape), where=update)
-        delta = np.where(update, new_radius, np.where(finite, delta, 0.25 * step_norm))
+        alpha = alpha * np.divide(delta, new_radius, out=(~update).astype(float), where=update)
+        delta = np.where(update, new_radius, np.where(finite, delta, shrunk))
         accepted = finite & (actual > 0)
         njev += int(np.count_nonzero(accepted))
         # masked copies, with no gather of the accepted rows
@@ -558,6 +596,9 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         np.copyto(x, x_new, where=take)
         np.copyto(f, f_new, where=take)
         np.copyto(jac, jac_new, where=take[:, :, None])
+        # drop this round's arrays before the next residual call, so a
+        # large stack of starts holds one set of them at a time
+        del u, f_new, jac_new
         done = stopped | (nfev == _MAX_NFEV)
     return SolveResult(
         x=end_x, fun=end_f, start_nfev=end_nfev, nfev=int(np.add.reduce(end_nfev)), njev=njev,
@@ -653,7 +694,7 @@ def find_critical_points(
         y = core._geodesic_end(l, a)
         angles = core._hybrid_angles(l.plane.basis, y)
         on_cut[solved] = cut = angles[:, -1] >= math.pi / 2 - core.TOL_CUT
-        if not np.logical_and.reduce(cut):
+        if np.count_nonzero(cut) < cut.size:
             certs[solved[~cut]] = _normality_certificates(p, l.plane, y[~cut])
         values = np.sqrt(np.vecdot(angles, angles))
         found = [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import least_squares as scipy_least_squares
+from scipy.optimize._lsq import trf as scipy_trf
 from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.optimize._numdiff import approx_derivative
 
@@ -157,6 +158,25 @@ class TestPolynomial:
                     ref_val, ref_grad = loop_eval_grad(p, coords[idx])
                     assert abs(value[idx] - ref_val) <= 1e-13 * max(1.0, abs(ref_val))
                     assert np.allclose(grad[idx], ref_grad, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_eval_grad_value_is_eval_bit_for_bit(self, degree):
+        # the leave-one-out product of the last slot is the left fold of
+        # the first d - 1 factors, so times the last factor it is eval's
+        # monomial; signed zeros and subnormals (products that underflow
+        # to a signed zero) must come out the same too
+        rng = np.random.default_rng(degree)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320])
+        for n, k in ((3, 1), (4, 2), (5, 2), (6, 3)):
+            p = random_polynomial(rng, n, k, degree, 12)
+            coords = rng.standard_normal((6, p.n_coords))
+            picks = rng.random(coords.shape) < 0.3
+            coords[picks] = rng.choice(special, np.count_nonzero(picks))
+            coords[0] = rng.choice(special, p.n_coords)
+            value, _ = p.eval_grad(coords)
+            assert value.tobytes() == p.eval(coords).tobytes()
+            single, _ = p.eval_grad(coords[1])
+            assert np.asarray(single).tobytes() == np.asarray(p.eval(coords[1])).tobytes()
 
 
 def loop_eval_grad(p, coords):
@@ -377,6 +397,31 @@ class TestLagrangeResidual:
                     lambda v: residual(p, base, v.reshape(n - k, k)), xs, method="2-point"
                 )
                 assert np.max(np.abs(js - expected)) <= 1e-6
+
+    def test_jacobian_evaluates_large_stencils_in_blocks(self, rng, monkeypatch):
+        # the stencil rows of many starts go to the residual in blocks of
+        # at most _BLOCK_ENTRIES compiled entries, so the solver's memory
+        # does not grow with the starts; rows do not depend on their
+        # stack, so (f, J) are those of one call, byte for byte
+        p = search.linear_form(8, 4, rng.standard_normal(70))
+        lf = framed(core.random_plane(8, 4, rng))
+        block = search._BLOCK_ENTRIES // p._row_entries
+        x = rng.uniform(-1.2, 1.2, (2 * block // 17 + 3, 16))
+        sizes = []
+        residual = search.lagrange_residual
+
+        def recording(p, l, a):
+            sizes.append(len(a))
+            return residual(p, l, a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "lagrange_residual", recording)
+            f, jac = search._jacobian(p, lf, x)
+        assert len(sizes) == 3 and max(sizes) == block and sum(sizes) == 17 * len(x)
+        monkeypatch.setattr(search, "_BLOCK_ENTRIES", 17 * len(x) * p._row_entries)
+        one_f, one_jac = search._jacobian(p, lf, x)
+        for got, want in ((f, one_f), (jac, one_jac)):
+            assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
     def test_frame_mismatch_guard(self):
         p = g24_hyperplane()
@@ -787,6 +832,78 @@ class TestFindCriticalPoints:
             for (pt, value), (ref, ref_value) in zip(points, ref_points):
                 assert abs(value - ref_value) <= 1e-10
                 assert core.grassmann_distance(pt, ref) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "seed, n, k, wall, reach",
+        [(0, 3, 1, 1.0, 0.5), (3, 3, 1, 0.8, 0.5), (1, 4, 2, 1.2, 0.6), (7, 4, 2, 0.8, 0.5)],
+    )
+    def test_non_finite_trials_match_scipy_trf_reference(
+        self, monkeypatch, seed, n, k, wall, reach
+    ):
+        # a residual that is NaN outside the ball ||A||_F <= wall: the
+        # starts lie inside it, some trial steps cross it and every
+        # accepted point stays clear of it.  A non-finite trial shrinks
+        # the radius to a quarter of the step, is not accepted, leaves
+        # alpha as it was and counts in nfev, as in scipy's trf, so each
+        # start passes the same radii and alphas to its trust-region
+        # solves as in scipy.  scipy forms U^T f by U.T.dot(f), whose
+        # rounding differs from the solver's np.vecmat, so those and x
+        # and fun agree to rounding (the alphas, within the Newton
+        # iteration's 1 % band, to about 1e-6), while the stop reasons
+        # and the evaluation counts agree exactly
+        rng = np.random.default_rng(seed)
+        p = random_polynomial(rng, n, k, 2, 2 * math.comb(n, k))
+        lf = framed(core.random_plane(n, k, rng))
+        x0 = rng.standard_normal((6, k * (n - k)))
+        x0 *= reach * rng.uniform(0.5, 1.0, (6, 1)) / np.sqrt(np.vecdot(x0, x0))[:, None]
+        residual, jacobian = search.lagrange_residual, search._jacobian
+        steps = search._trust_region_steps
+        scipy_steps = scipy_trf.solve_lsq_trust_region
+
+        def walled(p, l, a):
+            r = residual(p, l, a)
+            r[np.sqrt(np.add.reduce(np.asarray(a) ** 2, axis=(-2, -1))) > wall] = np.nan
+            return r
+
+        trials, solves, ref_solves = [], [], []
+
+        def recording(p, l, x):
+            f, jac = jacobian(p, l, x)
+            trials.append(np.isfinite(f).all(axis=1))
+            return f, jac
+
+        def recording_steps(uf, sv, v, delta, alpha, n_res):
+            solves[-1].append((delta[0], alpha[0]))
+            return steps(uf, sv, v, delta, alpha, n_res)
+
+        def recording_scipy_steps(n, m, uf, s, v, delta, initial_alpha=None, **kwargs):
+            ref_solves.append((delta, initial_alpha))
+            return scipy_steps(n, m, uf, s, v, delta, initial_alpha=initial_alpha, **kwargs)
+
+        monkeypatch.setattr(search, "lagrange_residual", walled)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_jacobian", recording)
+            res = search.least_squares(p, lf, x0)
+        with monkeypatch.context() as patch:
+            # each start alone, which is its lockstep row bit for bit
+            patch.setattr(search, "_trust_region_steps", recording_steps)
+            for x in x0:
+                solves.append([])
+                search.least_squares(p, lf, x[None])
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy_trf, "solve_lsq_trust_region", recording_scipy_steps)
+            ref = scipy_trf_reference(p, lf, x0)
+        rejected = sum(np.count_nonzero(~finite) for finite in trials)
+        assert rejected and trials[0].all()
+        assert np.isfinite(res.fun).all() and np.all(np.sqrt(np.vecdot(res.x, res.x)) < wall)
+        assert np.array_equal(res.status, ref.status) and np.all(res.status == 1)
+        assert np.array_equal(res.start_nfev, ref.start_nfev)
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-12
+        assert np.max(np.abs(res.fun - ref.fun)) <= 1e-12
+        # one trust-region solve per trial point after the first
+        ends = np.cumsum(ref.start_nfev - 1)
+        for got, want in zip(solves, np.split(np.array(ref_solves), ends[:-1])):
+            assert np.allclose(got, want, rtol=1e-4, atol=0.0)
 
     def test_lockstep_matches_each_start_alone(self, monkeypatch):
         # every start of a lockstep solve ends exactly where it ends when
