@@ -29,30 +29,20 @@ Laplace sweep, the compiled polynomial, and the polynomial's gradient
 in the basis from the same sweep run backward (no cofactor matrices).
 Every reduction on this path runs in a fixed order, so a row of a
 stacked residual does not depend on the other rows.  The solver,
-:func:`least_squares`, runs all starts of a query in lockstep, each
-with its own state, through an unbounded trust-region method with
-Moré's Levenberg-Marquardt step (the configuration of scipy's
-unbounded ``trf`` with exact trust-region solves; the tests run scipy
-as the reference, start by start).  A solution is judged at its plane
-E, not in A: it may lie past pi/2 in normal coordinates and still be
-an off-cut critical point, read back through the principal angles.
-The solver keeps one row per running start, and in it only what a
-round cannot recompute: the iterate x, residual f, Jacobian J, trust
-radius Delta, Levenberg-Marquardt parameter alpha and nfev; the
-gradient J^T f, the SVD of J and the cost are derived from (f, J) each
-round.  A start that stops is written to the result once and its row
-dropped.  Each round makes one stacked residual call (consecutive
-blocks of rows past a fixed size): the trial point of every running
-start together with its k(n - k) forward-difference shifts, so the
-Jacobian of an accepted step is already there and that of a rejected
-one is dropped; the SVDs and the quadratic model are stacked too, and
-so are the starts' orthonormal factors and the certificates of a
-query, whose bases are the found planes.  Each row product of a round
-is one call of numpy's vector gufuncs ``np.vecdot``, ``np.matvec`` or
-``np.vecmat``, which run the kernels of the stacked matmul forms (the
-row dot, gemv) bit for bit.  The module needs numpy 2.2 or later
-alone, for those gufuncs; the solver is called through the module
-attribute, which the traced benchmark wraps by name to time each query.
+:func:`least_squares`, takes any residual with that property, a callable
+from a stack of points to residual rows, and runs all starts of a query
+in lockstep through an unbounded trust-region method with Moré's
+Levenberg-Marquardt step (the configuration of scipy's unbounded
+``trf`` with exact trust-region solves; the tests run scipy as the
+reference, start by start).  :func:`find_critical_points` builds the
+residual of (p, L) with :func:`_lagrange_rows`, which owns the reshape
+to tangent matrices and the blocks of rows.  A solution is judged at
+its plane E, not in A: it may lie past pi/2 in normal coordinates and
+still be an off-cut critical point, read back through the principal
+angles.  The module needs numpy 2.2 or later alone, for the vector
+gufuncs of the solver's row products; the solver is called through the
+module attribute, which the traced benchmark wraps by name to time
+each query.
 """
 
 from __future__ import annotations
@@ -97,10 +87,9 @@ _XTOL = 1e-15
 _GTOL = 1e-13
 _MAX_NFEV = 100
 
-#: Compiled entries (see :class:`PluckerPolynomial`) of the residual rows
-#: that one residual call of the solver evaluates at most: the rows of a
-#: stacked Jacobian stencil go to :func:`lagrange_residual` in blocks of
-#: this many entries, so its temporaries do not grow with the starts.
+#: Compiled entries (see :class:`PluckerPolynomial`) of the rows that one
+#: :func:`lagrange_residual` call of :func:`_lagrange_rows` evaluates at
+#: most, so its temporaries do not grow with the starts.
 _BLOCK_ENTRIES = 2**16
 
 #: Names of the solver's stop reasons, indexed by scipy's status codes.
@@ -303,6 +292,26 @@ def lagrange_residual(
     return out
 
 
+def _lagrange_rows(p: PluckerPolynomial, l: FramedPlane):
+    """:func:`lagrange_residual` as the solver's residual: a stack of
+    flattened tangent matrices (R, k(n - k)) to rows (R, 1 + n k), from
+    calls on consecutive blocks of at most :data:`_BLOCK_ENTRIES`
+    compiled entries.  ``lagrange_residual`` is looked up at each call,
+    so a tracer that wraps it by name sees every call."""
+    shape = (p.n - p.k, p.k)
+    block = max(1, _BLOCK_ENTRIES // p._row_entries)
+
+    def residual(points: np.ndarray) -> np.ndarray:
+        a = points.reshape(-1, *shape)
+        if len(a) <= block:
+            return lagrange_residual(p, l, a)
+        return np.concatenate(
+            [lagrange_residual(p, l, a[i:i + block]) for i in range(0, len(a), block)]
+        )
+
+    return residual
+
+
 def _normality_certificates(p: PluckerPolynomial, l: Plane, y: np.ndarray) -> np.ndarray:
     """:func:`hypersurface_normality_residual` at a stack of points with
     orthonormal bases ``y`` (S, n, k): one frame completion, one basis
@@ -350,13 +359,11 @@ def _shift_pattern(m: int) -> np.ndarray:
     return pattern
 
 
-def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals f (S, 1 + n k) of :func:`lagrange_residual` at the S
-    flattened tangent matrices ``x`` (S, m) and their forward-difference
-    Jacobians J (S, 1 + n k, m), from one stacked call at the S (m + 1)
-    points x and x + h_j e_j, or from calls on consecutive blocks of
-    those rows when they exceed :data:`_BLOCK_ENTRIES` compiled entries
-    (rows do not depend on their stack, so the bits are the same).
+def _jacobian(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals f (S, r) at the S points ``x`` (S, m) and their
+    forward-difference Jacobians J (S, r, m), from one call of
+    ``residual`` (see :func:`least_squares`) at the S (m + 1) points x
+    and x + h_j e_j.  f is a copy, so no stencil row outlives the call.
 
     The steps are scipy's unbounded 2-point ones:
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|), with sign(0) = +1, and each
@@ -365,16 +372,8 @@ def _jacobian(p: PluckerPolynomial, l: FramedPlane, x: np.ndarray) -> tuple[np.n
     n_starts, m = x.shape
     h = np.where(x >= 0.0, _FD_STEP, -_FD_STEP) * np.maximum(1.0, np.abs(x))
     stencil = x[:, None, :] + h[:, None, :] * _shift_pattern(m)
-    points = stencil.reshape(n_starts * (m + 1), p.n - p.k, p.k)
-    block = max(1, _BLOCK_ENTRIES // p._row_entries)
-    if len(points) <= block:
-        r = lagrange_residual(p, l, points)
-    else:
-        r = np.concatenate(
-            [lagrange_residual(p, l, points[i:i + block]) for i in range(0, len(points), block)]
-        )
-    r = r.reshape(n_starts, m + 1, -1)
-    f = r[:, 0]
+    r = residual(stencil.reshape(n_starts * (m + 1), m)).reshape(n_starts, m + 1, -1)
+    f = r[:, 0].copy()
     jac = (r[:, 1:] - f[:, None, :]).swapaxes(1, 2)
     return f, np.divide(jac, ((x + h) - x)[:, None, :], out=jac)
 
@@ -465,7 +464,7 @@ def _trust_region_steps(uf, sv, v, delta, alpha, n_res: int):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final points ``x`` (S, m) and residuals ``fun`` (S, 1 + n k) of
+    """Final points ``x`` (S, m) and residuals ``fun`` (S, r) of
     S starts, each start's residual evaluations ``start_nfev`` (S,), and
     the totals over the starts: ``nfev`` residual evaluations and
     ``njev`` Jacobian evaluations.  ``status`` (S,) holds each start's
@@ -480,10 +479,12 @@ class SolveResult:
     status: np.ndarray
 
 
-def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> SolveResult:
-    """Least-squares solves of :func:`lagrange_residual` from the starts
-    ``x0`` (S, k(n-k)), flattened tangent matrices at ``l``, run in
-    lockstep.
+def least_squares(residual, x0: np.ndarray) -> SolveResult:
+    """Least-squares solves of ``residual`` from the starts ``x0`` (S, m),
+    run in lockstep.  ``residual`` maps a stack of points (R, m) to rows
+    (R, r), as scipy's ``least_squares(fun, x0)`` maps one point, and a
+    row must depend on its own point alone, never on the other rows:
+    then each start's iterates are those of its solve alone, bit for bit.
 
     Each start runs the unbounded trust-region method (scipy's ``trf``
     without bounds, with ``tr_solver="exact"``, ``x_scale=1``): Moré's
@@ -494,36 +495,32 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
     step), a step below ``xtol = 1e-15`` relative to the iterate, a
     gradient below ``gtol = 1e-13`` in the max norm, or 100 residual
     evaluations; ``status`` records which.  Every start stops on its
-    own.  The state holds one row per running start, in start order,
-    and carries only (x, f, J, Delta, alpha, nfev) across rounds: each
-    round derives the gradient J^T f, the cost and one batched SVD of J
-    of every running start from f and J, which a rejected step leaves
-    as they were and an accepted one overwrites; J^T f and U^T f are
+    own.  The state holds one row per running start, in start order, and
+    carries only (x, f, J, Delta, alpha, nfev) across rounds: each round
+    derives the gradient J^T f, the cost and one batched SVD of J of
+    every running start from f and J, which a rejected step leaves as
+    they were and an accepted one overwrites; J^T f and U^T f are
     ``np.vecmat`` calls, J s an ``np.matvec`` call and the costs, model
     terms and norms ``np.vecdot`` calls, one per row product.  Stopped
     starts are written to the result once and their rows dropped in one
     compaction.  Each round evaluates the trial points of all running
-    starts, each with its forward-difference stencil, in one stacked
-    residual call, or in blocks of rows for a large stack (see
-    :func:`_jacobian`); the stencils at rejected trial points are
+    starts, each with its forward-difference stencil, in one residual
+    call (:func:`_jacobian`); the stencils at rejected trial points are
     discarded: evaluating them speculatively costs one pass per round
-    instead of two.  ``nfev`` counts trial points and
-    ``njev`` the Jacobians at ``x0`` and at accepted points (scipy's
-    meanings); as in scipy, the gradient at an accepted point is
-    checked against gtol also when the step ended the start, and a gtol
-    stop there takes precedence.  A round's branches test a mask by
-    counting its set entries (``np.count_nonzero``); the gtol test forms
-    one mask |g| < gtol and reduces it per row only in a round where
-    some entry is set (NaN is not small in either form).  A trial point
-    with a non-finite residual is not accepted, keeps its start's alpha
-    and shrinks its radius to a quarter of the step, as in scipy.
-
-    The solver is a module attribute, looked up by name at each query,
-    so a tracer can wrap ``search.least_squares`` to time each query.
+    instead of two.  ``nfev`` counts trial points and ``njev`` the
+    Jacobians at ``x0`` and at accepted points (scipy's meanings); as in
+    scipy, the gradient at an accepted point is checked against gtol
+    also when the step ended the start, and a gtol stop there takes
+    precedence.  A round's branches test a mask by counting its set
+    entries (``np.count_nonzero``); the gtol test forms one mask
+    |g| < gtol and reduces it per row only in a round where some entry
+    is set (NaN is not small in either form).  A trial point with a non-finite
+    residual is not accepted, keeps its start's alpha and shrinks its
+    radius to a quarter of the step, as in scipy.
     """
     x = np.array(x0, dtype=float)
     n_starts = len(x)
-    f, jac = _jacobian(p, l, x)
+    f, jac = _jacobian(residual, x)
     n_res = f.shape[1]
     # each start's end state, written once when it stops
     status = np.zeros(n_starts, dtype=int)
@@ -567,7 +564,7 @@ def least_squares(p: PluckerPolynomial, l: FramedPlane, x0: np.ndarray) -> Solve
         js = np.matvec(jac, step)
         predicted = -(0.5 * np.vecdot(js, js) + np.vecdot(g, step))
         x_new = x + step
-        f_new, jac_new = _jacobian(p, l, x_new)
+        f_new, jac_new = _jacobian(residual, x_new)
         nfev += 1
         step_norm = np.sqrt(np.vecdot(step, step))
         finite = np.logical_and.reduce(np.isfinite(f_new), axis=1)
@@ -680,7 +677,7 @@ def find_critical_points(
         mu0[start] = rng.uniform(0.1, math.pi / 2 - 0.1, k)
     u0, v0 = core._signed_qr(u0), core._signed_qr(v0)
     x0 = ((u0 * mu0[:, None, :]) @ v0.swapaxes(1, 2)).reshape(n_starts, -1)
-    res = least_squares(p, l, x0)
+    res = least_squares(_lagrange_rows(p, l), x0)
     residuals = np.sqrt(np.vecdot(res.fun, res.fun))
     unsolved = ~(residuals < tol)
     solved = (~unsolved).nonzero()[0]

@@ -383,7 +383,7 @@ class TestLagrangeResidual:
             seen.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(search, "lagrange_residual", recording)
-                f, jac = search._jacobian(p, base, x)
+                f, jac = search._jacobian(search._lagrange_rows(p, base), x)
             assert len(seen) == 1 and seen[0].shape == (3 * (m + 1), n - k, k)
             stencil = seen[0].reshape(3, m + 1, m)
             assert np.array_equal(stencil[:, 0], x)
@@ -399,10 +399,11 @@ class TestLagrangeResidual:
                 assert np.max(np.abs(js - expected)) <= 1e-6
 
     def test_jacobian_evaluates_large_stencils_in_blocks(self, rng, monkeypatch):
-        # the stencil rows of many starts go to the residual in blocks of
-        # at most _BLOCK_ENTRIES compiled entries, so the solver's memory
-        # does not grow with the starts; rows do not depend on their
-        # stack, so (f, J) are those of one call, byte for byte
+        # the (p, L) residual takes the stencil rows of many starts in
+        # blocks of at most _BLOCK_ENTRIES compiled entries, so the
+        # solver's memory does not grow with the starts; rows do not
+        # depend on their stack, so (f, J) are those of one call, byte
+        # for byte
         p = search.linear_form(8, 4, rng.standard_normal(70))
         lf = framed(core.random_plane(8, 4, rng))
         block = search._BLOCK_ENTRIES // p._row_entries
@@ -416,10 +417,10 @@ class TestLagrangeResidual:
 
         with monkeypatch.context() as patch:
             patch.setattr(search, "lagrange_residual", recording)
-            f, jac = search._jacobian(p, lf, x)
+            f, jac = search._jacobian(search._lagrange_rows(p, lf), x)
         assert len(sizes) == 3 and max(sizes) == block and sum(sizes) == 17 * len(x)
         monkeypatch.setattr(search, "_BLOCK_ENTRIES", 17 * len(x) * p._row_entries)
-        one_f, one_jac = search._jacobian(p, lf, x)
+        one_f, one_jac = search._jacobian(search._lagrange_rows(p, lf), x)
         for got, want in ((f, one_f), (jac, one_jac)):
             assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
@@ -489,11 +490,12 @@ class TestRowAlgebra:
             return (x[:, None, :] @ a)[:, 0]
 
         x = rng.uniform(-1.4, 1.4, (s, m))
-        f, jac = search._jacobian(p, lf, x)
+        residual = search._lagrange_rows(p, lf)
+        f, jac = search._jacobian(residual, x)
         assert f.shape == (s, 1 + n * k) and jac.shape == (s, 1 + n * k, m)
         # the layout _jacobian returns, and the same array after a round
         # copies accepted rows into it
-        f_new, jac_new = search._jacobian(p, lf, x + rng.uniform(-0.1, 0.1, (s, m)))
+        f_new, jac_new = search._jacobian(residual, x + rng.uniform(-0.1, 0.1, (s, m)))
         accepted = np.arange(s) % 2 == 0
         for _ in range(2):
             g = np.vecmat(f, jac)
@@ -564,22 +566,15 @@ class TestRowAlgebra:
         assert 0 in iterations and len(iterations) > 3
 
 
-def scipy_trf_reference(p, l, x0):
+def scipy_trf_reference(residual, x0):
     """Reference solver: each start alone through
     ``scipy.optimize.least_squares`` (unbounded trf) with the lockstep
     solver's settings, read from the solver module, and its Jacobian."""
-    shape = (p.n - p.k, p.k)
-
-    def residual(x):
-        return search.lagrange_residual(p, l, x.reshape(shape))
-
-    def jacobian(x):
-        return search._jacobian(p, l, x[None])[1][0]
-
     out = [
         scipy_least_squares(
-            residual, x, jac=jacobian, xtol=search._XTOL, ftol=search._FTOL, gtol=search._GTOL,
-            max_nfev=search._MAX_NFEV,
+            lambda x: residual(x[None])[0], x,
+            jac=lambda x: search._jacobian(residual, x[None])[1][0],
+            xtol=search._XTOL, ftol=search._FTOL, gtol=search._GTOL, max_nfev=search._MAX_NFEV,
         )
         for x in x0
     ]
@@ -591,6 +586,50 @@ def scipy_trf_reference(p, l, x0):
         njev=sum(r.njev for r in out),
         status=np.array([r.status for r in out]),
     )
+
+
+def consistent_system(x):
+    """Four polynomial residuals in two unknowns with the root (1, 2)."""
+    a, b = x[:, 0], x[:, 1]
+    return np.stack([a * a + b - 3.0, a * b - 2.0, a + b * b - 5.0, a * a * a - b + 1.0], axis=1)
+
+
+def inconsistent_system(x):
+    """Four polynomial residuals in two unknowns with no common root
+    (b^2 + 1 > 0), so every start stalls on a plateau of the cost."""
+    a, b = x[:, 0], x[:, 1]
+    return np.stack([a * a - 1.0, b * b + 1.0, a * b - 3.0, a + b], axis=1)
+
+
+@pytest.mark.parametrize("residual", [consistent_system, inconsistent_system])
+def test_solver_takes_any_row_independent_residual(residual):
+    # the solver knows no polynomial and no base plane: two plain-numpy
+    # systems, whose rows are exact arithmetic on their own point, run
+    # through it.  Each start ends where it ends alone, byte for byte,
+    # and where scipy's trf ends: the same stop and nfev, a root to
+    # rounding, and on a plateau (an ftol stop, cost change below 1e-8
+    # of the cost) the same cost to 1e-10 of it, the point a little
+    # farther along the flat valley, since scipy's U^T f rounds otherwise
+    x0 = np.random.default_rng(0).uniform(-3.0, 3.0, (16, 2))
+    res = search.least_squares(residual, x0)
+    for i, x in enumerate(x0):
+        alone = search.least_squares(residual, x[None])
+        for name in ("x", "fun", "start_nfev", "status"):
+            assert getattr(alone, name)[0].tobytes() == getattr(res, name)[i].tobytes()
+    ref = scipy_trf_reference(residual, x0)
+    assert np.array_equal(res.status, ref.status)
+    assert np.array_equal(res.start_nfev, ref.start_nfev)
+    cost, ref_cost = np.vecdot(res.fun, res.fun), np.vecdot(ref.fun, ref.fun)
+    roots = res.status == 1
+    assert np.max(np.abs(res.x - ref.x)[roots], initial=0.0) <= 1e-12
+    assert np.max(np.abs(res.fun - ref.fun)[roots], initial=0.0) <= 1e-12
+    assert np.all(np.abs(cost - ref_cost)[~roots] <= 1e-10 * cost[~roots])
+    assert np.max(np.abs(res.x - ref.x)) <= 1e-6
+    if residual is consistent_system:
+        assert np.count_nonzero(roots) >= 8
+        assert np.all(np.abs(res.x[roots] - [1.0, 2.0]) <= 1e-12)
+    else:
+        assert np.all(res.status == 2) and np.all(cost > 10.0)
 
 
 def solve_with_diagnostics(p, lf, n_starts, seed):
@@ -769,7 +808,7 @@ class TestFindCriticalPoints:
         monkeypatch.setattr(search, "lagrange_residual", counting)
         monkeypatch.setattr(search, "_trust_region_steps", rounds)
         monkeypatch.setattr(core, "_svd", recording)
-        res = search.least_squares(p, lf, x0)
+        res = search.least_squares(search._lagrange_rows(p, lf), x0)
         assert len(calls) == len(running) + 1
         assert calls == [5 * 5] + [5 * s for s in running]
         assert svds == running
@@ -867,8 +906,8 @@ class TestFindCriticalPoints:
 
         trials, solves, ref_solves = [], [], []
 
-        def recording(p, l, x):
-            f, jac = jacobian(p, l, x)
+        def recording(fun, x):
+            f, jac = jacobian(fun, x)
             trials.append(np.isfinite(f).all(axis=1))
             return f, jac
 
@@ -881,18 +920,19 @@ class TestFindCriticalPoints:
             return scipy_steps(n, m, uf, s, v, delta, initial_alpha=initial_alpha, **kwargs)
 
         monkeypatch.setattr(search, "lagrange_residual", walled)
+        rows = search._lagrange_rows(p, lf)
         with monkeypatch.context() as patch:
             patch.setattr(search, "_jacobian", recording)
-            res = search.least_squares(p, lf, x0)
+            res = search.least_squares(rows, x0)
         with monkeypatch.context() as patch:
             # each start alone, which is its lockstep row bit for bit
             patch.setattr(search, "_trust_region_steps", recording_steps)
             for x in x0:
                 solves.append([])
-                search.least_squares(p, lf, x[None])
+                search.least_squares(rows, x[None])
         with monkeypatch.context() as patch:
             patch.setattr(scipy_trf, "solve_lsq_trust_region", recording_scipy_steps)
-            ref = scipy_trf_reference(p, lf, x0)
+            ref = scipy_trf_reference(rows, x0)
         rejected = sum(np.count_nonzero(~finite) for finite in trials)
         assert rejected and trials[0].all()
         assert np.isfinite(res.fun).all() and np.all(np.sqrt(np.vecdot(res.x, res.x)) < wall)
@@ -920,9 +960,10 @@ class TestFindCriticalPoints:
                     p = random_polynomial(rng, n, k, degree, 2 * math.comb(n, k))
                     lf = framed(core.random_plane(n, k, rng))
                     x0 = rng.uniform(-1.4, 1.4, (8, k * (n - k)))
-                    res = search.least_squares(p, lf, x0)
+                    residual = search._lagrange_rows(p, lf)
+                    res = search.least_squares(residual, x0)
                     for i, x in enumerate(x0):
-                        alone = search.least_squares(p, lf, x[None])
+                        alone = search.least_squares(residual, x[None])
                         assert np.array_equal(alone.x[0], res.x[i])
                         assert np.array_equal(alone.fun[0], res.fun[i])
                         assert alone.status[0] == res.status[i]
@@ -945,8 +986,8 @@ class TestFindCriticalPoints:
         results = []
         solver = search.least_squares
 
-        def from_wrapped(p, l, x0):
-            results.append(solver(p, l, wrapped[None]))
+        def from_wrapped(residual, x0):
+            results.append(solver(residual, wrapped[None]))
             return results[-1]
 
         monkeypatch.setattr(search, "least_squares", from_wrapped)
@@ -986,7 +1027,7 @@ class TestFindCriticalPoints:
         x = np.array([(0.6 + t) * unit for t in offsets] + [0.6 * unit + 1.5e-6 * side])
         x = x.reshape(len(x), -1)
 
-        def solved(p, l, x0):
+        def solved(residual, x0):
             s = len(x)
             return search.SolveResult(
                 x=x.copy(), fun=np.zeros((s, 1 + n * k)), start_nfev=np.ones(s, dtype=int),
@@ -1044,7 +1085,7 @@ class TestFindCriticalPoints:
         class Captured(Exception):
             pass
 
-        def capture(p, l, x0):
+        def capture(residual, x0):
             raise Captured(np.array(x0))
 
         monkeypatch.setattr(search, "least_squares", capture)
