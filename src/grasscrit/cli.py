@@ -33,9 +33,10 @@ EXIT_SOLVER = 4
 #: Largest value of the count options ``--trials``, ``--starts`` and
 #: ``--grid``: each builds arrays or Python lists of that length, so a
 #: larger count could fail to allocate or exhaust memory.  At this value
-#: a G(1,3) conic ``gdc-sample`` or a two-right-angle ``subdiff-dim``
-#: peaks near 60 MB; the per-start work of a larger hypersurface is not
-#: bounded by it.
+#: a cold process peaks (its maximum RSS) at about 49 MB for a G(1,3)
+#: conic ``gdc-sample --trials 1`` and at about 34 MB and 41 MB for a
+#: ``subdiff-dim`` with two and three right angles; the per-start work
+#: of a larger hypersurface is not bounded by it.
 MAX_COUNT = 10_000
 
 

@@ -24,7 +24,9 @@ J. Optim. 2015), so the subdifferential is exactly
 injective linear map L puts Q into the right-angle block.  The zero
 test of :func:`restricted_critical_test` works on that description.
 Sampled generator sets remain for the affine dimension, which for the
-full orbit is j^2: a sample of O(j) is one (m, j, j) array, and the
+full orbit is j^2: a sample of O(j) is one (m, j, j) array, built in
+one pass (the O(2) grid from one cosine and one sine over its angles,
+larger groups from one stacked QR of seeded Gaussian draws), and the
 preimages and generators built from it are one (m, n-k, k)
 :class:`TangentMatrix`.
 """
@@ -197,22 +199,21 @@ def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray
     """Deterministic sample of O(j), as one array of shape (m, j, j).
 
     O(1) is enumerated exactly; O(2) is sampled on a uniform angle grid
-    of rotations and reflections (``n_grid`` points per component);
-    larger groups fall back to ``n_grid`` seeded Haar-like draws.
-    ``n_grid`` < 1 raises :class:`DimensionError`.
+    of rotations and reflections (``n_grid`` points per component), each
+    rotation followed by the reflection of the same angle; larger groups
+    take ``n_grid`` seeded draws, the sign-fixed QR factors of Gaussian
+    matrices, which are exactly Haar-distributed on O(j) (Mezzadri,
+    Notices AMS 2007).  ``n_grid`` < 1 raises :class:`DimensionError`.
     """
     if n_grid < 1:
         raise DimensionError(f"n_grid must be at least 1, got {n_grid}")
     if j == 1:
         return np.array([[[1.0]], [[-1.0]]])
     if j == 2:
-        out = []
-        for t in np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False):
-            c, s = math.cos(t), math.sin(t)
-            out += [[[c, -s], [s, c]], [[c, s], [s, -c]]]
-        return np.array(out)
-    rng = np.random.default_rng(seed)
-    return np.array([core._signed_qr(rng.standard_normal((j, j))) for _ in range(n_grid)])
+        t = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([c, -s, s, c, c, s, s, -c], axis=-1).reshape(-1, 2, 2)
+    return core._signed_qr(np.random.default_rng(seed).standard_normal((n_grid, j, j)))
 
 
 def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-8) -> int:

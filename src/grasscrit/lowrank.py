@@ -56,15 +56,14 @@ def svd(a) -> SvdTriple:
     if not np.all(np.isfinite(a)):
         raise DimensionError("matrix contains non-finite entries")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T
-    u = u.copy()
-    v = v.copy()
-    for i in range(s.size):
-        col = u[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(float(np.max(np.abs(col))), 1e-300))[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
+    v = vt.T.copy()
+    if s.size:
+        mag = np.abs(u)
+        big = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
+        lead = big.argmax(axis=0), np.arange(s.size)  # first big entry of each column
+        signs = np.where(big[lead] & (u[lead] < 0), -1.0, 1.0)
+        u *= signs
+        v *= signs
     return SvdTriple(u=u, sigma=s, v=v)
 
 

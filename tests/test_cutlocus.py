@@ -211,6 +211,34 @@ class TestStackedOrbit:
             assert w.shape == (m, j, j)
             assert np.allclose(w.swapaxes(-1, -2) @ w, np.eye(j), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_grid", [1, 2, 3, 7, 64, 200])
+    def test_sample_matches_per_element_loop(self, j, n_grid):
+        # the reference builds one group element at a time: the O(2) grid
+        # from math.cos and math.sin, each rotation followed by its
+        # reflection, and the larger groups from one QR of one Gaussian
+        # draw after another, the diagonal of R made nonnegative
+        for seed in (0, 1, 12345):
+            if j == 1:
+                ref = np.array([[[1.0]], [[-1.0]]])
+            elif j == 2:
+                ref = []
+                for t in np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False):
+                    c, s = math.cos(t), math.sin(t)
+                    ref += [[[c, -s], [s, c]], [[c, s], [s, -c]]]
+                ref = np.array(ref)
+            else:
+                rng, ref = np.random.default_rng(seed), []
+                for _ in range(n_grid):
+                    q, r = np.linalg.qr(rng.standard_normal((j, j)))
+                    signs = np.sign(np.diag(r))
+                    signs[signs == 0] = 1.0
+                    ref.append(q * signs)
+                ref = np.array(ref)
+            w = cutlocus.sample_orthogonal_group(j, seed=seed, n_grid=n_grid)
+            assert w.dtype == ref.dtype and w.shape == ref.shape
+            assert w.tobytes() == ref.tobytes()
+
     def test_zero_test_rejects_basis_at_other_frame(self):
         l = core.make_plane([[1.0], [0.0]])
         sf = framed(core.make_plane([[0.0], [1.0]]))

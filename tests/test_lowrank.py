@@ -81,6 +81,41 @@ class TestSvd:
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
 
+    @pytest.mark.parametrize("kind", ["permuted-diagonal", "tiny-entries", "block", "random"])
+    def test_sign_fix_matches_per_column_loop(self, kind, rng):
+        # singular vectors of these matrices start with exact zeros or with
+        # entries below 1e-12 of the column maximum, which the sign fix
+        # must skip; the reference flips one column at a time
+        if kind in ("permuted-diagonal", "tiny-entries"):
+            a = np.zeros((6, 4))
+            a[[4, 1, 5, 2], [0, 1, 2, 3]] = [-4.0, 3.0, -2.0, -1.0]
+            if kind == "tiny-entries":
+                a[0] = 1e-15 * rng.standard_normal(4)
+        elif kind == "block":
+            a = np.zeros((5, 5))
+            a[:2, :2] = rng.standard_normal((2, 2))
+            a[2:, 2:] = -rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
+        else:
+            a = rng.standard_normal((4, 7))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T.copy()
+        for i in range(s.size):
+            col = u[:, i]
+            nz = np.nonzero(np.abs(col) > 1e-12 * max(float(np.max(np.abs(col))), 1e-300))[0]
+            if nz.size and col[nz[0]] < 0:
+                u[:, i] = -u[:, i]
+                v[:, i] = -v[:, i]
+        t = lowrank.svd(a)
+        assert t.u.tobytes() == u.tobytes() and t.v.tobytes() == v.tobytes()
+        assert t.sigma.tobytes() == s.tobytes()
+        assert t.u.flags.c_contiguous and t.v.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix(self, shape):
+        t = lowrank.svd(np.zeros(shape))
+        assert t.sigma.shape == (0,)
+        assert t.u.shape == (shape[0], 0) and t.v.shape == (shape[1], 0)
+
 
 class TestTruncate:
     def test_keep_largest(self):
