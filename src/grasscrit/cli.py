@@ -6,9 +6,9 @@ schema version.  Randomized commands require an explicit ``--seed`` and
 produce byte-identical reports for identical inputs, seed and version.
 
 Exit codes: 0 success, 2 validation error (domain preconditions, and
-a count option above ``MAX_COUNT``), 3 parse error (bad command line or
-malformed/unschematic JSON), 4 solver error.  Errors are reported as
-``{"code", "message", "path"}``.
+a count option or a report's record count above ``MAX_COUNT``), 3 parse
+error (bad command line or malformed/unschematic JSON), 4 solver error.
+Errors are reported as ``{"code", "message", "path"}``.
 
 Each handler imports the library modules it runs, numpy included, so a
 cold process compiles and runs only those: ``bound`` and ``g24-demo``
@@ -31,12 +31,16 @@ EXIT_PARSE = 3
 EXIT_SOLVER = 4
 
 #: Largest value of the count options ``--trials``, ``--starts`` and
-#: ``--grid``: each builds arrays or Python lists of that length, so a
-#: larger count could fail to allocate or exhaust memory.  At this value
-#: a cold process peaks (its maximum RSS) at about 49 MB for a G(1,3)
-#: conic ``gdc-sample --trials 1`` and at about 34 MB and 41 MB for a
-#: ``subdiff-dim`` with two and three right angles; the per-start work
-#: of a larger hypersurface is not bounded by it.
+#: ``--grid``, and of the number of records of an ``ey`` report
+#: (binomial(m, r), m = min(rows, cols)) and of a ``schubert-critical``
+#: report (binomial(k, s)): each builds arrays or Python lists of that
+#: length, so a larger count could fail to allocate or exhaust memory.
+#: At this value a cold process peaks (its maximum RSS) at about 49 MB
+#: for a G(1,3) conic ``gdc-sample --trials 1`` and at about 34 MB and
+#: 41 MB for a ``subdiff-dim`` with two and three right angles.  It
+#: bounds the count, not the size of one item: the per-start work of a
+#: larger hypersurface and the size of one record (an m x n matrix, or
+#: a plane of G(k, n) with its tangent space) grow with the input.
 MAX_COUNT = 10_000
 
 
@@ -120,6 +124,16 @@ def _plane(doc, key):
     return serialize.plane_from_json(serialize._require(doc, key, "input"), path=key)
 
 
+def _check_record_count(m: int, r: int, what: str) -> None:
+    """Refuse a report of binomial(m, r) records above ``MAX_COUNT`` with
+    :class:`DomainError`, before any array is built.  An r outside 1..m
+    is left to the library's own error."""
+    if 1 <= r <= m and (count := math.comb(m, r)) > MAX_COUNT:
+        raise DomainError(
+            f"{what} has binomial({m}, {r}) = {count} records, more than {MAX_COUNT}"
+        )
+
+
 def _given(**options) -> dict:
     """The options given on the command line, as keyword arguments: an
     option left out keeps the library function's own default."""
@@ -189,7 +203,7 @@ def _cmd_plucker(args):
 
     doc = _load_doc(args)
     plane = _plane(doc, "plane")
-    return {"coords": core.plucker_coords(plane).coords.tolist()}
+    return {"coords": core.plucker_coords(plane).tolist()}
 
 
 def _cmd_cut_stratum(args):
@@ -258,6 +272,7 @@ def _cmd_ey(args):
 
     doc = _load_doc(args)
     a = serialize.matrix_from_json(doc, path="matrix")
+    _check_record_count(min(a.shape), args.rank, f"ey --rank {args.rank}")
     points = lowrank.ey_critical_set(a, args.rank)
     records = []
     for index_set, a_i in points:
@@ -286,6 +301,7 @@ def _cmd_schubert_critical(args):
 
     doc = _load_doc(args)
     omega, l = _schubert_inputs(doc)
+    _check_record_count(omega.k, omega.s, "schubert-critical")
     records = schubert.ey_schubert_critical_points(omega, l)
     return {
         "records": [

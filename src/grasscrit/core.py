@@ -9,6 +9,8 @@ right singular direction of the plane toward the i-th left singular
 direction of the complement with speed equal to the i-th singular
 value.  Under the orthogonally invariant metric the inner product of
 two tangent vectors is the plain Frobenius product of their matrices.
+The test suite checks that metric against central differences of the
+exponential, with its own sampling, apart from this module.
 
 Conventions used throughout (and by every caller of this module):
 
@@ -85,7 +87,6 @@ from .errors import (
     GrasscritError,
     OnCutLocus,
     RankDeficient,
-    StepTooSmall,
 )
 
 #: Orthonormality tolerance for stored bases and frames.
@@ -237,11 +238,6 @@ class Plane:
         _check_orthonormal(b, TOL_ORTH * max(1.0, self.k), "plane basis")
         object.__setattr__(self, "basis", _frozen(b))
 
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the plane (basis independent)."""
-        return self.basis @ self.basis.T
-
 
 @dataclass(frozen=True)
 class FramedPlane:
@@ -305,21 +301,6 @@ class TangentMatrix:
         an array over the leading axes for a stack."""
         norms = _norm(self.a, axis=(-2, -1))
         return float(norms) if norms.ndim == 0 else norms
-
-
-@dataclass(frozen=True)
-class PluckerPoint:
-    """Normalized Plucker coordinate vector of a plane.
-
-    Coordinates are the k x k minors of the basis matrix in
-    lexicographic multi-index order, scaled to unit Euclidean norm with
-    the first nonzero coordinate positive.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen(np.asarray(self.coords, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -773,63 +754,15 @@ def plucker_minors(plane_or_basis) -> np.ndarray:
     return _laplace_sweep(np.asarray(b, dtype=float))[0]
 
 
-def plucker_coords(e: Plane) -> PluckerPoint:
-    """Normalized Plucker coordinates of a plane."""
+def plucker_coords(e: Plane) -> np.ndarray:
+    """Normalized Plucker coordinates of a plane: the k x k minors of its
+    basis in lexicographic multi-index order (:func:`plucker_minors`),
+    scaled to unit Euclidean norm with the first nonzero coordinate
+    positive, as one read-only array."""
     v = plucker_minors(e)
     v = v / _norm(v)
     magnitude = np.abs(v)
     nz = (magnitude > 1e-14 * np.maximum.reduce(magnitude, axis=None)).nonzero()[0]
     if nz.size and v[nz[0]] < 0:
         v = -v
-    return PluckerPoint(coords=v)
-
-
-# ---------------------------------------------------------------------------
-# Pullback metric distortion
-# ---------------------------------------------------------------------------
-
-def pullback_metric_error(
-    w: FramedPlane, eps: float, n_samples: int = 12, seed=0
-) -> float:
-    """Distortion of the rescaled exponential-chart metric at scale ``eps``.
-
-    Samples tangent matrices A in the unit Frobenius disk and unit-norm
-    tangent pairs (B1, B2), approximates the pulled-back rescaled metric
-    g_eps(B1, B2) by central finite differences of the exponential basis
-    Y(eps A + h B), projected onto the normal space of Y(eps A), and
-    returns the maximum absolute deviation from the flat value
-    <B1, B2>_F over all samples (including the diagonal pairs).  All
-    exponentials are one stacked kernel call.  The deviation shrinks
-    like eps^2 as the chart scale goes to zero.
-
-    Raises
-    ------
-    StepTooSmall
-        If ``eps`` is so small that the finite-difference step cannot be
-        separated from it.
-    """
-    if not (0.0 < eps < math.pi / 4):
-        raise DimensionError(f"eps must lie in (0, pi/4), got {eps}")
-    n, k = w.n, w.k
-    rng = np.random.default_rng(seed)
-    h0 = _EPS ** (1.0 / 3.0)
-    if eps <= 4.0 * h0:
-        raise StepTooSmall(f"eps={eps:.3e} not separated from FD step {h0:.3e}")
-    centers, directions, steps = [], [], []
-    for _ in range(n_samples):
-        a = rng.standard_normal((n - k, k))
-        a *= eps * rng.uniform(0.0, 1.0) / np.linalg.norm(a)
-        b = rng.standard_normal((2, n - k, k))
-        centers.append(a)
-        directions.append(b / np.linalg.norm(b, axis=(1, 2), keepdims=True))
-        steps.append(h0 * max(1.0, float(np.linalg.norm(a))))
-    a = np.array(centers)[:, None]
-    b = np.array(directions)
-    h = np.array(steps)[:, None, None, None]
-    y = _geodesic_end(w, np.concatenate([a, a + h * b, a - h * b], axis=1))
-    y0 = y[:, :1]
-    diff = (y[:, 1:3] - y[:, 3:]) / (2.0 * h)
-    velocity = diff - y0 @ (y0.swapaxes(-1, -2) @ diff)
-    gram = np.einsum("sixy,sjxy->sij", velocity, velocity)
-    flat = np.einsum("sixy,sjxy->sij", b, b)
-    return float(np.max(np.abs(gram - flat)))
+    return _frozen(v)

@@ -27,8 +27,8 @@ Sampled generator sets remain for the affine dimension, which for the
 full orbit is j^2: a sample of O(j) is one (m, j, j) array, built in
 one pass (the O(2) grid from one cosine and one sine over its angles,
 larger groups from one stacked QR of seeded Gaussian draws), and the
-preimages and generators built from it are one (m, n-k, k)
-:class:`TangentMatrix`.
+orbit is built from it in one pass as the generators of
+:func:`subdiff_generators`, one (m, n-k, k) :class:`TangentMatrix`.
 """
 
 from __future__ import annotations
@@ -139,10 +139,9 @@ def _cut_factors(at: FramedPlane, target: Plane):
     return (ncols, theta, p), j
 
 
-def _orbit(factors, j: int, w_sample, transpose: bool = False) -> np.ndarray:
-    """The stack N diag(theta) blockdiag(I_{k-j}, W) P^T (W^T with
-    ``transpose``) over a nonempty sample of W in O(j), the whole sample
-    checked at once."""
+def _orbit(factors, j: int, w_sample) -> np.ndarray:
+    """The stack N diag(theta) blockdiag(I_{k-j}, W^T) P^T over a nonempty
+    sample of W in O(j), the whole sample checked at once."""
     ncols, theta, p = factors
     w = np.asarray(w_sample, dtype=float)
     if w.size == 0:
@@ -153,31 +152,7 @@ def _orbit(factors, j: int, w_sample, transpose: bool = False) -> np.ndarray:
         raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
     blocks = core._eye(len(theta))[None].repeat(len(w), axis=0)
     blocks[:, -j:, -j:] = w
-    if transpose:
-        blocks = blocks.swapaxes(-1, -2)
-    return ncols @ (theta[:, None] * blocks) @ p.T
-
-
-def geodesic_preimages(l: FramedPlane, s: Plane, w_sample) -> TangentMatrix:
-    """Minimizing-geodesic velocities from ``l`` hitting a cut point ``s``.
-
-    For each orthogonal ``W`` of ``w_sample`` (shape (m, j, j), or a
-    sequence of j x j matrices) the stack holds the connecting matrix
-    ``A_W``; all share the singular values of the base preimage and map
-    to ``s`` under the exponential.  ``W = identity`` reproduces the base
-    preimage itself.  The factors and the stratum j come from one
-    :func:`core.connecting_factors` call, right angles set exactly.
-
-    Raises
-    ------
-    NotOnCut
-        If ``s`` has no right angle with the base plane (use the
-        logarithm instead; the preimage is unique).
-    DimensionMismatch
-        If the sample is empty, misshapen or not orthogonal.
-    """
-    factors, j = _cut_factors(l, s)
-    return core.tangent(l, _orbit(factors, j, w_sample))
+    return ncols @ (theta[:, None] * blocks.swapaxes(-1, -2)) @ p.T
 
 
 def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSet:
@@ -186,12 +161,19 @@ def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSe
     Builds one connecting matrix B0 from ``s`` back to ``l``, sweeps its
     orthogonal gauge orbit with the transposed elements of ``w_sample``,
     and normalizes by the distance; every generator has unit norm.  The
-    stratum j is read from the same factors, as in
-    :func:`geodesic_preimages`.
+    stratum j is read from the same factors.
+
+    Raises
+    ------
+    NotOnCut
+        If ``s`` has no right angle with ``l`` (the distance is smooth
+        there and its gradient unique).
+    DimensionMismatch
+        If the sample is empty, misshapen or not orthogonal.
     """
     factors, j = _cut_factors(s, l)
     delta = float(core._norm(factors[1]))
-    gens = core.tangent(s, -_orbit(factors, j, w_sample, transpose=True) / delta)
+    gens = core.tangent(s, -_orbit(factors, j, w_sample) / delta)
     return SubdiffGeneratorSet(base=s, delta=delta, factors=factors, j=j, generators=gens)
 
 
@@ -320,14 +302,3 @@ def restricted_critical_test(
     return CriticalTestResult(
         found=found, witness=best_q.reshape(j, j), residual=best, outcome=outcome
     )
-
-
-def nearest_cut_witness(l: FramedPlane) -> Plane:
-    """A point of the first cut-locus stratum at distance exactly pi/2.
-
-    Replaces the first basis vector of the plane by the first complement
-    direction; the principal angles to the base are (0, ..., 0, pi/2),
-    realizing the distance from a plane to its cut locus.
-    """
-    basis = np.concatenate([l.complement[:, :1], l.plane.basis[:, 1:]], axis=1)
-    return Plane(n=l.n, k=l.k, basis=basis)

@@ -35,10 +35,6 @@ class OnCutLocus(GrasscritError):
     lies on (or numerically at) the cut locus."""
 
 
-class StepTooSmall(GrasscritError):
-    """Finite-difference step cannot resolve the requested scale."""
-
-
 # ---------------------------------------------------------------------------
 # Low-rank / spectrum errors
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ matrices (Frobenius metric) has exactly binomial(m, r) constrained
 critical points when the singular values are distinct and positive:
 one for each selection of r singular triplets.  The selection keeping
 the r largest singular values is the global minimizer.
+
+The critical set is built from numpy's compact SVD as it comes, with no
+sign convention on the singular vectors: negating a column of U and the
+same column of V leaves every truncation U diag(kept) V^T unchanged bit
+for bit, so no output can see the signs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,51 +24,6 @@ from .errors import DegenerateSpectrum, DimensionError, IndexOutOfRange
 #: above double-precision SVD backward error at the matrix sizes this
 #: library targets.
 TOL_SV = 1e-10
-
-
-@dataclass(frozen=True)
-class SvdTriple:
-    """Compact SVD ``a = u @ diag(sigma) @ v.T`` with fixed signs.
-
-    ``u`` is rows x m column-orthonormal, ``v`` is cols x m
-    column-orthonormal, ``sigma`` has the m = min(rows, cols)
-    nonincreasing singular values.  The first nonzero entry of every
-    left singular vector is positive, which pins the decomposition for
-    simple spectra.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=float)
-        if np.any(np.diff(s) > 0):
-            raise DimensionError("singular values must be nonincreasing")
-
-
-def svd(a) -> SvdTriple:
-    """Compact SVD with the deterministic sign convention.
-
-    Reconstruction is exact to a few ulps; signs chosen so the first
-    entry of each left singular vector with magnitude above 1e-12 of
-    the column maximum is positive.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionError("matrix contains non-finite entries")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T.copy()
-    if s.size:
-        mag = np.abs(u)
-        big = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
-        lead = big.argmax(axis=0), np.arange(s.size)  # first big entry of each column
-        signs = np.where(big[lead] & (u[lead] < 0), -1.0, 1.0)
-        u *= signs
-        v *= signs
-    return SvdTriple(u=u, sigma=s, v=v)
 
 
 def spectrum_is_degenerate(sigma) -> bool:
@@ -88,21 +47,29 @@ def ey_critical_set(a, r: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
 
     Raises
     ------
+    DimensionError
+        If ``a`` is not a 2-d matrix of finite entries.
+    IndexOutOfRange
+        If ``r`` is not in 1..m, m = min(rows, cols).
     DegenerateSpectrum
         If the singular values are not distinct and positive within
         relative tolerance.
     """
     a = np.asarray(a, dtype=float)
-    t = svd(a)
-    m = t.sigma.size
+    if a.ndim != 2:
+        raise DimensionError(f"expected matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DimensionError("matrix contains non-finite entries")
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    m = sigma.size
     if not (1 <= r <= m):
         raise IndexOutOfRange(f"need 1 <= r <= {m}, got r={r}")
-    if spectrum_is_degenerate(t.sigma):
+    if spectrum_is_degenerate(sigma):
         raise DegenerateSpectrum(
             "singular values coincide or vanish within tolerance "
             f"{TOL_SV:.1e}; perturb the input to classify critical points"
         )
-    combos, _, truncations = _selections(t.u, t.sigma, t.v, r)
+    combos, _, truncations = _selections(u, sigma, vt.T, r)
     return list(zip(combos, truncations))
 
 

@@ -359,39 +359,3 @@ def global_max(omega: SchubertVariety, l: Plane, b_seed) -> tuple[float, Plane]:
     b_part = aux @ coeffs
     maximizer = Plane(n=n, k=k, basis=np.concatenate([b_part, q_top], axis=1))
     return value, maximizer
-
-
-def stratum_min_value(omega: SchubertVariety, l: Plane, depth: int) -> float:
-    """Infimum of the distance from ``l`` over the stratum of given depth.
-
-    Depth 0 is the smooth stratum; deeper strata force more angles to
-    vanish, so the value strictly increases with depth for generic
-    ``l``: it is the l2 norm of the s + depth smallest angles.
-    """
-    angles = core.principal_angles(omega.w.plane, l)
-    return float(core._norm(angles[: omega.s + depth]))
-
-
-def sample_variety_distances(
-    omega: SchubertVariety, l: Plane, count: int, seed, depth: int = 0
-) -> np.ndarray:
-    """Monte-Carlo oracle: distances from ``l`` to sampled variety points.
-
-    Samples rank-(k - s - depth) Gaussian factor products scaled into
-    the region of singular values below pi/2 and maps them through the
-    exponential at the reference plane, returning the distance of each
-    image from ``l``.  Deterministic for a given seed.
-    """
-    n, k = omega.n, omega.k
-    r = k - omega.s - depth
-    if r < 1:
-        raise DimensionError(f"no positive-rank stratum at depth {depth}")
-    rng = np.random.default_rng(seed)
-    g1 = rng.standard_normal((count, n - k, r))
-    g2 = rng.standard_normal((count, k, r))
-    a = np.einsum("bij,bkj->bik", g1, g2)
-    smax = np.linalg.svd(a, compute_uv=False)[:, 0]
-    scale = (math.pi / 2) * rng.uniform(0.0, 1.0, count) / smax
-    a *= scale[:, None, None]
-    bases = core._geodesic_end(omega.w, a)
-    return np.linalg.norm(core._hybrid_angles(l.basis, bases), axis=-1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grasscrit import core
+from grasscrit.errors import DimensionError
 
 
 @pytest.fixture
@@ -112,3 +113,86 @@ def fixed_rank_tangent_basis(a, r):
     return [
         np.outer(u[:, i], vt[j]) for i in range(m) for j in range(n) if i < r or j < r
     ]
+
+
+# ---------------------------------------------------------------------------
+# Oracles and test constructions: they check the library from outside it
+# ---------------------------------------------------------------------------
+
+class StepTooSmall(Exception):
+    """Finite-difference step cannot resolve the requested scale."""
+
+
+def pullback_metric_error(w, eps, n_samples=12, seed=0):
+    """Distortion of the rescaled exponential-chart metric at scale ``eps``.
+
+    Samples tangent matrices A in the unit Frobenius disk and unit-norm
+    tangent pairs (B1, B2), approximates the pulled-back rescaled metric
+    g_eps(B1, B2) by central finite differences of the exponential basis
+    Y(eps A + h B), projected onto the normal space of Y(eps A), and
+    returns the maximum absolute deviation from the flat value
+    <B1, B2>_F over all samples (including the diagonal pairs).  All
+    exponentials are one stacked kernel call.  The deviation shrinks
+    like eps^2 as the chart scale goes to zero.  Raises
+    :class:`StepTooSmall` if ``eps`` is so small that the
+    finite-difference step cannot be separated from it.
+    """
+    if not (0.0 < eps < math.pi / 4):
+        raise DimensionError(f"eps must lie in (0, pi/4), got {eps}")
+    n, k = w.n, w.k
+    rng = np.random.default_rng(seed)
+    h0 = core._EPS ** (1.0 / 3.0)
+    if eps <= 4.0 * h0:
+        raise StepTooSmall(f"eps={eps:.3e} not separated from FD step {h0:.3e}")
+    centers, directions, steps = [], [], []
+    for _ in range(n_samples):
+        a = rng.standard_normal((n - k, k))
+        a *= eps * rng.uniform(0.0, 1.0) / np.linalg.norm(a)
+        b = rng.standard_normal((2, n - k, k))
+        centers.append(a)
+        directions.append(b / np.linalg.norm(b, axis=(1, 2), keepdims=True))
+        steps.append(h0 * max(1.0, float(np.linalg.norm(a))))
+    a = np.array(centers)[:, None]
+    b = np.array(directions)
+    h = np.array(steps)[:, None, None, None]
+    y = core._geodesic_end(w, np.concatenate([a, a + h * b, a - h * b], axis=1))
+    y0 = y[:, :1]
+    diff = (y[:, 1:3] - y[:, 3:]) / (2.0 * h)
+    velocity = diff - y0 @ (y0.swapaxes(-1, -2) @ diff)
+    gram = np.einsum("sixy,sjxy->sij", velocity, velocity)
+    flat = np.einsum("sixy,sjxy->sij", b, b)
+    return float(np.max(np.abs(gram - flat)))
+
+
+def sample_variety_distances(omega, l, count, seed, depth=0):
+    """Monte-Carlo oracle: distances from ``l`` to sampled points of the
+    Schubert variety ``omega``.
+
+    Samples rank-(k - s - depth) Gaussian factor products scaled into
+    the region of singular values below pi/2 and maps them through the
+    exponential at the reference plane, returning the distance of each
+    image from ``l``.  Deterministic for a given seed.
+    """
+    n, k = omega.n, omega.k
+    r = k - omega.s - depth
+    if r < 1:
+        raise DimensionError(f"no positive-rank stratum at depth {depth}")
+    rng = np.random.default_rng(seed)
+    g1 = rng.standard_normal((count, n - k, r))
+    g2 = rng.standard_normal((count, k, r))
+    a = np.einsum("bij,bkj->bik", g1, g2)
+    smax = np.linalg.svd(a, compute_uv=False)[:, 0]
+    scale = (math.pi / 2) * rng.uniform(0.0, 1.0, count) / smax
+    a *= scale[:, None, None]
+    bases = core._geodesic_end(omega.w, a)
+    return np.linalg.norm(core._hybrid_angles(l.basis, bases), axis=-1)
+
+
+def nearest_cut_witness(l):
+    """A point of the first cut-locus stratum of the framed plane ``l`` at
+    distance exactly pi/2: the first basis vector replaced by the first
+    complement direction, so the principal angles to the base are
+    (0, ..., 0, pi/2), realizing the distance from a plane to its cut
+    locus."""
+    basis = np.concatenate([l.complement[:, :1], l.plane.basis[:, 1:]], axis=1)
+    return core.Plane(n=l.n, k=l.k, basis=basis)

@@ -12,7 +12,12 @@ import pytest
 
 from grasscrit import bounds, cli, core, cutlocus, lowrank, schubert, serialize
 
-from conftest import framed
+from conftest import (
+    framed,
+    nearest_cut_witness,
+    pullback_metric_error,
+    sample_variety_distances,
+)
 
 
 def _report(num, text):
@@ -86,14 +91,13 @@ def test_criterion_04_eckart_young():
         a = rng.standard_normal((rows, cols))
         points = lowrank.ey_critical_set(a, r)
         assert len(points) == math.comb(m, r)
-        sigma = lowrank.svd(a).sigma
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
         d_min = math.sqrt(float(np.sum(sigma[r:] ** 2)))
         a_min = dict(points)[tuple(range(r))]
         worst_dist_err = max(worst_dist_err, abs(np.linalg.norm(a - a_min) - d_min))
         # 1e4 rank-r candidates: half perturbations of the minimizer,
         # half random factor products
-        t = lowrank.svd(a)
-        u1, s1, v1 = t.u[:, :r], t.sigma[:r], t.v[:, :r]
+        u1, s1, v1 = u[:, :r], sigma[:r], vt[:r].T
         half = 5000
         eps = rng.uniform(0.0, 0.5, half)[:, None, None]
         cand1 = np.einsum(
@@ -145,7 +149,7 @@ def test_criterion_06_global_min():
     formula = float(np.linalg.norm(theta[: omega.s]))
     assert abs(value - formula) < 1e-12
     assert abs(core.grassmann_distance(l, minimizer) - value) < 1e-10
-    dists = schubert.sample_variety_distances(omega, l, 10_000, seed=607)
+    dists = sample_variety_distances(omega, l, 10_000, seed=607)
     assert float(np.min(dists)) >= value - 1e-6
     assert cutlocus.cut_stratum(l, minimizer).j == 0
     _report(6, f"min value {value:.6f} matches formula, 1e4-sample oracle min "
@@ -168,7 +172,7 @@ def test_criterion_07_global_max():
     assert abs(v1 - v2) < 1e-10
     assert core.grassmann_distance(m1, m2) > 1e-3
     assert cutlocus.cut_stratum(l, m1).j == k - s
-    dists = schubert.sample_variety_distances(omega, l, 10_000, seed=708)
+    dists = sample_variety_distances(omega, l, 10_000, seed=708)
     assert float(np.max(dists)) <= v1 + 1e-6
     _report(7, f"max value {v1:.6f} matches formula, stratum j = {k - s}, "
                f"two seeds distinct with equal value, oracle max below")
@@ -202,7 +206,7 @@ def test_criterion_09_cut_locus_distance():
     worst = 0.0
     for _ in range(100):
         lf = framed(core.random_plane(5, 2, rng))
-        witness = cutlocus.nearest_cut_witness(lf)
+        witness = nearest_cut_witness(lf)
         assert cutlocus.cut_stratum(lf.plane, witness).j == 1
         worst = max(worst, abs(core.grassmann_distance(lf.plane, witness) - math.pi / 2))
     assert worst < 1e-9
@@ -251,7 +255,7 @@ def test_criterion_12_metric_convergence():
     for seed in range(5):
         w = framed(core.random_plane(4, 2, 1200 + seed))
         errors = [
-            core.pullback_metric_error(w, eps, n_samples=8, seed=seed)
+            pullback_metric_error(w, eps, n_samples=8, seed=seed)
             for eps in (0.2, 0.1, 0.05, 0.01)
         ]
         assert all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)), errors

@@ -130,6 +130,13 @@ class TestBasicCommands:
         dists = sorted(r["distance"] for r in rep["critical_points"])
         assert np.allclose(dists, [1.0, 3.0], atol=1e-12)
 
+    def test_ey_non_finite_entry_is_dimension_error(self, capsys):
+        # JSON's NaN literal parses to a float; the matrix is refused
+        doc = '{"rows": 2, "cols": 2, "a": [[1.0, NaN], [0.0, 2.0]]}'
+        code, out = run(capsys, "ey", "--rank", "1", "--json", doc)
+        assert code == cli.EXIT_VALIDATION
+        assert json.loads(out)["error"]["code"] == "DimensionError"
+
     def test_bound_command(self, capsys):
         code, out = run(capsys, "bound", "--k", "2", "--n", "4", "--d", "3")
         assert code == 0
@@ -521,6 +528,53 @@ def test_count_at_limit_is_accepted(capsys):
     code, out = run(capsys, "g24-demo", "--grid", str(cli.MAX_COUNT), "--beta", "0.5")
     assert code == cli.EXIT_OK
     assert json.loads(out)["scan"]["n_grid"] == cli.MAX_COUNT
+
+
+def _record_count_docs(n):
+    """An n x n ``ey`` matrix with distinct singular values, and a
+    G(n, 2n) ``schubert-critical`` input with s = n / 2."""
+    a = np.diag(np.arange(n, 0, -1.0))
+    w, l = core.random_plane(2 * n, n, 1), core.random_plane(2 * n, n, 2)
+    schubert_doc = {"w": plane_json(w), "s": n // 2, "l": plane_json(l)}
+    return json.dumps(serialize.matrix_to_json(a)), json.dumps(schubert_doc)
+
+
+@pytest.mark.parametrize("command", ["ey", "schubert-critical"])
+def test_record_count_above_limit_is_validation_error(capsys, monkeypatch, command):
+    # binomial(16, 8) = 12 870 records; the handler refuses them before
+    # the library builds any array
+    from grasscrit import lowrank, schubert
+
+    def unreachable(*args):
+        raise AssertionError("the library ran past the record limit")
+
+    monkeypatch.setattr(lowrank, "ey_critical_set", unreachable)
+    monkeypatch.setattr(schubert, "ey_schubert_critical_points", unreachable)
+    ey_doc, schubert_doc = _record_count_docs(16)
+    argv = ["ey", "--rank", "8", "--json", ey_doc] if command == "ey" else [
+        "schubert-critical", "--json", schubert_doc]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "DomainError"
+    assert f"binomial(16, 8) = 12870 records, more than {cli.MAX_COUNT}" in error["message"]
+
+
+def test_record_count_below_limit_is_accepted(capsys):
+    # binomial(14, 7) = 3 432 records, every one a critical point
+    ey_doc, _ = _record_count_docs(14)
+    code, out = run(capsys, "ey", "--rank", "7", "--json", ey_doc)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["critical_points"]) == math.comb(14, 7) <= cli.MAX_COUNT
+
+
+@pytest.mark.parametrize("rank", ["0", "-3", "17"])
+def test_ey_rank_out_of_range_keeps_library_error(capsys, rank):
+    ey_doc, _ = _record_count_docs(16)
+    code, out = run(capsys, "ey", "--rank", rank, "--json", ey_doc)
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads(out)["error"]["code"] == "IndexOutOfRange"
 
 
 class TestInputOutput:

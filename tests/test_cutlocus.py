@@ -20,6 +20,7 @@ from conftest import (
     connecting_cases,
     e_basis,
     framed,
+    nearest_cut_witness,
     plane_from_columns,
 )
 
@@ -32,6 +33,16 @@ def cut_point(l_framed, angles, seed=0):
     v = core._signed_qr(rng.standard_normal((k, k)))
     a = u @ np.diag(angles) @ v.T
     return core.exp(l_framed, core.tangent(l_framed, a))
+
+
+def geodesic_preimages(l, s, w_sample):
+    """Minimizing-geodesic velocities from the framed plane ``l`` to a cut
+    point ``s``: the connecting matrices N diag(theta) blockdiag(I, W) P^T
+    for each W of ``w_sample``, one stack, from the factors of ``l`` toward
+    ``s`` and the orbit of :func:`cutlocus.subdiff_generators` fed W^T."""
+    factors, j = cutlocus._cut_factors(l, s)
+    w = np.asarray(w_sample, dtype=float)
+    return core.tangent(l, cutlocus._orbit(factors, j, w.swapaxes(-1, -2)))
 
 
 def per_w_reference(at, target, w_sample, transpose):
@@ -113,7 +124,7 @@ class TestPreimages:
     def test_identity_returns_base_preimage(self):
         lf = framed(core.random_plane(4, 2, 1))
         s = cut_point(lf, [0.4, math.pi / 2], seed=2)
-        pre = cutlocus.geodesic_preimages(lf, s, [np.eye(1)])
+        pre = geodesic_preimages(lf, s, [np.eye(1)])
         base, _ = per_w_reference(lf, s, [np.eye(1)], transpose=False)
         assert np.allclose(pre.a[0], base[0], atol=1e-12)
 
@@ -121,7 +132,7 @@ class TestPreimages:
         lf = framed(core.make_plane([[1.0], [0.0]]))
         s = core.make_plane([[0.0], [1.0]])
         w_list = [np.array([[1.0]]), np.array([[-1.0]])]
-        pre = cutlocus.geodesic_preimages(lf, s, w_list)
+        pre = geodesic_preimages(lf, s, w_list)
         a_plus, a_minus = pre.a
         assert np.allclose(a_plus, -a_minus, atol=1e-12)
         for a in pre.a:
@@ -133,7 +144,7 @@ class TestPreimages:
             s = cut_point(lf, [0.7, math.pi / 2], seed=seed + 10)
             delta = core.grassmann_distance(lf.plane, s)
             w_list = cutlocus.sample_orthogonal_group(1)
-            pre = cutlocus.geodesic_preimages(lf, s, w_list)
+            pre = geodesic_preimages(lf, s, w_list)
             assert np.all(np.abs(pre.norm - delta) < 1e-9)
             for a in pre.a:
                 assert core.grassmann_distance(core.exp(lf, core.tangent(lf, a)), s) < 1e-9
@@ -143,7 +154,7 @@ class TestPreimages:
         s = cut_point(lf, [0.5, math.pi / 2], seed=8)
         a_id, a_flip = (
             core.tangent(lf, a)
-            for a in cutlocus.geodesic_preimages(lf, s, [np.eye(1), np.array([[-1.0]])]).a
+            for a in geodesic_preimages(lf, s, [np.eye(1), np.array([[-1.0]])]).a
         )
         mid_id = core.geodesic_point(lf, a_id, 0.5)
         mid_flip = core.geodesic_point(lf, a_flip, 0.5)
@@ -153,7 +164,7 @@ class TestPreimages:
         lf = framed(core.random_plane(4, 2, 3))
         s = cut_point(lf, [0.3, 0.8], seed=4)
         with pytest.raises(NotOnCut):
-            cutlocus.geodesic_preimages(lf, s, [np.eye(1)])
+            geodesic_preimages(lf, s, [np.eye(1)])
 
 
 class TestStackedOrbit:
@@ -162,7 +173,7 @@ class TestStackedOrbit:
         lf = framed(core.random_plane(n, k, n + j))
         s = cut_point(lf, angles, seed=j)
         w_sample = cutlocus.sample_orthogonal_group(j, seed=5, n_grid=6)
-        pre = cutlocus.geodesic_preimages(lf, s, w_sample)
+        pre = geodesic_preimages(lf, s, w_sample)
         ref, _ = per_w_reference(lf, s, w_sample, transpose=False)
         assert pre.a.shape == (len(w_sample), n - k, k)
         assert np.max(np.abs(pre.a - ref)) <= 1e-15
@@ -186,7 +197,7 @@ class TestStackedOrbit:
             with pytest.raises(DimensionMismatch, match="not orthogonal"):
                 cutlocus.subdiff_generators(l, sf, w_sample)
             with pytest.raises(DimensionMismatch, match="not orthogonal"):
-                cutlocus.geodesic_preimages(framed(l), sf.plane, w_sample)
+                geodesic_preimages(framed(l), sf.plane, w_sample)
 
     @pytest.mark.parametrize(
         "w_sample",
@@ -319,7 +330,7 @@ class TestSubdiffGenerators:
         calls = calls_since(linalg_calls, before)
         assert calls["svd"] == 1 and calls["np.linalg.svd"] == calls["np.linalg.qr"] == 0
         before = dict(linalg_calls)
-        cutlocus.geodesic_preimages(lf, s, w_sample)
+        geodesic_preimages(lf, s, w_sample)
         calls = calls_since(linalg_calls, before)
         assert calls["svd"] == 1 and calls["np.linalg.svd"] == calls["np.linalg.qr"] == 0
         assert gens.j == cutlocus.cut_stratum(l, s).j == 2
@@ -543,7 +554,7 @@ class TestCutDistance:
     def test_distance_to_cut_is_right_angle(self):
         for seed in range(20):
             lf = framed(core.random_plane(5, 2, 40 + seed))
-            witness = cutlocus.nearest_cut_witness(lf)
+            witness = nearest_cut_witness(lf)
             assert cutlocus.cut_stratum(lf.plane, witness).j == 1
             assert abs(core.grassmann_distance(lf.plane, witness) - math.pi / 2) < 1e-9
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from grasscrit import core, cutlocus, lowrank
-from grasscrit.errors import DegenerateSpectrum, IndexOutOfRange
+from grasscrit.errors import DegenerateSpectrum, DimensionError, IndexOutOfRange
 
 from conftest import fixed_rank_tangent_basis
 
@@ -18,16 +19,16 @@ def truncate(a, index_set):
     """Keep the singular triplets at the 0-based positions ``index_set``
     (into the nonincreasing singular values) and zero the rest; warns
     when the spectrum is degenerate."""
-    t = lowrank.svd(a)
-    m = t.sigma.size
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    m = sigma.size
     idx = sorted(set(index_set))
     if any(i < 0 or i >= m for i in idx):
         raise IndexOutOfRange(f"indices {idx} outside range(0, {m})")
-    if lowrank.spectrum_is_degenerate(t.sigma):
+    if lowrank.spectrum_is_degenerate(sigma):
         warnings.warn("singular values coincide within tolerance", UserWarning, stacklevel=2)
     mask = np.zeros(m)
     mask[idx] = 1.0
-    return t.u @ np.diag(t.sigma * mask) @ t.v.T
+    return u @ np.diag(sigma * mask) @ vt
 
 
 def perturb_degenerate(a, seed=0, scale=1e-8):
@@ -41,80 +42,127 @@ def ey_normality_residual(a, a_trunc, expected_rank=None):
     """Criticality certificate of a truncation ``U1 S1 V1^T`` of rank r:
     ``max(|U1^T (a - a_trunc)|_F, |(a - a_trunc) V1|_F)`` vanishes exactly
     when the difference is normal to the rank-r manifold there."""
-    t = lowrank.svd(a_trunc)
-    rank = int(np.sum(t.sigma > lowrank.TOL_SV * max(t.sigma[0], 1e-300)))
+    u, sigma, vt = np.linalg.svd(a_trunc, full_matrices=False)
+    rank = int(np.sum(sigma > lowrank.TOL_SV * max(sigma[0], 1e-300)))
     if rank == 0 or (expected_rank is not None and rank < expected_rank):
         raise RankCollapse(f"numerical rank {rank} < expected {expected_rank}")
     resid = a - a_trunc
-    return max(
-        np.linalg.norm(t.u[:, :rank].T @ resid), np.linalg.norm(resid @ t.v[:, :rank])
-    )
+    return max(np.linalg.norm(u[:, :rank].T @ resid), np.linalg.norm(resid @ vt[:rank].T))
+
+
+def sign_fixed_svd(a):
+    """Compact SVD (u, sigma, v) with the first entry of each column of u
+    above 1e-12 of the column maximum made positive, one column at a
+    time, and v a C-ordered copy: the SVD the critical set was once built
+    from."""
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    v = vt.T.copy()
+    for i in range(sigma.size):
+        col = u[:, i]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(float(np.max(np.abs(col))), 1e-300))[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, i] = -u[:, i]
+            v[:, i] = -v[:, i]
+    return u, sigma, v
+
+
+def assert_matches_sign_fixed_svd(a):
+    """``ey_critical_set`` at every rank equals, byte for byte, the
+    selections of :func:`sign_fixed_svd`'s triplets."""
+    u, sigma, v = sign_fixed_svd(a)
+    for r in range(1, sigma.size + 1):
+        combos, _, truncations = lowrank._selections(u, sigma, v, r)
+        points = lowrank.ey_critical_set(a, r)
+        assert [index_set for index_set, _ in points] == combos
+        assert all(
+            got.tobytes() == want.tobytes() for (_, got), want in zip(points, truncations)
+        )
+
+
+def sign_fix_cases(kind, rng):
+    """Matrices whose singular vectors start with exact zeros or with
+    entries below 1e-12 of the column maximum, which the sign fix of
+    :func:`sign_fixed_svd` skips, a random one, and a random matrix of
+    every shape 1..8 x 1..8."""
+    if kind == "random-shapes":
+        return [rng.standard_normal(shape) for shape in itertools.product(range(1, 9), repeat=2)]
+    if kind in ("permuted-diagonal", "tiny-entries"):
+        a = np.zeros((6, 4))
+        a[[4, 1, 5, 2], [0, 1, 2, 3]] = [-4.0, 3.0, -2.0, -1.0]
+        if kind == "tiny-entries":
+            a[0] = 1e-15 * rng.standard_normal(4)
+    elif kind == "block":
+        a = np.zeros((5, 5))
+        a[:2, :2] = rng.standard_normal((2, 2))
+        a[2:, 2:] = -rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
+    else:
+        a = rng.standard_normal((4, 7))
+    return [a]
 
 
 class TestSvd:
+    """The compact SVD inside ey_critical_set, seen through its output:
+    the triplets it keeps, with no sign convention."""
+
     def test_diagonal(self):
-        t = lowrank.svd(np.diag([3.0, 1.0]))
-        assert np.allclose(t.sigma, [3.0, 1.0])
+        points = dict(lowrank.ey_critical_set(np.diag([3.0, 1.0]), 1))
+        assert np.allclose(points[(0,)], np.diag([3.0, 0.0]), atol=1e-15)
+        assert np.allclose(points[(1,)], np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_zero_matrix(self):
-        t = lowrank.svd(np.zeros((3, 2)))
-        assert np.allclose(t.sigma, 0.0)
+        with pytest.raises(DegenerateSpectrum):
+            lowrank.ey_critical_set(np.zeros((3, 2)), 1)
 
     def test_frobenius_identity(self, rng):
+        # kept and dropped triplets split the squared norm of a
         for _ in range(20):
             a = rng.standard_normal((5, 3))
-            t = lowrank.svd(a)
-            assert abs(np.sum(a * a) - np.sum(t.sigma**2)) < 1e-12 * max(1, np.sum(a * a))
+            total = np.sum(a * a)
+            for r in (1, 2):
+                for _, a_i in lowrank.ey_critical_set(a, r):
+                    split = np.sum(a_i * a_i) + np.sum((a - a_i) ** 2)
+                    assert abs(total - split) < 1e-12 * max(1, total)
 
     def test_reconstruction(self, rng):
         for _ in range(20):
             a = rng.standard_normal((4, 6))
-            t = lowrank.svd(a)
-            assert np.allclose((t.u * t.sigma) @ t.v.T, a, atol=1e-12 * np.linalg.norm(a))
+            [(index_set, a_full)] = lowrank.ey_critical_set(a, 4)
+            assert index_set == (0, 1, 2, 3)
+            assert np.allclose(a_full, a, atol=1e-12 * np.linalg.norm(a))
 
     def test_sign_convention_deterministic(self, rng):
+        # two calls agree bit for bit, and negating a column of U with the
+        # same column of V leaves every truncation unchanged bit for bit,
+        # so no sign convention can show in the output
         a = rng.standard_normal((5, 4))
-        t1, t2 = lowrank.svd(a), lowrank.svd(a)
-        assert np.array_equal(t1.u, t2.u) and np.array_equal(t1.v, t2.v)
-        for i in range(t1.sigma.size):
-            col = t1.u[:, i]
-            nz = np.nonzero(np.abs(col) > 1e-12)[0]
-            assert col[nz[0]] > 0
+        first, second = lowrank.ey_critical_set(a, 2), lowrank.ey_critical_set(a, 2)
+        assert all(x[1].tobytes() == y[1].tobytes() for x, y in zip(first, second))
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        for signs in itertools.product((1.0, -1.0), repeat=sigma.size):
+            _, _, flipped = lowrank._selections(u * signs, sigma, (vt.T * signs), 2)
+            assert all(got[1].tobytes() == want.tobytes() for got, want in zip(first, flipped))
 
-    @pytest.mark.parametrize("kind", ["permuted-diagonal", "tiny-entries", "block", "random"])
+    @pytest.mark.parametrize(
+        "kind", ["permuted-diagonal", "tiny-entries", "block", "random", "random-shapes"]
+    )
     def test_sign_fix_matches_per_column_loop(self, kind, rng):
-        # singular vectors of these matrices start with exact zeros or with
-        # entries below 1e-12 of the column maximum, which the sign fix
-        # must skip; the reference flips one column at a time
-        if kind in ("permuted-diagonal", "tiny-entries"):
-            a = np.zeros((6, 4))
-            a[[4, 1, 5, 2], [0, 1, 2, 3]] = [-4.0, 3.0, -2.0, -1.0]
-            if kind == "tiny-entries":
-                a[0] = 1e-15 * rng.standard_normal(4)
-        elif kind == "block":
-            a = np.zeros((5, 5))
-            a[:2, :2] = rng.standard_normal((2, 2))
-            a[2:, 2:] = -rng.standard_normal((3, 3)) - 3.0 * np.eye(3)
-        else:
-            a = rng.standard_normal((4, 7))
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        v = vt.T.copy()
-        for i in range(s.size):
-            col = u[:, i]
-            nz = np.nonzero(np.abs(col) > 1e-12 * max(float(np.max(np.abs(col))), 1e-300))[0]
-            if nz.size and col[nz[0]] < 0:
-                u[:, i] = -u[:, i]
-                v[:, i] = -v[:, i]
-        t = lowrank.svd(a)
-        assert t.u.tobytes() == u.tobytes() and t.v.tobytes() == v.tobytes()
-        assert t.sigma.tobytes() == s.tobytes()
-        assert t.u.flags.c_contiguous and t.v.flags.c_contiguous
+        # the critical set without the sign fix is the critical set built
+        # from the sign-fixed triplets, byte for byte, at every rank
+        for a in sign_fix_cases(kind, rng):
+            assert_matches_sign_fixed_svd(a)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_matrix(self, shape):
-        t = lowrank.svd(np.zeros(shape))
-        assert t.sigma.shape == (0,)
-        assert t.u.shape == (shape[0], 0) and t.v.shape == (shape[1], 0)
+        with pytest.raises(IndexOutOfRange):
+            lowrank.ey_critical_set(np.zeros(shape), 1)
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros(3), np.zeros((2, 2, 2)), [[1.0, np.nan]], [[np.inf, 0.0]]],
+        ids=["vector", "stack", "nan", "inf"],
+    )
+    def test_malformed_matrix_rejected(self, a):
+        with pytest.raises(DimensionError):
+            lowrank.ey_critical_set(a, 1)
 
 
 class TestTruncate:
@@ -130,7 +178,7 @@ class TestTruncate:
 
     def test_distances_enumerate_selections(self, rng):
         a = rng.standard_normal((4, 3))
-        s = lowrank.svd(a).sigma
+        s = np.linalg.svd(a, compute_uv=False)
         points = dict(lowrank.ey_critical_set(a, 1))
         for keep in ({0}, {1}, {2}):
             drop = set(range(3)) - keep
@@ -165,7 +213,7 @@ class TestEyCriticalSet:
 
     def test_minimizer_is_leading_selection(self, rng):
         a = rng.standard_normal((5, 4))
-        s = lowrank.svd(a).sigma
+        s = np.linalg.svd(a, compute_uv=False)
         pts = lowrank.ey_critical_set(a, 2)
         dists = {idx: np.linalg.norm(a - m) for idx, m in pts}
         assert min(dists, key=dists.get) == (0, 1)
@@ -199,11 +247,11 @@ class TestNormalityResidual:
 
     def test_noncritical_perturbation_flagged(self, rng):
         a = rng.standard_normal((5, 4))
-        t = lowrank.svd(a)
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
         # tangent step at the minimizer keeps the rank but breaks normality
         b = (
-            t.u[:, :2] @ np.diag(t.sigma[:2] + np.array([0.0, 0.05])) @ t.v[:, :2].T
-            + 0.05 * np.outer(t.u[:, 2], t.v[:, 1])
+            u[:, :2] @ np.diag(sigma[:2] + np.array([0.0, 0.05])) @ vt[:2]
+            + 0.05 * np.outer(u[:, 2], vt[1])
         )
         assert ey_normality_residual(a, b) > 1e-3
 
@@ -241,8 +289,8 @@ class TestRegion:
 
     def test_rank_region_tangent_dimension(self, rng):
         a = rng.standard_normal((5, 3))
-        t = lowrank.svd(a)
-        a2 = t.u[:, :2] @ np.diag(t.sigma[:2]) @ t.v[:, :2].T
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        a2 = u[:, :2] @ np.diag(sigma[:2]) @ vt[:2]
         basis = fixed_rank_tangent_basis(a2, 2)
         assert len(basis) == 2 * (5 + 3 - 2)
         flat = np.array([b.ravel() for b in basis])
@@ -256,9 +304,9 @@ class TestEyOptimality:
             m, n = rng.integers(2, 7, 2)
             r = int(rng.integers(1, min(m, n)))
             a = rng.standard_normal((m, n))
-            t = lowrank.svd(a)
-            d_min = math.sqrt(float(np.sum(t.sigma[r:] ** 2)))
-            u1, v1, s1 = t.u[:, :r], t.v[:, :r], t.sigma[:r]
+            u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+            d_min = math.sqrt(float(np.sum(sigma[r:] ** 2)))
+            u1, v1, s1 = u[:, :r], vt[:r].T, sigma[:r]
             count = 500
             eps = rng.uniform(0.0, 0.5, count)
             gu = rng.standard_normal((count, m, r)) * eps[:, None, None]
