@@ -3,7 +3,8 @@
 :func:`pfaffian_bound` evaluates the explicit degree-power upper bound
 on the distance complexity of a hypersurface of degree d in G(k, n) in
 exact integer arithmetic, reporting magnitudes too large for floats
-through their base-10 logarithm.
+through their base-10 logarithm and refusing a leading constant of
+more than ``MAX_DIGITS`` digits.
 
 The rest of the module evaluates the closed-form sphere-product
 distance on the oriented double cover of G(2, 4), where a family of
@@ -54,10 +55,39 @@ class BoundReport(NamedTuple):
         return self._asdict()
 
 
+#: Most decimal digits of ``c1_int``: Python's default limit on
+#: converting an int to a string, so every accepted report can be
+#: written; past it the exact powers, and the base-10 logarithm of
+#: their product, also take time without bound.
+MAX_DIGITS = 4300
+
+
 def _log10_int(value: int) -> float:
     with localcontext() as ctx:
         ctx.prec = 60
         return float(Decimal(value).log10())
+
+
+def _leading_constant(k: int, n: int, c2: int) -> int | None:
+    """The exact ``c1_int`` of :func:`pfaffian_bound`, or None if it has
+    more than ``MAX_DIGITS`` digits.
+
+    It is at least 4^c2, so from c2 = 2 MAX_DIGITS on nothing is formed;
+    below, the float logarithm of the factors refuses a long constant
+    before its powers are formed, and within a digit of the limit the
+    count is exact.
+    """
+    if c2 >= 2 * MAX_DIGITS:
+        return None
+    factors = (
+        (2, 8 * k * k - 2 * k),
+        (math.comb(n * k, k * (k + 1) + 1) + (k + 1) ** 2, k * (n + 1)),
+        (2 * k * k * (n + 1), c2),
+    )
+    if math.log10(2 * k) + sum(e * math.log10(b) for b, e in factors) >= MAX_DIGITS + 1:
+        return None
+    c1_int = 2 * k * math.prod(b**e for b, e in factors)
+    return c1_int if c1_int < 10**MAX_DIGITS else None
 
 
 def _scaled_float(big: int, scale: float, log10_total: float) -> float:
@@ -87,7 +117,8 @@ def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
     DimensionError
         If not 1 <= k <= n - k, or if d < 1.
     DomainError
-        If ``c_param`` is not finite and positive.
+        If ``c_param`` is not finite and positive, or if ``c1_int``
+        would have more than ``MAX_DIGITS`` digits.
     """
     if not (1 <= k <= n - k):
         raise DimensionError(f"need 1 <= k <= n - k, got k={k}, n={n}")
@@ -96,12 +127,9 @@ def pfaffian_bound(k: int, n: int, d: int, c_param: float = 1.0) -> BoundReport:
     if not 0 < c_param < math.inf:
         raise DomainError(f"c_param must be finite and positive, got {c_param}")
     c2 = k * (n + 5)
-    c1_tilde = (
-        2 ** (8 * k * k - 2 * k)
-        * (math.comb(n * k, k * (k + 1) + 1) + (k + 1) ** 2) ** (k * (n + 1))
-        * (2 * k * k * (n + 1)) ** c2
-    )
-    c1_int = 2 * k * c1_tilde
+    c1_int = _leading_constant(k, n, c2)
+    if c1_int is None:
+        raise DomainError(f"c1_int has more than {MAX_DIGITS} digits at k={k}, n={n}")
     log10_c1 = math.log10(c_param) + _log10_int(c1_int)
     log10_bound = log10_c1 + c2 * math.log10(d)
     c1 = _scaled_float(c1_int, c_param, log10_c1)

@@ -5,8 +5,9 @@ writes a canonical JSON report to stdout (or ``--out``), and embeds the
 schema version.  Randomized commands require an explicit ``--seed`` and
 produce byte-identical reports for identical inputs, seed and version.
 
-Exit codes: 0 success, 2 validation error (domain preconditions, and
-a count option or a report's record count above ``MAX_COUNT``), 3 parse
+Exit codes: 0 success, 2 validation error (domain preconditions, a
+count option or a report's record count above ``MAX_COUNT``, and a
+``bound`` constant of more than ``bounds.MAX_DIGITS`` digits), 3 parse
 error (bad command line or malformed/unschematic JSON), 4 solver error.
 Errors are reported as ``{"code", "message", "path"}``.
 
@@ -37,10 +38,12 @@ EXIT_SOLVER = 4
 #: length, so a larger count could fail to allocate or exhaust memory.
 #: At this value a cold process peaks (its maximum RSS) at about 49 MB
 #: for a G(1,3) conic ``gdc-sample --trials 1`` and at about 34 MB and
-#: 41 MB for a ``subdiff-dim`` with two and three right angles.  It
-#: bounds the count, not the size of one item: the per-start work of a
-#: larger hypersurface and the size of one record (an m x n matrix, or
-#: a plane of G(k, n) with its tangent space) grow with the input.
+#: 41 MB for a ``subdiff-dim`` with two and three right angles, and a
+#: ``schubert-critical`` at about 77 MB on G(12,24), s = 6 (924 records)
+#: and 281 MB on G(14,28), s = 7 (3 432).  It bounds the count, not the
+#: size of one item: the per-start work of a larger hypersurface and the
+#: size of one record (an m x n matrix, or a plane of G(k, n)) grow with
+#: the input.
 MAX_COUNT = 10_000
 
 

@@ -33,12 +33,12 @@ matrix of L at W.  The same angles theta pass the genericity gate of
 :func:`global_max`, so the three accept and reject the same planes.
 
 The selection critical points are certified in one stacked pass: the
-smooth-stratum test, the tangent spaces, the logarithms toward L and
-the normality residuals of all binomial(k, s) points are each one
-stacked evaluation (:func:`_tangent_spaces`,
-:func:`_normality_residuals`), and the single-point
-:func:`chart_tangent_basis` and :func:`normality_residual` are the same
-kernels on a stack of one.  The certificate reads only each point and
+smooth-stratum test, the tangent-space factors R and U, the logarithms
+V toward L and the normality residuals of all binomial(k, s) points are
+each one stacked evaluation (:func:`_tangent_factors`,
+:func:`_normality_residuals`).  A residual is the norm of R^T V U with
+its normal block R_perp^T V Y zeroed, so only :func:`chart_tangent_basis`
+forms a basis, at one point.  The certificate reads only each point and
 L, never the truncation that built the point.
 """
 
@@ -153,16 +153,16 @@ def _genericity_gate(angles: np.ndarray) -> None:
         raise NonGenericL(f"angle gap {gap:.3e} within {TOL_GEN:.1e}")
 
 
-def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent spaces of the variety at a stack of smooth points.
+def _tangent_factors(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Factors of the variety's tangent spaces at a stack of smooth points.
 
     Takes point bases (..., n, k) and returns their frame complements
-    (..., n, n-k) from :func:`core._frame_complements` and the tangent
-    bases (..., smooth_dim, n-k, k) of :func:`chart_tangent_basis`, from
-    one stacked SVD and QR.  The singular values of C_E^T B_W are the
-    sines of the principal angles between E and W, so the same SVD
-    gives the intersection dimension: the angles below ``TOL_GEN``, plus
-    the k - (n-k) angles that vanish when n - k < k.
+    (..., n, n-k) from :func:`core._frame_complements`, the left
+    singular vectors R = [R_r R_perp] (..., n-k, n-k) of C_E^T B_W and
+    U = [Y Y_perp] (..., k, k) of :func:`chart_tangent_basis`, from one
+    stacked SVD and QR.  The singular values of C_E^T B_W are the sines
+    of the principal angles between E and W, so the same SVD gives the
+    intersection dimension: the angles below ``TOL_GEN``.
 
     Raises
     ------
@@ -172,23 +172,14 @@ def _tangent_spaces(omega: SchubertVariety, bases: np.ndarray) -> tuple[np.ndarr
     b_w = omega.w.plane.basis
     comp = core._frame_complements(bases)
     left, sines, vt = core._svd(comp.swapaxes(-1, -2) @ b_w)
-    dims = omega.k - sines.shape[-1] + np.add.reduce(sines < math.sin(TOL_GEN), axis=-1)
+    dims = np.add.reduce(sines < math.sin(TOL_GEN), axis=-1)
     bad = dims[dims != omega.s]
     if bad.size:
         stratum = _stratum(omega, int(bad[0]))
         raise NotSmoothPoint(f"point is {stratum.kind} (intersection {stratum.intersection_dim})")
     r = omega.k - omega.s
     u, _ = core._qr(bases.swapaxes(-1, -2) @ b_w @ vt[..., r:, :].swapaxes(-1, -2), complete=True)
-
-    def outer(x, y):  # x_i y_j^T for every column pair of each point, i-major
-        xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
-        products = xt[..., :, None, :, None] * yt[..., None, :, None, :]
-        return products.reshape(x.shape[:-2] + (-1, x.shape[-2], y.shape[-2]))
-
-    stack = np.concatenate(
-        [outer(left[..., :r], u), outer(left[..., r:], u[..., omega.s:])], axis=-3
-    )
-    return comp, stack
+    return comp, left, u
 
 
 def chart_tangent_basis(omega: SchubertVariety, e: Plane) -> TangentMatrix:
@@ -205,7 +196,7 @@ def chart_tangent_basis(omega: SchubertVariety, e: Plane) -> TangentMatrix:
     (k-s)(n-k+s) of them, stacked i-major: all R_i U_j^T first, then
     all R_perp_i Y_perp_j^T.  Y is taken through the sines rather than as
     the top left singular vectors of B_E^T B_W because cosines near 1
-    cannot resolve small angles.  The work is :func:`_tangent_spaces`
+    cannot resolve small angles.  The factors are :func:`_tangent_factors`
     on a stack of one.
 
     The name dates from a construction through the exponential chart at
@@ -217,21 +208,30 @@ def chart_tangent_basis(omega: SchubertVariety, e: Plane) -> TangentMatrix:
         If ``e`` is not on the smooth stratum.
     """
     core._check_same_shape(omega.w.plane, e)
-    comp, stack = _tangent_spaces(omega, e.basis[None])
-    frame = np.concatenate([e.basis, comp[0]], axis=1)
-    return core.tangent(FramedPlane(plane=e, frame=frame), stack[0])
+    comp, left, u = (x[0] for x in _tangent_factors(omega, e.basis[None]))
+    r = omega.k - omega.s
+
+    def outer(x, y):  # x_i y_j^T for every column pair, i-major
+        return (x.T[:, None, :, None] * y.T[None, :, None, :]).reshape(-1, len(x), len(y))
+
+    stack = np.concatenate([outer(left[:, :r], u), outer(left[:, r:], u[:, omega.s:])])
+    frame = np.concatenate([e.basis, comp], axis=1)
+    return core.tangent(FramedPlane(plane=e, frame=frame), stack)
 
 
 def _normality_residuals(omega: SchubertVariety, l: Plane, bases: np.ndarray) -> np.ndarray:
     """:func:`normality_residual` at a stack of points (..., n, k).
 
-    Returns the residuals (...).  One tangent-space evaluation, one
-    logarithm toward ``l`` and one contraction per point.
+    Returns the residuals (...).  The logarithm V toward ``l`` in the
+    coordinates of :func:`_tangent_factors` is R^T V U; with its normal
+    block R_perp^T V Y zeroed, its norm is that of the coefficients of V
+    on the basis of :func:`chart_tangent_basis`.
     """
-    comp, basis = _tangent_spaces(omega, bases)
+    comp, left, u = _tangent_factors(omega, bases)
     v, _ = core._log(bases, comp, l.basis, core.TOL_CUT)
-    coeffs = basis.reshape(basis.shape[:-2] + (-1,)) @ v.reshape(v.shape[:-2] + (-1, 1))
-    return core._norm(coeffs[..., 0], axis=-1)
+    coords = left.swapaxes(-1, -2) @ v @ u
+    coords[..., omega.k - omega.s:, :omega.s] = 0.0
+    return core._norm(coords, axis=(-2, -1))
 
 
 def normality_residual(omega: SchubertVariety, l: Plane, e: Plane) -> float:

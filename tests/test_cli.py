@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestBasicCommands:
         code, out = run(capsys, "distance", "--json", doc)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == "14"
+        assert report["schema_version"] == "15"
         assert abs(report["delta"] - core.grassmann_distance(e1, e2)) < 1e-12
 
     def test_angles(self, capsys, g25_pair):
@@ -143,6 +144,23 @@ class TestBasicCommands:
         rep = json.loads(out)
         assert rep["c2"] == 18
         assert rep["c1_int"] == 2 * 2 * 2**28 * 17**10 * 40**18
+
+    def test_bound_refuses_a_constant_too_long_to_write(self, capsys):
+        # the report writer converts c1_int to a string, which Python
+        # refuses past 4300 digits; the command refuses first, and at
+        # G(50, 100) without forming the powers
+        for k, n in ((3, 61), (7, 15)):
+            code, out = run(capsys, "bound", "--k", str(k), "--n", str(n), "--d", "2")
+            assert code == 0
+            base = math.comb(n * k, k * (k + 1) + 1) + (k + 1) ** 2
+            c1_int = 2 * k * 2 ** (8 * k * k - 2 * k) * base ** (k * (n + 1))
+            assert json.loads(out)["c1_int"] == c1_int * (2 * k * k * (n + 1)) ** (k * (n + 5))
+        for k, n in ((3, 62), (7, 16), (50, 100)):
+            start = time.perf_counter()
+            code, out = run(capsys, "bound", "--k", str(k), "--n", str(n), "--d", "2")
+            assert time.perf_counter() - start < 1.0
+            assert code == cli.EXIT_VALIDATION
+            assert json.loads(out)["error"]["code"] == "DomainError"
 
 
 class TestSchubertCommands:

@@ -157,6 +157,21 @@ def test_command_imports_only_the_modules_it_runs(command):
         assert "dataclasses" not in names
 
 
+BOUND_REFUSAL_PROBE = """
+import contextlib, io, json, sys
+from grasscrit import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["bound", "--k", "50", "--n", "100", "--d", "2"])
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+print(json.dumps({"code": code, "error": json.loads(out.getvalue())["error"]["code"], "numpy": numpy}))
+"""
+
+
+def test_bound_refusal_loads_no_numpy():
+    result = json.loads(_python("-c", BOUND_REFUSAL_PROBE).stdout)
+    assert result == {"code": 2, "error": "DomainError", "numpy": []}
+
+
 LAZY_PROBE = """
 import json, sys
 import grasscrit

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,9 +170,10 @@ class TestChartTangentBasis:
                 assert np.array_equal(basis.a, np.array(outer_list_reference(omega, e)))
 
     def test_normality_residual_is_norm_of_coefficients(self):
-        # the one contraction against the stack equals the coefficient
-        # vector taken one basis element at a time
-        for n, k, s in SHAPES:
+        # the norm of the tangential block of the logarithm equals the
+        # coefficient vector taken one basis element at a time; G(8,16),
+        # s = 4 has 70 records with 48 basis elements each
+        for n, k, s in SHAPES + [(16, 8, 4)]:
             omega = variety(n, k, s, seed=97)
             l = core.random_plane(n, k, 98)
             for record in schubert.ey_schubert_critical_points(omega, l):
@@ -374,17 +376,21 @@ class TestStackedCertificate:
         omega = variety(n, k, s, seed=420)
         l = core.random_plane(n, k, 421)
         points = [r.point for r in schubert.ey_schubert_critical_points(omega, l)]
-        comps, stacks = schubert._tangent_spaces(omega, np.array([e.basis for e in points]))
-        for e, comp, stack in zip(points, comps, stacks):
-            assert np.array_equal(np.hstack([e.basis, comp]), core.complete_frame(e).frame)
-            assert np.array_equal(stack, np.array(outer_list_reference(omega, e)))
+        stacked = schubert._tangent_factors(omega, np.array([e.basis for e in points]))
+        for i, e in enumerate(points):
+            assert np.array_equal(np.hstack([e.basis, stacked[0][i]]), core.complete_frame(e).frame)
+            single = schubert._tangent_factors(omega, e.basis[None])
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got[i], want[0])
+            basis = schubert.chart_tangent_basis(omega, e)
+            assert np.array_equal(basis.a, np.array(outer_list_reference(omega, e)))
 
     def test_one_singular_point_in_stack_raises(self):
         omega = variety(7, 3, 1, seed=430)
         l = core.random_plane(7, 3, 431)
         bases = [r.point.basis for r in schubert.ey_schubert_critical_points(omega, l)]
         with pytest.raises(NotSmoothPoint, match="singular"):
-            schubert._tangent_spaces(omega, np.array(bases + [omega.w.plane.basis]))
+            schubert._tangent_factors(omega, np.array(bases + [omega.w.plane.basis]))
 
     def test_point_on_cut_of_l_raises(self):
         # a farthest point is smooth and on the cut locus of l, where the
@@ -394,6 +400,21 @@ class TestStackedCertificate:
         _, maximizer = schubert.global_max(omega, l, b_seed=0)
         with pytest.raises(OnCutLocus):
             schubert.normality_residual(omega, l, maximizer)
+
+    def test_certificate_forms_no_tangent_basis_stack(self):
+        # G(12,24), s = 6: 924 records whose tangent bases would take
+        # 924 x 72 x 12 x 12 floats (77 MB) as one stack; the certificate
+        # reads the logarithms in the factors' coordinates instead
+        omega = variety(24, 12, 6, seed=450)
+        l = core.random_plane(24, 12, 451)
+        tracemalloc.start()
+        try:
+            records = schubert.ey_schubert_critical_points(omega, l)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 924
+        assert peak < 64 * 2**20, peak
 
     def test_linear_algebra_calls_do_not_grow_with_records(self, linalg_calls):
         # the certificate is one stacked pass: G(4,9) has 4 records at

@@ -1211,6 +1211,18 @@ class TestPfaffianBound:
         assert math.isfinite(rep.c1) and rep.c1 > 0
         assert abs(rep.log10_c1 - math.log10(rep.c1)) < 1e-9
 
+    def test_leading_constant_digit_limit(self, monkeypatch):
+        # c1_int >= 4^c2, so a huge input is refused before the binomial
+        # is formed; within a digit of the limit the count is exact
+        with pytest.raises(DomainError, match="digits"):
+            bounds.pfaffian_bound(10**6, 10**12, 2)
+        digits = len(str(bounds.pfaffian_bound(2, 5, 1).c1_int))
+        monkeypatch.setattr(bounds, "MAX_DIGITS", digits)
+        assert len(str(bounds.pfaffian_bound(2, 5, 1).c1_int)) == digits
+        monkeypatch.setattr(bounds, "MAX_DIGITS", digits - 1)
+        with pytest.raises(DomainError, match="digits"):
+            bounds.pfaffian_bound(2, 5, 1)
+
     def test_domain_gates(self):
         with pytest.raises(DimensionError):
             bounds.pfaffian_bound(3, 4, 1)
