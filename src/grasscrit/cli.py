@@ -36,11 +36,12 @@ EXIT_SOLVER = 4
 #: (binomial(m, r), m = min(rows, cols)) and of a ``schubert-critical``
 #: report (binomial(k, s)): each builds arrays or Python lists of that
 #: length, so a larger count could fail to allocate or exhaust memory.
-#: At this value a cold process peaks (its maximum RSS) at about 49 MB
-#: for a G(1,3) conic ``gdc-sample --trials 1`` and at about 34 MB and
-#: 41 MB for a ``subdiff-dim`` with two and three right angles, and a
-#: ``schubert-critical`` at about 77 MB on G(12,24), s = 6 (924 records)
-#: and 281 MB on G(14,28), s = 7 (3 432).  It bounds the count, not the
+#: At this value a cold process peaks (its maximum RSS, read through
+#: ``RUSAGE_CHILDREN``) at about 49 MB for a G(1,3) conic ``gdc-sample
+#: --trials 1`` and at about 34 MB and 40 MB for a ``subdiff-dim`` with
+#: two and three right angles, and a ``schubert-critical`` at about
+#: 50 MB on G(12,24), s = 6 (924 records) and 121 MB on G(14,28), s = 7
+#: (3 432), whose report is written in chunks.  It bounds the count, not the
 #: size of one item: the per-start work of a larger hypersurface and the
 #: size of one record (an m x n matrix, or a plane of G(k, n)) grow with
 #: the input.
@@ -75,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-cut", type=float)
     p = add("subdiff-dim", "affine dimension of the sampled subdifferential")
     p.add_argument("--grid", type=int)
-    p.add_argument("--tol-rank", type=float, default=1e-8)
+    p.add_argument("--tol-rank", type=float, default=1e-8,
+                   help="relative singular-value threshold of the rank, in (0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p = add("subdiff-zero-test", "zero-in-projected-subdifferential test")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -404,12 +406,13 @@ _HANDLERS = {
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = serialize.canonical_dumps(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            serialize.dump(payload, fh)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        serialize.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
 
 
 def _error_payload(code: str, message: str, path: str) -> dict:

@@ -24,11 +24,14 @@ J. Optim. 2015), so the subdifferential is exactly
 injective linear map L puts Q into the right-angle block.  The zero
 test of :func:`restricted_critical_test` works on that description.
 Sampled generator sets remain for the affine dimension, which for the
-full orbit is j^2: a sample of O(j) is one (m, j, j) array, built in
+full orbit is j^2.  A sample of O(j) is one (m, j, j) array, built in
 one pass (the O(2) grid from one cosine and one sine over its angles,
-larger groups from one stacked QR of seeded Gaussian draws), and the
-orbit is built from it in one pass as the generators of
-:func:`subdiff_generators`, one (m, n-k, k) :class:`TangentMatrix`.
+larger groups from one stacked QR of seeded Gaussian draws), and
+:func:`subdiff_generators` keeps it, not the orbit: the centered
+generators ``-(pi / 2 delta) N2 (W_i^T - W_0^T) P2^T`` are the centered
+sample under the isometry ``X -> N2 X^T P2^T`` (N2, P2 the orthonormal
+right-angle columns) times pi / (2 delta), so a relative threshold gives
+both the same rank.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import FramedPlane, Plane, TangentMatrix
+from .core import FramedPlane, Plane
 from .errors import (
     DimensionError,
     DimensionMismatch,
@@ -77,10 +80,11 @@ class CutStratumReport:
 class SubdiffGeneratorSet:
     """Sampled generators of the distance subdifferential at a cut point.
 
-    ``generators`` is one stack (m, n-k, k) of unit-norm tangent
-    matrices at ``base``, one per sampled orbit element; their convex
-    hull inner-approximates the subdifferential, with Hausdorff error
-    controlled by the fineness of the orthogonal-group sample.
+    ``sample`` is the read-only (m, j, j) sample of O(j); an element W
+    stands for the unit-norm generator -N diag(theta) blockdiag(I, W^T)
+    P^T / delta at ``base``, and the hull of those inner-approximates the
+    subdifferential, with Hausdorff error controlled by the fineness of
+    the sample.  No generator is formed (see the module docstring).
     ``factors`` (N, theta, P) of the base preimage B0 = N diag(theta) P^T
     are in the order of :func:`core.connecting_factors`, the j right
     angles (exactly pi/2) last; with ``delta`` and ``j`` they fix the
@@ -91,7 +95,7 @@ class SubdiffGeneratorSet:
     delta: float
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     j: int
-    generators: TangentMatrix
+    sample: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,28 +143,12 @@ def _cut_factors(at: FramedPlane, target: Plane):
     return (ncols, theta, p), j
 
 
-def _orbit(factors, j: int, w_sample) -> np.ndarray:
-    """The stack N diag(theta) blockdiag(I_{k-j}, W^T) P^T over a nonempty
-    sample of W in O(j), the whole sample checked at once."""
-    ncols, theta, p = factors
-    w = np.asarray(w_sample, dtype=float)
-    if w.size == 0:
-        raise DimensionMismatch("empty orbit sample")
-    if w.shape[1:] != (j, j):
-        raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
-    if not np.maximum.reduce(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)), axis=None) <= 1e-8:
-        raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
-    blocks = core._eye(len(theta))[None].repeat(len(w), axis=0)
-    blocks[:, -j:, -j:] = w
-    return ncols @ (theta[:, None] * blocks.swapaxes(-1, -2)) @ p.T
-
-
 def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSet:
     """Sampled subdifferential generators of the distance from ``l`` at ``s``.
 
-    Builds one connecting matrix B0 from ``s`` back to ``l``, sweeps its
-    orthogonal gauge orbit with the transposed elements of ``w_sample``,
-    and normalizes by the distance; every generator has unit norm.  The
+    Builds one connecting matrix B0 from ``s`` back to ``l`` and keeps a
+    read-only copy of ``w_sample``, checked whole, whose elements W sweep
+    the gauge orbit of B0 as W^T (:class:`SubdiffGeneratorSet`).  The
     stratum j is read from the same factors.
 
     Raises
@@ -172,9 +160,16 @@ def subdiff_generators(l: Plane, s: FramedPlane, w_sample) -> SubdiffGeneratorSe
         If the sample is empty, misshapen or not orthogonal.
     """
     factors, j = _cut_factors(s, l)
+    w = np.array(w_sample, dtype=float)
+    if w.size == 0:
+        raise DimensionMismatch("empty orbit sample")
+    if w.shape[1:] != (j, j):
+        raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
+    if not np.maximum.reduce(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)), axis=None) <= 1e-8:
+        raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
+    w.flags.writeable = False
     delta = float(core._norm(factors[1]))
-    gens = core.tangent(s, -_orbit(factors, j, w_sample) / delta)
-    return SubdiffGeneratorSet(base=s, delta=delta, factors=factors, j=j, generators=gens)
+    return SubdiffGeneratorSet(base=s, delta=delta, factors=factors, j=j, sample=w)
 
 
 def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray:
@@ -201,28 +196,33 @@ def sample_orthogonal_group(j: int, seed=0, n_grid: int = O2_GRID) -> np.ndarray
 def subdiff_affine_dimension(gen_set: SubdiffGeneratorSet, tol_rank: float = 1e-8) -> int:
     """Affine dimension of the sampled generator set.
 
-    Rank of the centered, vectorized generator matrix with singular
-    values thresholded at ``tol_rank`` relative to the largest; for a
-    stratum with j right angles the expected value is j^2.
+    Rank of the centered, vectorized sample (m, j^2), which is that of
+    the centered generators (module docstring), with singular values
+    thresholded at ``tol_rank`` relative to the largest; for a stratum
+    with j right angles the expected value is j^2.
 
     Raises
     ------
+    DomainError
+        If ``tol_rank`` is not in (0, 1): at 1 or above even the largest
+        singular value would count as zero.
     NotOnCut
         If the generator set claims stratum 0 (gradient singleton).
     InsufficientSamples
         If fewer than j^2 + 1 generators were sampled.
     """
+    if not 0.0 < tol_rank < 1.0:
+        raise DomainError(f"tol_rank must lie in (0, 1), got {tol_rank}")
     if gen_set.j == 0:
         raise NotOnCut("off the cut locus the subdifferential is a point")
     need = gen_set.j ** 2 + 1
-    x = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
+    x = gen_set.sample.reshape(len(gen_set.sample), -1)
     if len(x) < need:
         raise InsufficientSamples(
             f"{len(x)} generators < {need} required for stratum j={gen_set.j}"
         )
-    centered = x - x[0]
-    svals = core._svdvals(centered)
-    if svals.size == 0 or svals[0] <= 0.0:
+    svals = core._svdvals(x - x[0])
+    if svals[0] <= 0.0:
         return 0
     return int(np.count_nonzero(svals > tol_rank * svals[0]))
 
@@ -248,7 +248,7 @@ def restricted_critical_test(
     ``{G0 + L(Q) : ||Q||_2 <= 1}`` where
     ``G0 = -N1 diag(theta1) P1^T / delta`` and
     ``L(Q) = -(pi / 2 delta) N2 Q P2^T``.  For orthogonal Q, G0 + L(Q) is
-    the generator that :func:`subdiff_generators` builds from W = Q^T.
+    the generator that the sample element W = Q^T stands for.
 
     Projecting onto the basis gives g = <T_d, G0> and the D x j^2 matrix
     M of <T_d, L(.)>; the test asks for Q in the spectral unit ball with

@@ -20,6 +20,7 @@ only in the readers and writers of matrices.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from typing import TYPE_CHECKING
@@ -47,14 +48,29 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: Pieces :func:`dump` holds before it writes them to its stream.  The
+#: count is checked only where a list or an object closes, off the
+#: per-token path, so the buffer can exceed it by the pieces of one
+#: list or object of scalars.
+_FLUSH_PIECES = 4096
+
+
 def canonical_dumps(obj) -> str:
     """Serialize to canonical JSON: sorted keys, 17-digit floats."""
+    buf = io.StringIO()
+    dump(obj, buf)
+    return buf.getvalue()
+
+
+def dump(obj, stream) -> None:
+    """Write the :func:`canonical_dumps` text of ``obj`` to the text
+    ``stream`` in chunks, so that the whole text is never held at once."""
     pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    _write(obj, pieces, stream)
+    stream.write("".join(pieces))
 
 
-def _write(obj, out: list[str]) -> None:
+def _write(obj, out: list[str], stream) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -76,17 +92,23 @@ def _write(obj, out: list[str]) -> None:
                 raise SchemaError(f"non-string key {key!r}")
             out.append(json.dumps(key))
             out.append(":")
-            _write(obj[key], out)
+            _write(obj[key], out, stream)
         out.append("}")
+        if len(out) > _FLUSH_PIECES:
+            stream.write("".join(out))
+            out.clear()
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _write(item, out)
+            _write(item, out, stream)
         out.append("]")
+        if len(out) > _FLUSH_PIECES:
+            stream.write("".join(out))
+            out.clear()
     elif hasattr(obj, "tolist"):  # a numpy scalar or array, as Python values
-        _write(obj.tolist(), out)
+        _write(obj.tolist(), out, stream)
     else:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,25 @@ def test_tol_cut_at_or_above_right_angle_is_validation_error(capsys, command, va
     assert json.loads(out)["error"]["code"] == "DomainError"
 
 
+@pytest.mark.parametrize("value", ["0.99", "1", "2", "1e300", "inf", "nan", "0", "-1"])
+def test_tol_rank_must_lie_below_one(capsys, value):
+    # at the CI's two-right-angle point (dimension 4) a relative rank
+    # threshold of 1 or more would count every singular value as zero
+    # and report dimension 0; 0.99 keeps only the largest one
+    eye = np.eye(5)
+    doc = json.dumps({
+        "l": plane_json(core.make_plane(eye[:, :2])),
+        "s": plane_json(core.make_plane(eye[:, 2:4])),
+    })
+    code, out = run(capsys, "subdiff-dim", "--tol-rank", value, "--json", doc)
+    report = json.loads(out)
+    if value == "0.99":
+        assert code == cli.EXIT_OK and (report["j"], report["dimension"]) == (2, 1)
+    else:
+        assert code == cli.EXIT_VALIDATION
+        assert report["error"]["code"] == "DomainError"
+
+
 def _count_limit_options():
     eye = np.eye(5)
     cut = json.dumps({  # l = columns 0, 1 and s = columns 2, 3 of I_5: j = 2
@@ -721,6 +741,29 @@ class TestSerialization:
         text = serialize.canonical_dumps({"x": 0.1, "y": float("inf"), "z": 1.0})
         assert '"x":0.10000000000000001' in text
         assert '"y":"inf"' in text
+
+    def test_report_writer_holds_a_bounded_buffer(self, tmp_path):
+        # 1 000 records shaped like those of a G(14,28), s = 7
+        # schubert-critical report make 8 MB of text; the writer hands it
+        # to the file in chunks, where holding one string per token until
+        # a final join peaked at about 43 MB
+        basis = np.random.default_rng(0).standard_normal((28, 14)).tolist()
+        payload = {"command": "schubert-critical", "records": [
+            {"index_set": list(range(7)), "value": i / 7, "normality_residual": i * 1e-16,
+             "point": {"n": 28, "k": 14, "basis": basis}}
+            for i in range(1000)
+        ]}
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli._emit(payload, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = path.read_text(encoding="utf-8")
+        assert len(text) > 8 * 10**6
+        assert text == serialize.canonical_dumps(payload) + "\n"
+        assert peak < 5 * 2**20, peak
 
     def test_sorted_keys(self):
         assert serialize.canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'

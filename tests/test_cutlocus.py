@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,14 +37,37 @@ def cut_point(l_framed, angles, seed=0):
     return core.exp(l_framed, core.tangent(l_framed, a))
 
 
+def orbit(factors, j, w_sample):
+    """The stack N diag(theta) blockdiag(I_{k-j}, W^T) P^T over a nonempty
+    sample of W in O(j), the whole sample checked at once."""
+    ncols, theta, p = factors
+    w = np.asarray(w_sample, dtype=float)
+    if w.size == 0:
+        raise DimensionMismatch("empty orbit sample")
+    if w.shape[1:] != (j, j):
+        raise DimensionMismatch(f"orbit sample has shape {w.shape}, expected (m, {j}, {j})")
+    if not np.maximum.reduce(np.abs(w.swapaxes(-1, -2) @ w - core._eye(j)), axis=None) <= 1e-8:
+        raise DimensionMismatch("orbit element is not orthogonal within 1e-8")
+    blocks = core._eye(len(theta))[None].repeat(len(w), axis=0)
+    blocks[:, -j:, -j:] = w
+    return ncols @ (theta[:, None] * blocks.swapaxes(-1, -2)) @ p.T
+
+
+def generators(gen_set):
+    """The unit-norm generators that the sample of ``gen_set`` stands for,
+    one stack (m, n-k, k) at its base: -orbit / delta."""
+    stack = orbit(gen_set.factors, gen_set.j, gen_set.sample)
+    return core.tangent(gen_set.base, -stack / gen_set.delta)
+
+
 def geodesic_preimages(l, s, w_sample):
     """Minimizing-geodesic velocities from the framed plane ``l`` to a cut
     point ``s``: the connecting matrices N diag(theta) blockdiag(I, W) P^T
     for each W of ``w_sample``, one stack, from the factors of ``l`` toward
-    ``s`` and the orbit of :func:`cutlocus.subdiff_generators` fed W^T."""
+    ``s`` and the orbit fed W^T."""
     factors, j = cutlocus._cut_factors(l, s)
     w = np.asarray(w_sample, dtype=float)
-    return core.tangent(l, cutlocus._orbit(factors, j, w.swapaxes(-1, -2)))
+    return core.tangent(l, orbit(factors, j, w.swapaxes(-1, -2)))
 
 
 def per_w_reference(at, target, w_sample, transpose):
@@ -185,8 +210,8 @@ class TestStackedOrbit:
         w_sample = cutlocus.sample_orthogonal_group(j, seed=5, n_grid=6)
         gens = cutlocus.subdiff_generators(l, sf, w_sample)
         ref, delta = per_w_reference(sf, l, w_sample, transpose=True)
-        assert gens.j == j and gens.generators.frame is sf
-        assert np.max(np.abs(gens.generators.a - (-ref / delta))) <= 1e-15
+        assert gens.j == j and generators(gens).frame is sf
+        assert np.max(np.abs(generators(gens).a - (-ref / delta))) <= 1e-15
 
     def test_non_orthogonal_element_inside_sample_rejected(self):
         l = core.random_plane(7, 3, 80)
@@ -272,8 +297,8 @@ class TestSubdiffGenerators:
         s = cut_point(lf, [0.6, math.pi / 2], seed=5)
         gens = cutlocus.subdiff_generators(l, framed(s), cutlocus.sample_orthogonal_group(1))
         assert gens.j == 1
-        assert np.all(np.abs(gens.generators.norm - 1.0) < 1e-10)
-        for g in gens.generators.a:
+        assert np.all(np.abs(generators(gens).norm - 1.0) < 1e-10)
+        for g in generators(gens).a:
             back = core.exp(framed(s), core.tangent(framed(s), -gens.delta * g))
             assert core.grassmann_distance(back, l) < 1e-9
 
@@ -281,7 +306,7 @@ class TestSubdiffGenerators:
         l = core.make_plane([[1.0], [0.0]])
         s = framed(core.make_plane([[0.0], [1.0]]))
         gens = cutlocus.subdiff_generators(l, s, cutlocus.sample_orthogonal_group(1))
-        g1, g2 = gens.generators.a
+        g1, g2 = generators(gens).a
         assert np.allclose(g1, -g2, atol=1e-12)
 
     def test_two_subdifferential_forms_agree(self):
@@ -299,7 +324,7 @@ class TestSubdiffGenerators:
         c_mat = np.zeros((n, 2 * k))
         c_mat[:k, :k] = p
         c_mat[k:, k:] = ncols @ np.diag(theta)
-        for w, gen in zip(w_list, gens.generators.a):
+        for w, gen in zip(w_list, generators(gens).a):
             blk = np.eye(k)
             blk[k - j:, k - j:] = w
             wbar = np.zeros((2 * k, 2 * k))
@@ -362,12 +387,91 @@ class TestAffineDimension:
         with pytest.raises(InsufficientSamples):
             cutlocus.subdiff_affine_dimension(gens)
 
+    def test_set_keeps_a_read_only_copy_of_the_sample(self):
+        l = core.random_plane(5, 2, 23)
+        sf = framed(cut_point(framed(l), [math.pi / 2, math.pi / 2], seed=24))
+        w = cutlocus.sample_orthogonal_group(2, n_grid=4).copy()
+        gens = cutlocus.subdiff_generators(l, sf, w)
+        assert [f.name for f in dataclasses.fields(gens)] == [
+            "base", "delta", "factors", "j", "sample"
+        ]
+        assert gens.sample is not w and not gens.sample.flags.writeable
+        assert gens.sample.tobytes() == w.tobytes()
+        w[0] = -w[0]
+        assert not np.array_equal(gens.sample[0], w[0])
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (7, 3), (9, 4), (11, 4)])
+    def test_sample_rank_is_generator_stack_rank(self, n, k):
+        # the centered generators are the centered sample carried by the
+        # isometry X -> N2 X^T P2^T and scaled by pi / (2 delta), so the
+        # rank under a relative threshold is the same; the reference ranks
+        # the generator stack itself
+        for j in range(1, k + 1):
+            rng = np.random.default_rng(n * 10 + j)
+            angles = [*np.sort(rng.uniform(0.2, 1.3, k - j)), *[math.pi / 2] * j]
+            l = core.random_plane(n, k, n + j)
+            sf = framed(cut_point(framed(l), angles, seed=j))
+            eye, need = np.eye(j), j * j + 1
+            full = cutlocus.sample_orthogonal_group(j)
+            samples = [
+                (full, j * j),
+                (cutlocus.sample_orthogonal_group(j, seed=3, n_grid=need), None),
+                (core._signed_qr(rng.standard_normal((need + 3, j, j))), None),
+                (np.concatenate([full[:2]] * need), 1),  # duplicated elements
+                (np.array([eye, -eye] * need), 1),
+                (np.array([eye] * need), 0),
+            ]
+            for w, expected in samples:
+                gens = cutlocus.subdiff_generators(l, sf, w)
+                assert gens.j == j
+                x = generators(gens).a.reshape(len(w), -1)
+                svals = np.linalg.svd(x - x[0], compute_uv=False)
+                for tol_rank in (1e-8, 1e-3, 0.1, 0.5, 0.9):
+                    dim = cutlocus.subdiff_affine_dimension(gens, tol_rank=tol_rank)
+                    ref = np.count_nonzero(svals > tol_rank * svals[0]) if svals[0] > 0 else 0
+                    assert dim == ref, (j, tol_rank)
+                if expected is not None:
+                    assert cutlocus.subdiff_affine_dimension(gens) == expected
+
+    @pytest.mark.parametrize("n_grid", [16, cutlocus.O2_GRID])
+    def test_tol_rank_must_lie_below_one(self, n_grid):
+        # at the two-right-angle point l = columns 0, 1 and s = columns
+        # 2, 3 of I_5; a relative threshold of 1 or more would count the
+        # largest singular value as zero and report dimension 0
+        eye = np.eye(5)
+        l = plane_from_columns(eye[:, 0], eye[:, 1])
+        sf = framed(plane_from_columns(eye[:, 2], eye[:, 3]))
+        w = cutlocus.sample_orthogonal_group(2, n_grid=n_grid)
+        gens = cutlocus.subdiff_generators(l, sf, w)
+        assert cutlocus.subdiff_affine_dimension(gens) == 4
+        assert cutlocus.subdiff_affine_dimension(gens, tol_rank=0.99) == 1
+        for tol_rank in (1.0, 2.0, math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(DomainError, match="tol_rank"):
+                cutlocus.subdiff_affine_dimension(gens, tol_rank=tol_rank)
+
+    def test_memory_stays_with_the_sample(self):
+        # G(4,9), j = 2, with the 20 000 elements of an n_grid = 10 000
+        # O(2) grid: no (m, n-k, k) generator stack is built (it peaked at
+        # about 9 MB), only copies of the (m, 2, 2) sample
+        l = core.random_plane(9, 4, 90)
+        sf = framed(cut_point(framed(l), [0.4, 0.9, math.pi / 2, math.pi / 2], seed=91))
+        w = cutlocus.sample_orthogonal_group(2, n_grid=10_000)
+        tracemalloc.start()
+        try:
+            gens = cutlocus.subdiff_generators(l, sf, w)
+            dim = cutlocus.subdiff_affine_dimension(gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gens.j == 2 and dim == 4
+        assert peak < 3 * 2**20, peak
+
 
 def reference_lp_test(gen_set, basis, tol=1e-8):
     """The zero test as a linear program over the sampled generators: the
     convex combination with the smallest sup-norm projection; its l2
     residual within ``tol`` is a witness.  Returns (found, residual)."""
-    gens = gen_set.generators.a.reshape(len(gen_set.generators.a), -1)
+    gens = generators(gen_set).a.reshape(len(gen_set.sample), -1)
     proj = basis.a.reshape(-1, gens.shape[1]) @ gens.T  # (D, m)
     dim_t, m = proj.shape
     c = np.zeros(m + 1)
@@ -401,7 +505,7 @@ def check_witness(l, sf, basis, result, tol=1e-8):
     corners = (u * signs[:, None, :]) @ vt  # (2^j, j, j)
     assert np.allclose(np.einsum("e,eab->ab", weights, corners), q, rtol=0.0, atol=1e-12)
     gens = cutlocus.subdiff_generators(l, sf, corners.swapaxes(-1, -2))
-    element = np.einsum("e,eab->ab", weights, gens.generators.a)
+    element = np.einsum("e,eab->ab", weights, generators(gens).a)
     projection = basis.a.reshape(len(basis.a), -1) @ element.reshape(-1)
     assert np.linalg.norm(projection) <= tol
 
@@ -448,7 +552,7 @@ class TestZeroInHullTest:
         s = cut_point(lf, [0.4, math.pi / 2], seed=32)
         sf = framed(s)
         gens = cutlocus.subdiff_generators(l, sf, [np.eye(1)])
-        g = gens.generators.a[0]
+        g = generators(gens).a[0]
         basis = core.tangent(sf, [g / np.linalg.norm(g)])
         result = cutlocus.restricted_critical_test(gens, basis)
         assert result.found
@@ -462,7 +566,7 @@ class TestZeroInHullTest:
         s = cut_point(framed(l), [0.4, math.pi / 2], seed=34)
         sf = framed(s)
         gens = cutlocus.subdiff_generators(l, sf, cutlocus.sample_orthogonal_group(1))
-        g0 = gens.generators.a.mean(axis=0)
+        g0 = generators(gens).a.mean(axis=0)
         basis = core.tangent(sf, [g0 / np.linalg.norm(g0)])
         result = cutlocus.restricted_critical_test(gens, basis)
         assert not result.found and result.outcome == "refuted"
@@ -484,7 +588,7 @@ class TestZeroInHullTest:
             gens = cutlocus.subdiff_generators(l, sf, np.eye(j)[None])
             for dim in dims:
                 picks = rng.choice(len(w_fine), size=min(3, len(w_fine)), replace=False)
-                for normal in (None, fine.generators.a[picks].mean(axis=0)):
+                for normal in (None, generators(fine).a[picks].mean(axis=0)):
                     basis = random_tangent_space(sf, dim, rng, normal)
                     ref_found, _ = reference_lp_test(fine, basis)
                     result = cutlocus.restricted_critical_test(gens, basis)
